@@ -45,6 +45,7 @@ class BoundReport:
             "j_g": self.j_g,
             "delta_pr": self.delta_pr,
             "satisfied": self.satisfied,
+            "vacuous": self.vacuous,
             "max_ratio": self.max_ratio,
         }
 
@@ -144,8 +145,7 @@ def verify_bound(
             states.ghz_x(partition.n_probe, "primed"), partition, lattice
         )
         h_total = ham.build_h_total(lattice, partition, couplings, omega)
-        h_eff = ham.build_h_probe_omega(partition, lattice, omega)
-        eps = epsilon_deviation_grid(psi, h_total, h_eff, proj, t_grid)
+        eps = epsilon_deviation_grid(psi, h_total, partition.probe_order(), omega, proj, t_grid)
         rhs = np.array([error_bound_rhs(n, omega, gap, t) for t in t_grid])
 
     satisfied = bool(np.all(np.abs(eps) <= rhs + 1e-14))

@@ -89,6 +89,14 @@ def _cmd_sweep(config: RunConfig) -> str:
     n = lattice.n_sites
     lines = ["scheme,N,jbar,omega,t_int,delta_omega"]
     for scheme in schemes:
+        n_sensing = partition.n_probe if scheme == "hsf" else n
+        if rc.phase_warning(n_sensing):
+            print(
+                f"warning: {scheme}: accumulated phase |omega * n * t_int| = "
+                f"{abs(config.omega * n_sensing * config.t_int):.3g} >= 0.5 (n = {n_sensing}); "
+                "the linearized uncertainty is suspect",
+                file=sys.stderr,
+            )
         delta = numeric_sensitivity(
             scheme, rc, lattice, partition, couplings, ideal=config.sweep_ideal
         )
@@ -187,16 +195,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _limit_threads() -> None:
-    cap = os.environ.get("HSF_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _limit_threads()
     parser = argparse.ArgumentParser(prog="hsfsense", description=__doc__)
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--command", choices=COMMANDS)

@@ -3,8 +3,10 @@
 Two interchangeable propagators: a cached dense eigendecomposition (exact to
 machine precision, best when many times are needed at moderate dimension)
 and a Lanczos approximation of exp(-iHt)|psi> with full reorthogonalization
-and adaptive substepping (memory-lean, best at large dimension).  hbar = 1
-throughout; times are in inverse energy units.
+and adaptive substepping (memory-lean, best at large dimension), which raises
+EvolutionError rather than return an unconverged step.  The decoupled probe
+drive is a product of single-spin rotations and is applied in closed form.
+hbar = 1 throughout; times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ class EvolutionEngine:
         if method == "eig":
             w, v = np.linalg.eigh(hamiltonian.toarray())
             self._eigvals, self._eigvecs = w, v
+        else:
+            # Lanczos substep length from the max absolute row sum, a bound on ||H||_2
+            hnorm = max(abs(self.hamiltonian).sum(axis=1).max(), 1e-30)
+            self._dt_max = 20.0 / hnorm
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} |state>; norm preserved to 1e-10."""
@@ -58,7 +64,7 @@ class EvolutionEngine:
         if self.method == "eig":
             coeff = self._eigvecs.conj().T @ state
             return self._eigvecs @ (np.exp(-1j * self._eigvals * t) * coeff)
-        return _lanczos_expm(self.hamiltonian, state, t)
+        return self._lanczos_expm(state, t)
 
     def evolve_grid(self, state: np.ndarray, ts) -> list[np.ndarray]:
         """States at each time in ``ts`` (evaluated independently per point)."""
@@ -69,62 +75,86 @@ class EvolutionEngine:
         out: list = [None] * len(ts)
         current, t_now = np.asarray(state, dtype=complex), 0.0
         for k in order:
-            current = _lanczos_expm(self.hamiltonian, current, ts[k] - t_now)
+            current = self._lanczos_expm(current, ts[k] - t_now)
             t_now = ts[k]
             out[k] = current
         return out
 
+    def _apply(self, psi: np.ndarray) -> np.ndarray:
+        """H|psi> for a contiguous complex psi.
 
-def _lanczos_expm(h: sp.csr_matrix, state: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iht)|state> by Lanczos with adaptive substeps."""
-    if t == 0.0:
-        return state.copy()
-    remaining = t
-    psi = state.astype(complex)
-    # Substep so the Krylov space converges; scale from a norm estimate.
-    hnorm = max(abs(h).sum(axis=1).max(), 1e-30)
-    dt_full = np.sign(t) * min(abs(t), 20.0 / hnorm)
-    while remaining != 0.0:
-        dt = np.sign(remaining) * min(abs(remaining), abs(dt_full))
-        psi = _lanczos_step(h, psi, dt)
-        remaining -= dt
-    return psi
+        A real H acts on the (dim, 2) real view of psi, which gives the same
+        sums as the complex product without upcasting H's data to complex.
+        """
+        h = self.hamiltonian
+        if h.dtype.kind == "c":
+            return h @ psi
+        return (h @ psi.view(np.float64).reshape(-1, 2)).view(complex).reshape(-1)
+
+    def _lanczos_expm(self, state: np.ndarray, t: float) -> np.ndarray:
+        """exp(-iHt)|state> by Lanczos substeps no longer than ``_dt_max``."""
+        if t == 0.0:
+            return state.copy()
+        remaining = t
+        psi = state
+        basis = np.empty((0, state.shape[0]), dtype=complex)  # shared by the substeps
+        while remaining != 0.0:
+            dt = np.sign(remaining) * min(abs(remaining), self._dt_max)
+            psi, basis = _lanczos_step(self._apply, psi, dt, basis)
+            remaining -= dt
+        return psi
 
 
-def _lanczos_step(h: sp.csr_matrix, psi: np.ndarray, dt: float) -> np.ndarray:
+def _reserve(basis: np.ndarray, rows: int) -> np.ndarray:
+    """``basis`` with room for at least ``rows`` rows.
+
+    Grows by doubling up to _KRYLOV_DIM rows, so memory follows the rows a
+    step actually uses (one row is 2^N complex amplitudes).
+    """
+    if rows <= basis.shape[0]:
+        return basis
+    grown = np.empty((max(rows, min(2 * basis.shape[0], _KRYLOV_DIM)), basis.shape[1]), dtype=complex)
+    grown[: basis.shape[0]] = basis
+    return grown
+
+
+def _lanczos_step(apply_h, psi: np.ndarray, dt: float, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i dt H)|psi> from one Krylov space; returns it and the (grown) basis.
+
+    The basis rows are kept orthonormal by two passes of classical
+    Gram-Schmidt against all of them.  exp(-i dt T) e1 of the tridiagonal
+    Lanczos matrix T comes from its eigendecomposition, and the step stops
+    once |beta_m (exp(-i dt T) e1)_m dt| < _KRYLOV_TOL.
+    """
     beta0 = np.linalg.norm(psi)
     if beta0 == 0.0:
-        return psi
-    v = [psi / beta0]
+        return psi, basis
+    basis = _reserve(basis, 1)
+    basis[0] = psi / beta0
     alphas, betas = [], []
-    converged_result = None
     for j in range(_KRYLOV_DIM):
-        w = h @ v[j]
-        alpha = np.real(np.vdot(v[j], w))
-        w = w - alpha * v[j]
-        if j > 0:
-            w = w - betas[-1] * v[j - 1]
-        # full reorthogonalization keeps the basis numerically orthonormal
-        for u in v:
-            w = w - np.vdot(u, w) * u
-        alphas.append(alpha)
-        beta = np.linalg.norm(w)
-        m = j + 1
-        tmat = np.diag(alphas).astype(float)
-        if m > 1:
-            off = np.array(betas)
-            tmat[np.arange(m - 1), np.arange(1, m)] = off
-            tmat[np.arange(1, m), np.arange(m - 1)] = off
-        small = scipy.linalg.expm(-1j * dt * tmat)[:, 0]
+        w = apply_h(basis[j])
+        v = basis[: j + 1]
+        c = (v @ w.conj()).conj()  # <v_i|w>, without a conjugated copy of v
+        alphas.append(c[j].real)
+        w -= c @ v
+        c = (v @ w.conj()).conj()  # second pass: removes what rounding left of the first
+        w -= c @ v
+        beta = np.sqrt(np.vdot(w, w).real)
+        lam, q = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
+        small = q @ (np.exp(-1j * dt * lam) * q[0])
         err = abs(beta * small[-1] * dt)
         if beta < 1e-14 or err < _KRYLOV_TOL:
-            converged_result = beta0 * sum(c * u for c, u in zip(small, v))
+            return beta0 * (small @ v), basis
+        if j + 1 == _KRYLOV_DIM:
             break
         betas.append(beta)
-        v.append(w / beta)
-    if converged_result is None:
-        converged_result = beta0 * sum(c * u for c, u in zip(small, v))
-    return converged_result
+        basis = _reserve(basis, j + 2)
+        basis[j + 1] = w / beta
+    raise EvolutionError(
+        f"Lanczos step dt={dt:.6g} did not converge in {_KRYLOV_DIM} iterations "
+        f"(error estimate {err:.3g} > {_KRYLOV_TOL:g})"
+    )
 
 
 def evolve(engine: EvolutionEngine, state: np.ndarray, t: float) -> np.ndarray:
@@ -172,17 +202,42 @@ def epsilon_deviation(
     return float(p_actual - p_eff)
 
 
+def probe_drive_grid(state: np.ndarray, probe_sites, omega: float, ts) -> list[np.ndarray]:
+    """exp(-i t (omega/2) sum_{p in probe_sites} sigma^x_p)|state> at each t in ``ts``.
+
+    The drive's terms commute, so its propagator is the product of the
+    rotations cos(omega t/2) - i sin(omega t/2) sigma^x_p.  Each one acts on
+    the state reshaped to (2,)*N, where sigma^x_p flips axis N-1-p (bit p of
+    the basis index).
+    """
+    state = np.asarray(state, dtype=complex)
+    n = state.shape[0].bit_length() - 1
+    if state.shape != (1 << n,):
+        raise EvolutionError(f"state of shape {state.shape} is not a vector over 2^N basis states")
+    if any(not 0 <= p < n for p in probe_sites):
+        raise EvolutionError(f"probe sites {sorted(probe_sites)} out of range for {n} sites")
+    out = []
+    for t in ts:
+        cos, sin = np.cos(0.5 * omega * t), np.sin(0.5 * omega * t)
+        psi = state.reshape((2,) * n)
+        for p in probe_sites:
+            psi = cos * psi - 1j * sin * np.flip(psi, axis=n - 1 - p)
+        out.append(psi.reshape(-1))
+    return out
+
+
 def epsilon_deviation_grid(
     psi: np.ndarray,
     h_total: sp.spmatrix,
-    h_probe_omega: sp.spmatrix,
+    probe_sites,
+    omega: float,
     projector: Projector,
     ts,
 ) -> np.ndarray:
-    eng_full = EvolutionEngine(h_total)
-    eng_eff = EvolutionEngine(h_probe_omega, method="krylov")
-    full_states = eng_full.evolve_grid(psi, ts)
-    eff_states = eng_eff.evolve_grid(psi, ts)
+    """eps(t) on a grid: the projector expectation under ``h_total`` minus the
+    one under the decoupled probe drive (omega/2) sum_{p in probe_sites} sigma^x_p."""
+    full_states = EvolutionEngine(h_total).evolve_grid(psi, ts)
+    eff_states = probe_drive_grid(psi, probe_sites, omega, ts)
     return np.array(
         [projector.expectation(a) - projector.expectation(b) for a, b in zip(full_states, eff_states)]
     )

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hsfsense
 from hsfsense.cli import main
 
 
@@ -52,6 +57,55 @@ def test_sweep_all_schemes(tmp_path):
     ]
 
 
+def test_sweep_warns_when_accumulated_phase_is_large(tmp_path, capsys):
+    # omega * n * t_int: 0.4 * 9 * 0.2 = 0.72 for the GHZ schemes, 0.4 * 1 * 0.2 for hsf
+    out = tmp_path / "sweep.csv"
+    text = (
+        "command = sweep\nlattice.width = 3\nlattice.height = 3\n"
+        f"omega = 0.4\nt_int = 0.2\nt_all = 10\nsweep.scheme = all\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text) == 0
+    captured = capsys.readouterr()
+    warnings = captured.err.splitlines()
+    assert [line.split(":")[1].strip() for line in warnings] == ["ghz_free", "ghz_interacting"]
+    assert all(line.startswith("warning: ") for line in warnings)
+    assert captured.out == ""
+    assert len(out.read_text().splitlines()) == 4
+
+
+_BLAS_THREADS_PROBE = """
+import ctypes
+import hsfsense
+import numpy
+
+paths = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower() and "/" in line}
+count = None
+for path in sorted(paths):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None and count is None:
+            fn.restype = ctypes.c_int
+            fn.argtypes = []
+            count = int(fn())
+print(count)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the loaded libraries from /proc")
+def test_hsf_threads_overrides_blas_thread_variables():
+    src = str(Path(hsfsense.__file__).resolve().parents[1])
+    env = {**os.environ, "HSF_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    count = proc.stdout.strip()
+    if count == "None":
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert count == "1"
+
+
 def test_zeno_command(tmp_path):
     out = tmp_path / "z.csv"
     text = (
@@ -83,7 +137,22 @@ def test_bound_command_prints_summary(tmp_path, capsys):
     assert run_cli(tmp_path, text) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["satisfied"] is True
+    assert summary["vacuous"] is False
     assert out.read_text().startswith("t,epsilon,rhs,margin")
+
+
+def test_bound_command_reports_vacuous_envelope(tmp_path, capsys):
+    # seed 0 gives j_g = 1.27 at 4x4, so rhs >= 2 N omega / j_g = 1.26 at every t
+    out = tmp_path / "b.csv"
+    text = (
+        "command = bound\nlattice.width = 4\nlattice.height = 4\n"
+        "couplings.sigma = 0.3\ncouplings.seed = 0\nomega = 0.05\n"
+        f"t_max = 1\nt_points = 3\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text) == 0
+    printed = capsys.readouterr().out
+    assert '"vacuous": true' in printed
+    assert json.loads(printed)["satisfied"] is True
 
 
 def test_montecarlo_seed_override_changes_output(tmp_path):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
+from hsfsense import evolve as evolve_module
 from hsfsense import hamiltonian as ham
 from hsfsense import states
+from hsfsense.couplings import sample_gaussian
 from hsfsense.errors import EvolutionError
 from hsfsense.evolve import (
     EvolutionEngine,
@@ -11,8 +14,9 @@ from hsfsense.evolve import (
     epsilon_deviation,
     epsilon_deviation_grid,
     evolve,
+    probe_drive_grid,
 )
-from hsfsense.lattice import Lattice
+from hsfsense.lattice import Lattice, canonical_partition
 
 
 def test_single_spin_rabi_oracle():
@@ -67,6 +71,39 @@ def test_evolve_grid_matches_pointwise(lat33, dis33):
             assert np.linalg.norm(grid[k] - eng.evolve(psi, t)) < 1e-10
 
 
+def test_unconverged_lanczos_step_raises(lat33, dis33, monkeypatch):
+    eng = EvolutionEngine(ham.build_h_tfim(lat33, dis33, 0.4), method="krylov")
+    monkeypatch.setattr(evolve_module, "_KRYLOV_DIM", 2)
+    with pytest.raises(EvolutionError, match="did not converge"):
+        eng.evolve(states.ghz_x(9), 1.0)
+
+
+def test_krylov_grid_matches_expm_multiply(lat34, part34):
+    h = ham.build_h_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
+    psi = states.ghz_x(lat34.n_sites)
+    ts = np.linspace(0.0, 2.0, 9)
+    got = EvolutionEngine(h, method="krylov").evolve_grid(psi, ts)
+    want = expm_multiply(-1j * h, psi, start=0.0, stop=2.0, num=9, endpoint=True)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+
+
+def test_probe_drive_closed_form_matches_krylov_with_two_probes():
+    lat = Lattice(3, 6)
+    part = canonical_partition(lat)
+    assert part.n_probe == 2
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
+    psi /= np.linalg.norm(psi)
+    ts = np.array([0.0, 0.4, 1.3, 3.0])
+    want = EvolutionEngine(ham.build_h_probe_omega(part, lat, 0.7), method="krylov").evolve_grid(psi, ts)
+    got = probe_drive_grid(psi, part.probe_order(), 0.7, ts)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+    with pytest.raises(EvolutionError, match="out of range"):
+        probe_drive_grid(psi, [lat.n_sites], 0.7, ts)
+
+
 def test_module_level_evolve_wrapper(lat33, dis33):
     h = ham.build_h_tfim(lat33, dis33, 0.4)
     eng = EvolutionEngine(h)
@@ -111,7 +148,7 @@ def test_epsilon_grid_matches_scalar(lat33, part33, dis33):
     psi = states.embed(states.ghz_x(part33.n_probe), part33, lat33)
     proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
     ts = np.linspace(0.0, 1.0, 5)
-    grid = epsilon_deviation_grid(psi, h_total, h_probe, proj, ts)
+    grid = epsilon_deviation_grid(psi, h_total, part33.probe_order(), 0.4, proj, ts)
     assert abs(grid[0]) < 1e-12
     for k, t in enumerate(ts):
         assert grid[k] == pytest.approx(epsilon_deviation(psi, h_total, h_probe, proj, t), abs=1e-9)
