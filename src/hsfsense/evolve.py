@@ -157,49 +157,16 @@ def _lanczos_step(apply_h, psi: np.ndarray, dt: float, basis: np.ndarray) -> tup
     )
 
 
-def evolve(engine: EvolutionEngine, state: np.ndarray, t: float) -> np.ndarray:
-    return engine.evolve(state, t)
-
-
-def dynamical_fidelity(
-    psi0: np.ndarray,
-    h_ideal: sp.spmatrix,
-    h_actual: sp.spmatrix,
-    t: float,
-    engines: tuple[EvolutionEngine, EvolutionEngine] | None = None,
-) -> float:
-    """|<psi0| e^{+i h_ideal t} e^{-i h_actual t} |psi0>|^2."""
-    if h_ideal.shape != h_actual.shape or psi0.shape[0] != h_ideal.shape[0]:
-        raise EvolutionError("dimension mismatch between state and Hamiltonians")
-    eng_i, eng_a = engines or (EvolutionEngine(h_ideal), EvolutionEngine(h_actual))
-    ideal = eng_i.evolve(psi0, t)
-    actual = eng_a.evolve(psi0, t)
-    return float(abs(np.vdot(ideal, actual)) ** 2)
-
-
 def dynamical_fidelity_grid(
     psi0: np.ndarray, h_ideal: sp.spmatrix, h_actual: sp.spmatrix, ts
 ) -> np.ndarray:
+    """|<psi0| e^{+i h_ideal t} e^{-i h_actual t} |psi0>|^2 at each t in ``ts``."""
+    if h_ideal.shape != h_actual.shape or psi0.shape[0] != h_ideal.shape[0]:
+        raise EvolutionError("dimension mismatch between state and Hamiltonians")
     eng_i, eng_a = EvolutionEngine(h_ideal), EvolutionEngine(h_actual)
     ideal = eng_i.evolve_grid(psi0, ts)
     actual = eng_a.evolve_grid(psi0, ts)
     return np.array([abs(np.vdot(a, b)) ** 2 for a, b in zip(ideal, actual)])
-
-
-def epsilon_deviation(
-    psi: np.ndarray,
-    h_total: sp.spmatrix,
-    h_probe_omega: sp.spmatrix,
-    projector: Projector,
-    t: float,
-    engines: tuple[EvolutionEngine, EvolutionEngine] | None = None,
-) -> float:
-    """Signed gap between the projector expectation under the full and the
-    decoupled probe dynamics at time t."""
-    eng_full, eng_eff = engines or (EvolutionEngine(h_total), EvolutionEngine(h_probe_omega))
-    p_actual = projector.expectation(eng_full.evolve(psi, t))
-    p_eff = projector.expectation(eng_eff.evolve(psi, t))
-    return float(p_actual - p_eff)
 
 
 def probe_drive_grid(state: np.ndarray, probe_sites, omega: float, ts) -> list[np.ndarray]:

@@ -1,9 +1,10 @@
 """Census of dynamically disconnected subspaces of the constrained dynamics.
 
 Basis states are vertices; nonzero off-diagonal matrix elements of a
-constrained builder are edges.  Connected components are found by
-union-find and grouped by domain-wall sector, which is well defined because
-the builders commute with the domain-wall number.
+constrained builder are edges.  Connected components come from
+``scipy.sparse.csgraph``, each labelled by its minimum member state, and are
+grouped by domain-wall sector, which is well defined because the builders
+commute with the domain-wall number.
 """
 
 from __future__ import annotations
@@ -16,30 +17,6 @@ import scipy.sparse as sp
 from .errors import FragmentError
 from .hamiltonian import dw_diagonal
 from .lattice import Lattice
-
-
-class UnionFind:
-    """Array-backed union-find with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass(frozen=True)
@@ -84,10 +61,24 @@ class FragmentReport:
         return "\n".join(lines) + "\n"
 
 
-def _edges_of(h_eff: sp.spmatrix):
-    coo = sp.triu(h_eff.tocoo(), k=1)
-    keep = coo.data != 0
-    return coo.row[keep], coo.col[keep]
+def _offdiagonal_pattern(h_eff: sp.spmatrix) -> sp.csr_matrix:
+    """Where a square operator has nonzero off-diagonal entries, as a CSR pattern."""
+    if h_eff.shape[0] != h_eff.shape[1]:
+        raise FragmentError(f"operator of shape {h_eff.shape} is not square")
+    coo = h_eff.tocoo()
+    keep = (coo.row != coo.col) & (coo.data != 0)
+    ones = np.ones(np.count_nonzero(keep))
+    return sp.csr_matrix((ones, (coo.row[keep], coo.col[keep])), shape=h_eff.shape)
+
+
+def _component_labels(pattern: sp.csr_matrix) -> np.ndarray:
+    """Per vertex: the minimum vertex index of its connected component."""
+    from scipy.sparse.csgraph import connected_components
+
+    n_components, component = connected_components(pattern, directed=False)
+    labels = np.full(n_components, pattern.shape[0], dtype=np.int64)
+    np.minimum.at(labels, component, np.arange(pattern.shape[0], dtype=np.int64))
+    return labels[component]
 
 
 def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport:
@@ -96,72 +87,31 @@ def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport
     Raises FragmentError if any off-diagonal element connects states with
     different domain-wall numbers.
     """
-    dim = h_eff.shape[0]
-    if dim != (1 << lattice.n_sites):
+    if h_eff.shape != (1 << lattice.n_sites,) * 2:
         raise FragmentError("operator dimension does not match the lattice")
     dw = dw_diagonal(lattice)
-    rows, cols = _edges_of(h_eff)
+    pattern = _offdiagonal_pattern(h_eff)
+    rows, cols = pattern.nonzero()
     if np.any(dw[rows] != dw[cols]):
         raise FragmentError("operator mixes domain-wall sectors; not a constrained builder output")
+    labels = _component_labels(pattern)
 
-    uf = UnionFind(dim)
-    for a, b in zip(rows, cols):
-        uf.union(int(a), int(b))
-    roots = np.array([uf.find(s) for s in range(dim)], dtype=np.int64)
-
-    # label each fragment by its minimum member state
-    labels = np.zeros(dim, dtype=np.int64)
-    order = np.argsort(roots, kind="stable")
-    sorted_roots = roots[order]
-    boundaries = np.nonzero(np.diff(sorted_roots))[0] + 1
-    for chunk in np.split(order, boundaries):
-        labels[chunk] = chunk.min()
-
-    sectors = []
-    for sector in np.unique(dw):
-        in_sector = labels[dw == sector]
-        _, sizes = np.unique(in_sector, return_counts=True)
-        sizes = np.sort(sizes)
-        sectors.append(
-            SectorCensus(
-                sector_dw=int(sector),
-                fragment_count=len(sizes),
-                fragment_sizes=tuple(int(s) for s in sizes),
-                frozen_state_count=int(np.sum(sizes == 1)),
-            )
+    # fragments sorted by (sector, size), then cut at each sector boundary
+    roots, sizes = np.unique(labels, return_counts=True)
+    sector = dw[roots]
+    order = np.lexsort((sizes, sector))
+    sector, sizes = sector[order], sizes[order]
+    cuts = np.flatnonzero(np.diff(sector)) + 1
+    sectors = tuple(
+        SectorCensus(
+            sector_dw=int(sec[0]),
+            fragment_count=len(sz),
+            fragment_sizes=tuple(sz.tolist()),
+            frozen_state_count=int(np.sum(sz == 1)),
         )
-    return FragmentReport(n_sites=lattice.n_sites, sectors=tuple(sectors), labels=labels)
-
-
-def census_from_flip_predicate(lattice: Lattice, flip_allowed) -> FragmentReport:
-    """Memory-lean census: edges generated on the fly from a flip predicate.
-
-    ``flip_allowed(site, state)`` must say whether sigma^x may act on
-    ``site`` in basis state ``state``.  Avoids materializing the operator.
-    """
-    n = lattice.n_sites
-    dim = 1 << n
-    uf = UnionFind(dim)
-    for s in range(dim):
-        for i in range(n):
-            if flip_allowed(i, s):
-                uf.union(s, s ^ (1 << i))
-    roots = np.array([uf.find(s) for s in range(dim)], dtype=np.int64)
-    labels = np.zeros(dim, dtype=np.int64)
-    order = np.argsort(roots, kind="stable")
-    boundaries = np.nonzero(np.diff(roots[order]))[0] + 1
-    for chunk in np.split(order, boundaries):
-        labels[chunk] = chunk.min()
-    dw = dw_diagonal(lattice)
-    sectors = []
-    for sector in np.unique(dw):
-        in_sector = labels[dw == sector]
-        _, sizes = np.unique(in_sector, return_counts=True)
-        sizes = np.sort(sizes)
-        sectors.append(
-            SectorCensus(int(sector), len(sizes), tuple(int(x) for x in sizes), int(np.sum(sizes == 1)))
-        )
-    return FragmentReport(n_sites=n, sectors=tuple(sectors), labels=labels)
+        for sec, sz in zip(np.split(sector, cuts), np.split(sizes, cuts))
+    )
+    return FragmentReport(n_sites=lattice.n_sites, sectors=sectors, labels=labels)
 
 
 def refinement_check(
@@ -174,18 +124,22 @@ def refinement_check(
 
     Checked both ways: every inhomogeneous fragment maps into a single
     homogeneous fragment, and the inhomogeneous edge set is a subset of the
-    homogeneous edge set.
+    homogeneous edge set.  Raises FragmentError if the reports and operators
+    do not all act on the same basis.
     """
     hom, inhom = homogeneous_report.labels, inhomogeneous_report.labels
-    # partition refinement: the homogeneous label must be constant on each
-    # inhomogeneous fragment
-    for root in np.unique(inhom):
-        members = np.nonzero(inhom == root)[0]
-        if np.unique(hom[members]).size != 1:
-            return False
-    ri, ci = _edges_of(h_inhom)
-    hom_edges = set(zip(*map(lambda a: a.tolist(), _edges_of(h_hom))))
-    return all((a, b) in hom_edges for a, b in zip(ri.tolist(), ci.tolist()))
+    dim = hom.shape[0]
+    if inhom.shape != (dim,) or h_hom.shape != (dim, dim) or h_inhom.shape != (dim, dim):
+        raise FragmentError(
+            f"refinement check needs one basis: reports over {dim} and {inhom.shape[0]} states, "
+            f"operators of shape {h_hom.shape} and {h_inhom.shape}"
+        )
+    # the homogeneous label is constant on each inhomogeneous fragment iff it
+    # agrees with the label of that fragment's minimum member
+    if not np.array_equal(hom[inhom], hom):
+        return False
+    pattern_in = _offdiagonal_pattern(h_inhom)
+    return pattern_in.multiply(_offdiagonal_pattern(h_hom)).nnz == pattern_in.nnz
 
 
 def fragment_of(state: np.ndarray, h_eff: sp.spmatrix, tol: float = 1e-12) -> set[int]:
@@ -194,15 +148,10 @@ def fragment_of(state: np.ndarray, h_eff: sp.spmatrix, tol: float = 1e-12) -> se
     Population outside this set stays exactly zero along any h_eff
     trajectory starting from ``state``.
     """
-    support = [int(s) for s in np.nonzero(np.abs(state) > tol)[0]]
-    adj = h_eff.tocsr()
-    seen: set[int] = set(support)
-    stack = list(support)
-    while stack:
-        s = stack.pop()
-        row = adj.getrow(s)
-        for j, v in zip(row.indices, row.data):
-            if j != s and v != 0 and int(j) not in seen:
-                seen.add(int(j))
-                stack.append(int(j))
-    return seen
+    if state.shape != (h_eff.shape[0],):
+        raise FragmentError(
+            f"state of shape {state.shape} does not match an operator of shape {h_eff.shape}"
+        )
+    labels = _component_labels(_offdiagonal_pattern(h_eff))
+    reached = np.isin(labels, labels[np.abs(state) > tol])
+    return set(np.flatnonzero(reached).tolist())

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .couplings import CouplingMap
-from .errors import LatticeError, PartitionError
+from .errors import PartitionError
 from .lattice import Lattice, SitePartition
 
 
@@ -131,20 +131,8 @@ def build_h_probe_omega(partition: SitePartition, couplings_or_lattice, omega: f
     return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def dw_number(lattice: Lattice, state: int) -> int:
-    """Number of anti-aligned bonds; frame bonds count with frame spins down."""
-    if not 0 <= state < (1 << lattice.n_sites):
-        raise LatticeError(f"basis state {state} out of range")
-    count = 0
-    for i, j in lattice.bonds():
-        zi = (state >> i) & 1
-        zj = 0 if lattice.is_frame(j) else (state >> j) & 1
-        count += zi != zj
-    return count
-
-
 def dw_diagonal(lattice: Lattice) -> np.ndarray:
-    """dw_number evaluated on every basis state."""
+    """Number of anti-aligned bonds per basis state; frame bonds count with frame spins down."""
     n = lattice.n_sites
     counts = np.zeros(1 << n, dtype=np.int64)
     for i, j in lattice.bonds():
@@ -168,15 +156,6 @@ def _flip_mask(lattice: Lattice, site: int) -> np.ndarray | None:
     for j in slots:
         if not lattice.is_frame(j):
             ups += (states >> j) & 1
-    return ups == 2
-
-
-def flip_allowed_homogeneous(lattice: Lattice, site: int, state: int) -> bool:
-    """Scalar form of the kinetic constraint: may sigma^x act on ``site`` in ``state``?"""
-    slots = lattice.neighbors(site)
-    if len(slots) < 4:
-        return False
-    ups = sum(0 if lattice.is_frame(j) else (state >> j) & 1 for j in slots)
     return ups == 2
 
 
@@ -241,42 +220,9 @@ def build_h_eff_inhomogeneous(
     return op.tocsr()
 
 
-def flip_allowed_inhomogeneous(
-    lattice: Lattice,
-    partition: SitePartition,
-    couplings: CouplingMap,
-    delta_th: float,
-    site: int,
-    state: int,
-    shift: dict[int, float] | None = None,
-) -> bool:
-    """Scalar flip predicate for the inhomogeneous constrained dynamics."""
-    if not flip_allowed_homogeneous(lattice, site, state):
-        return False
-    if shift is None:
-        shift = shift_fields(partition, couplings)
-    acc = shift.get(site, 0.0)
-    for j in lattice.neighbors(site):
-        d = couplings.bond_delta(site, j)
-        zj = -1.0 if lattice.is_frame(j) else 2.0 * ((state >> j) & 1) - 1.0
-        acc += d * zj
-    return abs(acc) <= delta_th
-
-
 def is_hermitian(op: sp.spmatrix, tol: float = 0.0) -> bool:
     diff = (op - op.getH()).tocoo()
     if diff.nnz == 0:
         return True
     return np.max(np.abs(diff.data)) <= tol
 
-
-def dump_operator_csv(op: sp.spmatrix) -> str:
-    """Debug dump: ``row,col,value`` sorted by (row, col), 17 significant digits."""
-    coo = op.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = ["row,col,value"]
-    for k in order:
-        v = coo.data[k]
-        if v != 0:
-            lines.append(f"{coo.row[k]},{coo.col[k]},{format(float(np.real(v)), '.17g')}")
-    return "\n".join(lines) + "\n"

@@ -98,7 +98,7 @@ def _p_s_of_omega(
             h = ham.build_h_total(lattice, partition, couplings, omega)
     else:
         raise SensingError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    engine = EvolutionEngine(h, method="krylov" if h.shape[0] > 2048 else "auto")
+    engine = EvolutionEngine(h, method="krylov")
     return states.measurement_probability(engine.evolve(psi0, config.t_int), proj)
 
 

@@ -47,15 +47,6 @@ def ghz_x(n: int, phase: str = "plain") -> np.ndarray:
     return _fix_phase(vec.astype(complex))
 
 
-def ghz_z(n: int) -> np.ndarray:
-    """Superposition of the two ferromagnetic basis states (all down, all up)."""
-    if n < 1:
-        raise EvolutionError(f"need at least one spin, got n={n}")
-    vec = np.zeros(1 << n, dtype=complex)
-    vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
-    return vec
-
-
 def frozen_bits(partition: SitePartition) -> int:
     """The ancilla frozen pattern as a bit mask over full-lattice sites."""
     bits = 0
@@ -63,21 +54,6 @@ def frozen_bits(partition: SitePartition) -> int:
         if up:
             bits |= 1 << site
     return bits
-
-
-def frozen_state(partition: SitePartition, n_ancilla: int | None = None) -> np.ndarray:
-    """The frozen ancilla configuration as a basis state on the ancilla factor.
-
-    Ancilla-factor bits are ordered by ascending ancilla site index.
-    """
-    order = sorted(partition.ancilla_sites)
-    index = 0
-    for k, site in enumerate(order):
-        if partition.frozen_pattern[site]:
-            index |= 1 << k
-    vec = np.zeros(1 << len(order), dtype=complex)
-    vec[index] = 1.0
-    return vec
 
 
 def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -> np.ndarray:
@@ -121,12 +97,10 @@ class Projector:
 
     kind "rank1": |phi><phi| from ``vector`` over the full basis.
     kind "probe_rank1": |phi^P><phi^P| (x) identity on the ancilla factor.
-    kind "matrix": explicit (dense or sparse) matrix, e.g. the parity projector.
     """
 
     kind: str
-    vector: np.ndarray | None = None
-    matrix: object = None
+    vector: np.ndarray
     p_index: np.ndarray | None = None
     a_index: np.ndarray | None = None
 
@@ -135,28 +109,13 @@ class Projector:
             if self.vector.shape != state.shape:
                 raise EvolutionError("projector/state dimension mismatch")
             return float(abs(np.vdot(self.vector, state)) ** 2)
-        if self.kind == "probe_rank1":
-            if self.p_index.shape != state.shape:
-                raise EvolutionError("projector/state dimension mismatch")
-            n_p = self.vector.shape[0]
-            n_a = state.shape[0] // n_p
-            amp = np.zeros((n_p, n_a), dtype=complex)
-            amp[self.p_index, self.a_index] = state
-            return float(np.sum(np.abs(self.vector.conj() @ amp) ** 2))
-        out = self.matrix @ state
-        return float(np.real(np.vdot(state, out)))
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        if self.kind == "rank1":
-            return self.vector * np.vdot(self.vector, state)
-        if self.kind == "probe_rank1":
-            n_p = self.vector.shape[0]
-            n_a = state.shape[0] // n_p
-            amp = np.zeros((n_p, n_a), dtype=complex)
-            amp[self.p_index, self.a_index] = state
-            amp = np.outer(self.vector, self.vector.conj() @ amp)
-            return amp[self.p_index, self.a_index]
-        return np.asarray(self.matrix @ state)
+        if self.p_index.shape != state.shape:
+            raise EvolutionError("projector/state dimension mismatch")
+        n_p = self.vector.shape[0]
+        n_a = state.shape[0] // n_p
+        amp = np.zeros((n_p, n_a), dtype=complex)
+        amp[self.p_index, self.a_index] = state
+        return float(np.sum(np.abs(self.vector.conj() @ amp) ** 2))
 
 
 def rank1_projector(vector: np.ndarray) -> Projector:
@@ -174,55 +133,6 @@ def probe_projector(probe_vector: np.ndarray, partition: SitePartition, lattice:
     )
 
 
-def ancilla_projector(partition: SitePartition, lattice: Lattice) -> Projector:
-    """Identity on probes tensored with |F><F| on the frozen ancillas.
-
-    Realized as a diagonal matrix selecting the full basis states whose
-    ancilla bits match the frozen pattern.
-    """
-    import scipy.sparse as sp
-
-    n = lattice.n_sites
-    states = np.arange(1 << n, dtype=np.int64)
-    mask = np.ones(1 << n, dtype=bool)
-    for site, up in partition.frozen_pattern.items():
-        mask &= (((states >> site) & 1) == 1) == up
-    return Projector(kind="matrix", matrix=sp.diags(mask.astype(float)).tocsr())
-
-
-def parity_projector(n: int) -> Projector:
-    """(1 + prod_i sigma^y_i)/2, a rank 2^(n-1) projector."""
-    import scipy.sparse as sp
-
-    if n < 1:
-        raise EvolutionError(f"need at least one spin, got n={n}")
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-    flipped = states ^ (dim - 1)
-    phases = (1j) ** n * (-1.0) ** _popcounts(n)
-    y_all = sp.coo_matrix((phases, (flipped, states)), shape=(dim, dim)).tocsr()
-    return Projector(kind="matrix", matrix=(sp.identity(dim, dtype=complex, format="csr") + y_all) * 0.5)
-
-
-def parity_rotation_angle(n: int) -> float:
-    """x-rotation angle on one spin aligning the parity readout with the primed projector.
-
-    exp(-i a sigma^x_1 / 2) with a = -(n+1) pi/2 makes the parity-projector
-    expectation equal the primed-GHZ projection probability for every n.
-    """
-    return -(n + 1) * np.pi / 2.0
-
-
-def single_spin_x_rotation(n: int, site: int, angle: float) -> np.ndarray:
-    """Dense exp(-i angle sigma^x_site / 2) over the 2^n basis."""
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[states, states] = np.cos(angle / 2.0)
-    out[states ^ (1 << site), states] = -1j * np.sin(angle / 2.0)
-    return out
-
-
 def measurement_probability(state: np.ndarray, projector: Projector) -> float:
     """Expectation of a projector on a normalized pure state, clipped to [0, 1]."""
     p = projector.expectation(state)
@@ -230,6 +140,3 @@ def measurement_probability(state: np.ndarray, projector: Projector) -> float:
         raise EvolutionError(f"projector expectation {p} outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))
 
-
-def norm_check(state: np.ndarray, tol: float = NORM_TOL) -> bool:
-    return abs(np.vdot(state, state).real - 1.0) <= tol

@@ -9,14 +9,26 @@ from hsfsense.couplings import sample_gaussian
 from hsfsense.errors import EvolutionError
 from hsfsense.evolve import (
     EvolutionEngine,
-    dynamical_fidelity,
     dynamical_fidelity_grid,
-    epsilon_deviation,
     epsilon_deviation_grid,
-    evolve,
     probe_drive_grid,
 )
 from hsfsense.lattice import Lattice, canonical_partition
+
+
+def dynamical_fidelity(psi0, h_ideal, h_actual, t):
+    """Pointwise oracle for the grid: |<psi0| e^{+i h_ideal t} e^{-i h_actual t} |psi0>|^2."""
+    ideal = EvolutionEngine(h_ideal).evolve(psi0, t)
+    actual = EvolutionEngine(h_actual).evolve(psi0, t)
+    return float(abs(np.vdot(ideal, actual)) ** 2)
+
+
+def epsilon_deviation(psi, h_total, h_probe_omega, projector, t):
+    """Pointwise oracle for the grid: both dynamics evolved by the engine, the
+    decoupled one from its built operator rather than in closed form."""
+    p_actual = projector.expectation(EvolutionEngine(h_total).evolve(psi, t))
+    p_eff = projector.expectation(EvolutionEngine(h_probe_omega).evolve(psi, t))
+    return float(p_actual - p_eff)
 
 
 def test_single_spin_rabi_oracle():
@@ -102,13 +114,6 @@ def test_probe_drive_closed_form_matches_krylov_with_two_probes():
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
     with pytest.raises(EvolutionError, match="out of range"):
         probe_drive_grid(psi, [lat.n_sites], 0.7, ts)
-
-
-def test_module_level_evolve_wrapper(lat33, dis33):
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
-    eng = EvolutionEngine(h)
-    psi = states.ghz_x(9)
-    np.testing.assert_array_equal(evolve(eng, psi, 0.4), eng.evolve(psi, 0.4))
 
 
 def test_invalid_method_rejected(lat33, dis33):

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hsfsense import hamiltonian as ham
 from hsfsense import states
 from hsfsense.couplings import sample_gaussian
 from hsfsense.errors import FragmentError
 from hsfsense.evolve import EvolutionEngine
-from hsfsense.fragments import (
-    UnionFind,
-    adjacency_components,
-    census_from_flip_predicate,
-    fragment_of,
-    refinement_check,
-)
+from hsfsense.fragments import adjacency_components, fragment_of, refinement_check
+from hsfsense.lattice import Lattice
+
+from test_hamiltonian import flip_oracle
 
 
 def bfs_components_oracle(h):
@@ -42,26 +40,31 @@ def bfs_components_oracle(h):
     return comps
 
 
-def test_union_find_basics():
-    uf = UnionFind(5)
-    uf.union(0, 1)
-    uf.union(3, 4)
-    assert uf.find(0) == uf.find(1)
-    assert uf.find(2) not in (uf.find(0), uf.find(3))
-    uf.union(1, 4)
-    assert uf.find(0) == uf.find(3)
-
-
-def test_census_matches_bfs_oracle(lat33):
-    h = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
-    report = adjacency_components(h, lat33)
-    comps = bfs_components_oracle(h)
-    assert report.total_fragments == len(comps)
-    assert report.max_fragment_size == max(len(c) for c in comps)
-    assert report.frozen_states == sum(len(c) == 1 for c in comps)
-    # per-state labels agree with the oracle partitioning
+def min_member_labels(comps, dim):
+    labels = np.empty(dim, dtype=np.int64)
     for comp in comps:
-        assert len({report.labels[s] for s in comp}) == 1
+        labels[list(comp)] = min(comp)
+    return labels
+
+
+def test_census_matches_bfs_oracle(lat33, lat34, part34):
+    c = sample_gaussian(lat34, 1.0, 0.3, seed=5)
+    cases = [
+        (lat33, ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)),
+        (lat34, ham.build_h_eff_inhomogeneous(lat34, part34, c, 0.4, 0.1)),  # disordered
+    ]
+    for lat, h in cases:
+        report = adjacency_components(h, lat)
+        comps = bfs_components_oracle(h)
+        assert report.total_fragments == len(comps)
+        assert report.max_fragment_size == max(len(comp) for comp in comps)
+        assert report.frozen_states == sum(len(comp) == 1 for comp in comps)
+        # per-state labels are the oracle's minimum members, sizes agree sector by sector
+        np.testing.assert_array_equal(report.labels, min_member_labels(comps, h.shape[0]))
+        dw = ham.dw_diagonal(lat)
+        for sec in report.sectors:
+            want = sorted(len(comp) for comp in comps if dw[min(comp)] == sec.sector_dw)
+            assert list(sec.fragment_sizes) == want
 
 
 def test_3x3_homogeneous_census_golden(lat33):
@@ -77,13 +80,13 @@ def test_3x3_homogeneous_census_golden(lat33):
 
 
 def test_predicate_census_equals_matrix_census(lat33):
-    h = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
-    a = adjacency_components(h, lat33)
-    b = census_from_flip_predicate(
-        lat33, lambda i, s: ham.flip_allowed_homogeneous(lat33, i, s)
-    )
-    np.testing.assert_array_equal(a.labels, b.labels)
-    assert a.total_fragments == b.total_fragments
+    """The census of the built operator equals a BFS over the scalar flip predicate."""
+    edges = [(s ^ (1 << i), s) for s in range(1 << 9) for i in range(9) if flip_oracle(lat33, i, s)]
+    graph = sp.coo_matrix((np.ones(len(edges)), tuple(zip(*edges))), shape=(1 << 9, 1 << 9))
+    comps = bfs_components_oracle(graph)
+    report = adjacency_components(ham.build_h_eff_homogeneous(lat33, 1.0, 0.1), lat33)
+    np.testing.assert_array_equal(report.labels, min_member_labels(comps, 1 << 9))
+    assert report.total_fragments == len(comps)
 
 
 def test_sector_mixing_matrix_rejected(lat33):
@@ -111,6 +114,34 @@ def test_refinement_check_rejects_swapped_arguments(lat33, part33):
     rep_in = adjacency_components(h_in, lat33)
     assert rep_in.total_fragments > rep_hom.total_fragments  # strict refinement here
     assert not refinement_check(rep_in, rep_hom, h_in, h_hom)
+    # reports swapped, operators not: only the partition test can fail
+    assert not refinement_check(rep_in, rep_hom, h_hom, h_in)
+
+
+def test_refinement_check_rejects_an_edge_missing_from_the_homogeneous_graph(lat33):
+    """Same partition, one extra edge inside a fragment: only the edge-subset test can fail."""
+    h_hom = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
+    rep_hom = adjacency_components(h_hom, lat33)
+    members = np.flatnonzero(rep_hom.labels == np.bincount(rep_hom.labels).argmax())
+    a = members[0]
+    b = next(m for m in members[1:] if h_hom[a, m] == 0)
+    extra = sp.coo_matrix(([0.05, 0.05], ([a, b], [b, a])), shape=h_hom.shape)
+    h_more = (h_hom + extra).tocsr()
+    rep_more = adjacency_components(h_more, lat33)
+    np.testing.assert_array_equal(rep_more.labels, rep_hom.labels)
+    assert not refinement_check(rep_hom, rep_more, h_hom, h_more)
+    assert refinement_check(rep_more, rep_hom, h_more, h_hom)
+
+
+def test_refinement_check_rejects_reports_on_different_lattices(lat33):
+    h33 = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
+    lat44 = Lattice(4, 4)
+    h44 = ham.build_h_eff_homogeneous(lat44, 1.0, 0.1)
+    rep33, rep44 = adjacency_components(h33, lat33), adjacency_components(h44, lat44)
+    with pytest.raises(FragmentError):
+        refinement_check(rep44, rep33, h44, h33)
+    with pytest.raises(FragmentError):
+        refinement_check(rep33, rep33, h33, h44)
 
 
 def test_fragment_of_preserves_ancilla_pattern(lat33, part33, dis33):
@@ -122,6 +153,12 @@ def test_fragment_of_preserves_ancilla_pattern(lat33, part33, dis33):
     for a in part33.ancilla_sites:
         amask |= 1 << a
     assert all((s & amask) == frozen for s in frag)
+
+
+def test_fragment_of_rejects_a_state_of_the_wrong_dimension(lat33):
+    h = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
+    with pytest.raises(FragmentError):
+        fragment_of(np.ones(4), h)
 
 
 def test_evolution_never_leaks_out_of_fragment(lat33, part33, dis33):
