@@ -75,22 +75,26 @@ def h_eff_hom_oracle(lat, jbar, omega):
     return out
 
 
+def flip_inhom_oracle(lat, couplings, delta_th, shift, site, state):
+    if not flip_oracle(lat, site, state):
+        return False
+    acc = shift.get(site, 0.0)
+    for j in lat.neighbors(site):
+        d = couplings.bond_delta(site, j)
+        if lat.is_frame(j):
+            acc -= d
+        else:
+            acc += d * (2 * ((state >> j) & 1) - 1)
+    return abs(acc) <= delta_th
+
+
 def h_eff_inhom_oracle(lat, partition, couplings, omega, delta_th):
     n = lat.n_sites
     shift = {p: collar_field_oracle(lat, partition, couplings, p) for p in partition.probe_sites}
     out = h_int_oracle(lat, couplings) + h_shift_oracle(lat, partition, couplings)
     for s in range(1 << n):
         for i in range(n):
-            if not flip_oracle(lat, i, s):
-                continue
-            acc = shift.get(i, 0.0)
-            for j in lat.neighbors(i):
-                d = couplings.bond_delta(i, j)
-                if lat.is_frame(j):
-                    acc -= d
-                else:
-                    acc += d * (2 * ((s >> j) & 1) - 1)
-            if abs(acc) <= delta_th:
+            if flip_inhom_oracle(lat, couplings, delta_th, shift, i, s):
                 out[s ^ (1 << i), s] += omega / 2.0
     return out
 
@@ -220,6 +224,16 @@ def test_open_boundary_edges_never_flip():
             assert not np.any(flips)
         else:  # the center has four dynamical neighbors, so two-up/two-down flips exist
             assert np.any(flips)
+
+
+def test_flip_predicates_match_matrix_elements(lat33, part33, dis33):
+    dense = ham.build_h_eff_inhomogeneous(lat33, part33, dis33, 0.4, 0.1).toarray()
+    shift = {p: collar_field_oracle(lat33, part33, dis33, p) for p in part33.probe_sites}
+    rng = np.random.default_rng(0)
+    for state in rng.integers(0, 1 << 9, size=40):
+        for i in range(9):
+            allowed = flip_inhom_oracle(lat33, dis33, 0.1, shift, i, int(state))
+            assert (dense[int(state) ^ (1 << i), int(state)] != 0.0) == allowed
 
 
 def test_everything_hermitian(lat33, part33, dis33):
