@@ -69,18 +69,12 @@ def delta_pr_numeric(lattice: Lattice, partition: SitePartition, couplings: Coup
     without the transverse field.  Always >= j_gap.
     """
     diag = ham.ising_diagonal(couplings) + ham.shift_diagonal(partition, couplings)
-    base = states.frozen_bits(partition)
-    probe_order = partition.probe_order()
-    best = math.inf
-    for p in range(1 << len(probe_order)):
-        s = base
-        for k, site in enumerate(probe_order):
-            if (p >> k) & 1:
-                s |= 1 << site
-        e0 = diag[s]
-        for a in partition.ancilla_sites:
-            best = min(best, abs(diag[s ^ (1 << a)] - e0))
-    return float(best)
+    frozen = states.frozen_subspace(partition)
+    e0 = diag[frozen]
+    return float(min(
+        (np.min(np.abs(diag[frozen ^ (1 << a)] - e0)) for a in partition.ancilla_sites),
+        default=math.inf,
+    ))
 
 
 def error_bound_rhs(n: int, omega: float, j_g: float, t: float) -> float:
@@ -91,30 +85,6 @@ def error_bound_rhs(n: int, omega: float, j_g: float, t: float) -> float:
         raise BoundError("need n >= 1, omega >= 0, t >= 0")
     x = n * omega / j_g
     return 2.0 * x + 2.0 * math.expm1(x) * n * omega * t
-
-
-def check_connectivity_condition(
-    lattice: Lattice, partition: SitePartition, couplings: CouplingMap, omega: float = 1e-3
-) -> bool:
-    """Numeric check that the perturbation connects the frozen subspace only
-    to single-ancilla-flip states (probe flips stay inside the subspace)."""
-    h_omega = ham.build_h_omega(lattice, omega)
-    base = states.frozen_bits(partition)
-    probe_order = partition.probe_order()
-    ancilla_mask = 0
-    for a in partition.ancilla_sites:
-        ancilla_mask |= 1 << a
-    for p in range(1 << len(probe_order)):
-        s = base
-        for k, site in enumerate(probe_order):
-            if (p >> k) & 1:
-                s |= 1 << site
-        row = h_omega.getcol(s).tocoo().row
-        for target in row:
-            diff = int(target) ^ s
-            if diff & ancilla_mask and bin(diff).count("1") != 1:
-                return False
-    return True
 
 
 def verify_bound(

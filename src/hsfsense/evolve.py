@@ -67,10 +67,14 @@ class EvolutionEngine:
         return self._lanczos_expm(state, t)
 
     def evolve_grid(self, state: np.ndarray, ts) -> list[np.ndarray]:
-        """States at each time in ``ts`` (evaluated independently per point)."""
+        """States at each time in ``ts``, returned in the order of ``ts``.
+
+        The eig path evaluates each point from ``state``.  The Lanczos path
+        marches through the times in sorted order, each step starting from the
+        previous point, so the per-step errors add up along the grid.
+        """
         if self.method == "eig":
             return [self.evolve(state, t) for t in ts]
-        # Lanczos: march through sorted times, reusing the previous point.
         order = np.argsort(ts)
         out: list = [None] * len(ts)
         current, t_now = np.asarray(state, dtype=complex), 0.0

@@ -18,6 +18,8 @@ from .errors import FragmentError
 from .hamiltonian import dw_diagonal
 from .lattice import Lattice
 
+_CSV_CHUNK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SectorCensus:
@@ -54,11 +56,14 @@ class FragmentReport:
 
     def to_csv(self, lattice: Lattice) -> str:
         dw = dw_diagonal(lattice)
-        lines = ["dw_sector,fragment_id,size,is_frozen"]
         roots, counts = np.unique(self.labels, return_counts=True)
-        for root, size in zip(roots, counts):
-            lines.append(f"{dw[root]},{root},{size},{int(size == 1)}")
-        return "\n".join(lines) + "\n"
+        chunks = ["dw_sector,fragment_id,size,is_frozen\n"]
+        # Python ints format faster than numpy scalars; chunks bound the lists' memory
+        for at in range(0, roots.shape[0], _CSV_CHUNK_ROWS):
+            r, c = roots[at:at + _CSV_CHUNK_ROWS], counts[at:at + _CSV_CHUNK_ROWS]
+            rows = zip(dw[r].tolist(), r.tolist(), c.tolist())
+            chunks.append("".join(f"{d},{root},{size},{int(size == 1)}\n" for d, root, size in rows))
+        return "".join(chunks)
 
 
 def _offdiagonal_pattern(h_eff: sp.spmatrix) -> sp.csr_matrix:
@@ -89,12 +94,11 @@ def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport
     """
     if h_eff.shape != (1 << lattice.n_sites,) * 2:
         raise FragmentError("operator dimension does not match the lattice")
+    labels = _component_labels(_offdiagonal_pattern(h_eff))
+    # an edge joins two sectors iff some fragment is not inside one sector
     dw = dw_diagonal(lattice)
-    pattern = _offdiagonal_pattern(h_eff)
-    rows, cols = pattern.nonzero()
-    if np.any(dw[rows] != dw[cols]):
+    if not np.array_equal(dw[labels], dw):
         raise FragmentError("operator mixes domain-wall sectors; not a constrained builder output")
-    labels = _component_labels(pattern)
 
     # fragments sorted by (sector, size), then cut at each sector boundary
     roots, sizes = np.unique(labels, return_counts=True)

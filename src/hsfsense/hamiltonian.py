@@ -2,11 +2,16 @@
 
 Basis convention: basis state ``s`` is an integer whose bit i is the z spin
 of site i (bit 1 = up, z = +1).  Frame spins are fixed down (z = -1) and
-enter only through diagonal field contributions, never as basis bits.  All
-operators built here are real symmetric CSR matrices.
+enter only through diagonal field contributions, never as basis bits.
+Every operator is a real diagonal plus single-spin flips ``(omega/2)
+sigma^x_i``, each on every basis state or only where a mask holds; one
+assembly (``_assemble``) makes it a real symmetric CSR matrix, and every
+basis-bit read uses one cached bit table (``_basis``).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,49 +21,66 @@ from .errors import PartitionError
 from .lattice import Lattice, SitePartition
 
 
-def _z_bits(n_sites: int, site: int) -> np.ndarray:
-    """z_i = +/-1 for every basis state, as a vector over 0..2^N-1."""
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    return (2.0 * ((states >> site) & 1) - 1.0)
+@lru_cache(maxsize=1)
+def _basis(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every basis index (int32) and its bit table: row i holds bit i of each index.
+
+    Both are read-only and cached for the last N asked for.
+    """
+    states = np.arange(1 << n_sites, dtype=np.int32)
+    bits = np.empty((n_sites, 1 << n_sites), dtype=np.uint8)
+    for i in range(n_sites):
+        np.bitwise_and(states >> i, 1, out=bits[i], casting="unsafe")
+    states.flags.writeable = bits.flags.writeable = False
+    return states, bits
 
 
-def _offdiag_for_site(n_sites: int, site: int, mask: np.ndarray, value: float) -> sp.csr_matrix:
-    """value * sigma^x_site restricted to the basis states where mask holds."""
-    dim = 1 << n_sites
-    cols = np.nonzero(mask)[0].astype(np.int64)
-    rows = cols ^ (1 << site)
-    data = np.full(cols.shape, value)
-    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
+    """CSR of ``diag`` plus ``value * sigma^x_site`` for each ``(site, value, mask)`` in flips.
+
+    A flip term couples every basis state where ``mask`` holds (every state
+    when it is None) to its partner with that site's bit flipped; a mask must
+    not depend on that bit, so the result is symmetric.  Zero diagonal
+    entries and terms with value 0 are not stored.  ``flips`` is iterated
+    once, so a generator keeps only one mask alive at a time.
+    """
+    states, _ = _basis(n_sites)
+    # blocks of (bit flipped, value(s), basis states acted on); the diagonal flips no bit
+    blocks = [] if diag is None else [(0, diag[diag != 0], states[diag != 0])]
+    for site, value, mask in flips:
+        if value != 0.0:
+            blocks.append((1 << site, value, states if mask is None else states[mask]))
+    nnz = sum(cols.shape[0] for _, _, cols in blocks)
+    row, col, data = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32), np.empty(nnz)
+    end = 0
+    for bit, value, cols in blocks:
+        start, end = end, end + cols.shape[0]
+        col[start:end] = cols
+        np.bitwise_xor(cols, bit, out=row[start:end])
+        data[start:end] = value
+    diag = blocks = mask = value = cols = None  # only the COO arrays live through the CSR copy
+    return sp.coo_matrix((data, (row, col)), shape=(states.shape[0],) * 2).tocsr()
 
 
 def build_h_omega(lattice: Lattice, omega: float) -> sp.csr_matrix:
     """(omega/2) * sum_i sigma^x_i over all dynamical sites."""
-    n = lattice.n_sites
-    dim = 1 << n
-    if omega == 0.0:
-        return sp.csr_matrix((dim, dim))
-    states = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([states ^ (1 << i) for i in range(n)])
-    cols = np.tile(states, n)
-    data = np.full(rows.shape, omega / 2.0)
-    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+    return _assemble(lattice.n_sites, None, [(i, omega / 2.0, None) for i in range(lattice.n_sites)])
 
 
 def ising_diagonal(couplings: CouplingMap) -> np.ndarray:
     """Diagonal of -sum_bonds J_ij z_i z_j; frame bonds contribute with z = -1."""
     lattice = couplings.lattice
-    n = lattice.n_sites
-    diag = np.zeros(1 << n)
+    _, bits = _basis(lattice.n_sites)
+    diag = np.zeros(bits.shape[1])
     for (i, j), jij in couplings.items():
-        zi = _z_bits(n, i)
-        zj = -1.0 if lattice.is_frame(j) else _z_bits(n, j)
-        diag -= jij * zi * zj
+        anti = bits[i] ^ (0 if lattice.is_frame(j) else bits[j])
+        diag -= np.array([jij, -jij])[anti]  # J z_i z_j, exactly +/-J
     return diag
 
 
 def build_h_int(lattice: Lattice, couplings: CouplingMap) -> sp.csr_matrix:
     """Diagonal Ising operator -sum_<i,j> J_ij sigma^z_i sigma^z_j."""
-    return sp.diags(ising_diagonal(couplings)).tocsr()
+    return _assemble(lattice.n_sites, ising_diagonal(couplings), [])
 
 
 def effective_field(site: int, partition: SitePartition, couplings: CouplingMap) -> float:
@@ -91,71 +113,62 @@ def shift_fields(partition: SitePartition, couplings: CouplingMap) -> dict[int, 
 
 
 def shift_diagonal(partition: SitePartition, couplings: CouplingMap) -> np.ndarray:
-    n = couplings.lattice.n_sites
-    diag = np.zeros(1 << n)
+    _, bits = _basis(couplings.lattice.n_sites)
+    diag = np.zeros(bits.shape[1])
     for site, h in shift_fields(partition, couplings).items():
-        diag -= h * _z_bits(n, site)
+        diag -= np.array([-h, h])[bits[site]]  # h z_site
     return diag
 
 
 def build_h_shift(partition: SitePartition, couplings: CouplingMap) -> sp.csr_matrix:
     """Diagonal shift-field operator supported on probe sites only."""
-    return sp.diags(shift_diagonal(partition, couplings)).tocsr()
+    return _assemble(couplings.lattice.n_sites, shift_diagonal(partition, couplings), [])
 
 
 def build_h_tfim(lattice: Lattice, couplings: CouplingMap, omega: float) -> sp.csr_matrix:
     """Transverse field plus Ising couplings."""
-    return (build_h_omega(lattice, omega) + build_h_int(lattice, couplings)).tocsr()
+    return _assemble(
+        lattice.n_sites, ising_diagonal(couplings), [(i, omega / 2.0, None) for i in range(lattice.n_sites)]
+    )
 
 
 def build_h_total(
     lattice: Lattice, partition: SitePartition, couplings: CouplingMap, omega: float
 ) -> sp.csr_matrix:
     """TFIM plus the probe shift fields."""
-    return (build_h_tfim(lattice, couplings, omega) + build_h_shift(partition, couplings)).tocsr()
+    diag = ising_diagonal(couplings) + shift_diagonal(partition, couplings)
+    return _assemble(lattice.n_sites, diag, [(i, omega / 2.0, None) for i in range(lattice.n_sites)])
 
 
 def build_h_probe_omega(partition: SitePartition, couplings_or_lattice, omega: float) -> sp.csr_matrix:
     """(omega/2) * sum over probe sites of sigma^x_i, on the full space."""
     lattice = getattr(couplings_or_lattice, "lattice", couplings_or_lattice)
-    n = lattice.n_sites
-    dim = 1 << n
-    op = sp.csr_matrix((dim, dim))
-    if omega == 0.0 or not partition.probe_sites:
-        return op
-    states = np.arange(dim, dtype=np.int64)
-    probe = sorted(partition.probe_sites)
-    rows = np.concatenate([states ^ (1 << i) for i in probe])
-    cols = np.tile(states, len(probe))
-    data = np.full(rows.shape, omega / 2.0)
-    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+    return _assemble(lattice.n_sites, None, [(p, omega / 2.0, None) for p in sorted(partition.probe_sites)])
 
 
 def dw_diagonal(lattice: Lattice) -> np.ndarray:
     """Number of anti-aligned bonds per basis state; frame bonds count with frame spins down."""
-    n = lattice.n_sites
-    counts = np.zeros(1 << n, dtype=np.int64)
+    _, bits = _basis(lattice.n_sites)
+    counts = np.zeros(bits.shape[1], dtype=np.int64)
     for i, j in lattice.bonds():
-        bi = (np.arange(1 << n, dtype=np.int64) >> i) & 1
-        bj = 0 if lattice.is_frame(j) else (np.arange(1 << n, dtype=np.int64) >> j) & 1
-        counts += bi != bj
+        counts += bits[i] ^ (0 if lattice.is_frame(j) else bits[j])
     return counts
 
 
-def _flip_mask(lattice: Lattice, site: int) -> np.ndarray | None:
+def _flip_mask(lattice: Lattice, site: int) -> np.ndarray:
     """Boolean mask over basis states where the two-up/two-down condition holds at site.
 
-    None when the site has fewer than 4 neighbor slots (open-boundary edge):
-    the condition is then unsatisfiable.
+    All false when the site has fewer than 4 neighbor slots (open-boundary
+    edge): the condition is then unsatisfiable.
     """
+    _, bits = _basis(lattice.n_sites)
     slots = lattice.neighbors(site)
     if len(slots) < 4:
-        return None
-    states = np.arange(1 << lattice.n_sites, dtype=np.int64)
-    ups = np.zeros(states.shape, dtype=np.int64)
+        return np.zeros(bits.shape[1], dtype=bool)
+    ups = np.zeros(bits.shape[1], dtype=np.uint8)
     for j in slots:
         if not lattice.is_frame(j):
-            ups += (states >> j) & 1
+            ups += bits[j]
     return ups == 2
 
 
@@ -168,12 +181,8 @@ def build_h_eff_homogeneous(lattice: Lattice, jbar: float, omega: float) -> sp.c
     """
     from .couplings import homogeneous
 
-    op = build_h_int(lattice, homogeneous(lattice, jbar))
-    for i in range(lattice.n_sites):
-        mask = _flip_mask(lattice, i)
-        if mask is not None and omega != 0.0:
-            op = op + _offdiag_for_site(lattice.n_sites, i, mask, omega / 2.0)
-    return op.tocsr()
+    flips = ((i, omega / 2.0, _flip_mask(lattice, i)) for i in range(lattice.n_sites))
+    return _assemble(lattice.n_sites, ising_diagonal(homogeneous(lattice, jbar)), flips)
 
 
 def _mismatch_vector(
@@ -183,14 +192,14 @@ def _mismatch_vector(
     shift: dict[int, float],
 ) -> np.ndarray:
     """|sum_j delta_ij z_j + h_i| per basis state (h_i only on probe sites)."""
-    n = lattice.n_sites
-    acc = np.full(1 << n, shift.get(site, 0.0))
+    _, bits = _basis(lattice.n_sites)
+    acc = np.full(bits.shape[1], shift.get(site, 0.0))
     for j in lattice.neighbors(site):
         d = couplings.bond_delta(site, j)
         if lattice.is_frame(j):
             acc -= d
         else:
-            acc += d * _z_bits(n, j)
+            acc += np.array([-d, d])[bits[j]]  # d z_j
     return np.abs(acc)
 
 
@@ -210,14 +219,11 @@ def build_h_eff_inhomogeneous(
     if delta_th <= 0:
         raise PartitionError(f"delta_th must be positive, got {delta_th}")
     shift = shift_fields(partition, couplings)
-    op = sp.diags(ising_diagonal(couplings) + shift_diagonal(partition, couplings)).tocsr()
-    for i in range(lattice.n_sites):
-        mask = _flip_mask(lattice, i)
-        if mask is None or omega == 0.0:
-            continue
-        mask = mask & (_mismatch_vector(lattice, i, couplings, shift) <= delta_th)
-        op = op + _offdiag_for_site(lattice.n_sites, i, mask, omega / 2.0)
-    return op.tocsr()
+    flips = (
+        (i, omega / 2.0, _flip_mask(lattice, i) & (_mismatch_vector(lattice, i, couplings, shift) <= delta_th))
+        for i in range(lattice.n_sites)
+    )
+    return _assemble(lattice.n_sites, ising_diagonal(couplings) + shift_diagonal(partition, couplings), flips)
 
 
 def is_hermitian(op: sp.spmatrix, tol: float = 0.0) -> bool:
@@ -225,4 +231,3 @@ def is_hermitian(op: sp.spmatrix, tol: float = 0.0) -> bool:
     if diff.nnz == 0:
         return True
     return np.max(np.abs(diff.data)) <= tol
-

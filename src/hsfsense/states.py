@@ -56,6 +56,20 @@ def frozen_bits(partition: SitePartition) -> int:
     return bits
 
 
+def frozen_subspace(partition: SitePartition) -> np.ndarray:
+    """Full-basis index of every probe configuration over the frozen ancilla pattern.
+
+    Entry p is the state whose probe sites carry the bits of p, bit k on the
+    k-th smallest probe site (probe-factor order).
+    """
+    probe_order = partition.probe_order()
+    p = np.arange(1 << len(probe_order), dtype=np.int64)
+    indices = np.full(p.shape, frozen_bits(partition), dtype=np.int64)
+    for k, site in enumerate(probe_order):
+        indices |= ((p >> k) & 1) << site
+    return indices
+
+
 def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -> np.ndarray:
     """Tensor the probe-factor state with the frozen ancilla configuration.
 
@@ -67,14 +81,8 @@ def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -
             f"probe state has dimension {probe_state.shape[0]}, "
             f"expected {1 << len(probe_order)} for {len(probe_order)} probes"
         )
-    base = frozen_bits(partition)
     full = np.zeros(1 << lattice.n_sites, dtype=complex)
-    for p in range(probe_state.shape[0]):
-        s = base
-        for k, site in enumerate(probe_order):
-            if (p >> k) & 1:
-                s |= 1 << site
-        full[s] = probe_state[p]
+    full[frozen_subspace(partition)] = probe_state
     return full
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hsfsense import hamiltonian as ham
+from hsfsense import states
 from hsfsense.bound import (
-    check_connectivity_condition,
     delta_pr_numeric,
     error_bound_rhs,
     j_gap,
@@ -12,6 +13,7 @@ from hsfsense.bound import (
 )
 from hsfsense.couplings import homogeneous, k_ratio, sample_gaussian
 from hsfsense.errors import BoundError
+from hsfsense.lattice import Lattice, canonical_partition
 
 
 def test_homogeneous_gaps_are_exactly_4j(lat33, part33, hom33):
@@ -29,6 +31,20 @@ def test_gap_inequality_chain(lat33, part33):
         assert dpr >= jg - 1e-12
         assert jg >= floor - 1e-12
         assert floor > 0.0
+
+
+def test_delta_pr_matches_scalar_enumeration(lat33, part33):
+    lat36 = Lattice(3, 6)
+    part36 = canonical_partition(lat36)
+    assert part36.n_probe == 2
+    for lat, part in ((lat33, part33), (lat36, part36)):
+        c = sample_gaussian(lat, 1.0, 0.3, seed=5)
+        diag = ham.ising_diagonal(c) + ham.shift_diagonal(part, c)
+        best = math.inf
+        for s in states.frozen_subspace(part).tolist():
+            for a in part.ancilla_sites:
+                best = min(best, abs(diag[s ^ (1 << a)] - diag[s]))
+        assert delta_pr_numeric(lat, part, c) == best
 
 
 def test_j_gap_scales_with_jbar(lat33, part33):
@@ -52,11 +68,6 @@ def test_rhs_formula_and_monotonicity():
 def test_rhs_rejects_nonpositive_gap():
     with pytest.raises(BoundError):
         error_bound_rhs(9, 0.01, 0.0, 1.0)
-
-
-def test_connectivity_condition_on_canonical_partitions(lat33, part33, lat34, part34):
-    assert check_connectivity_condition(lat33, part33, homogeneous(lat33, 1.0))
-    assert check_connectivity_condition(lat34, part34, homogeneous(lat34, 1.0))
 
 
 def test_verify_bound_holds_on_3x3(lat33, part33):

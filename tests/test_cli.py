@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,28 @@ def test_fragments_command_prints_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["total_fragments"] == 66
     assert out.read_text().startswith("dw_sector,fragment_id,size,is_frozen")
+
+
+@pytest.mark.parametrize(
+    "keys, digest",
+    [
+        (
+            "lattice.width = 4\nlattice.height = 3\ncouplings.sigma = 0.3\ncouplings.seed = 5\n"
+            "omega = 0.4\ndelta_th = 0.1\n",
+            "8b8538699e67bd0ecbdd6de4e6a151e921c4034230acee935839330480129c7e",
+        ),
+        (
+            "lattice.width = 3\nlattice.height = 3\nomega = 0.4\n",
+            "b690a0c77b6c8c99bbcbec0e94c2677db905b719448d6e8d80f37da1ef6ca72c",
+        ),
+    ],
+    ids=["disordered-4x3", "homogeneous-3x3"],
+)
+def test_fragments_csv_is_pinned(tmp_path, keys, digest):
+    """The census CSV is integers only, so its bytes are the same on every platform."""
+    out = tmp_path / "f.csv"
+    assert run_cli(tmp_path, f"command = fragments\n{keys}out = {out}\n") == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_bound_command_prints_summary(tmp_path, capsys):

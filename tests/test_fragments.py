@@ -178,3 +178,17 @@ def test_report_csv_shape(lat33):
     assert len(lines) == 1 + report.total_fragments
     sizes = [int(line.split(",")[2]) for line in lines[1:]]
     assert sum(sizes) == 1 << 9
+
+
+def test_csv_chunks_join_to_one_table(monkeypatch):
+    """Rows formatted a few at a time give the same CSV as one pass over every row."""
+    from hsfsense import fragments
+
+    lat = Lattice(4, 3)
+    report = adjacency_components(ham.build_h_eff_homogeneous(lat, 1.0, 0.4), lat)
+    whole = report.to_csv(lat)
+    monkeypatch.setattr(fragments, "_CSV_CHUNK_ROWS", 7)
+    assert report.to_csv(lat) == whole
+    rows = whole.splitlines()
+    assert rows[0] == "dw_sector,fragment_id,size,is_frozen"
+    assert len(rows) == 1 + report.total_fragments > 7

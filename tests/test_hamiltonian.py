@@ -246,3 +246,23 @@ def test_everything_hermitian(lat33, part33, dis33):
     ]
     assert all(ham.is_hermitian(op) for op in ops)
 
+
+def test_zero_drive_stores_only_nonzero_diagonal_entries(lat33, part33, hom33, dis33):
+    from hsfsense.fragments import adjacency_components
+
+    assert np.any(ham.ising_diagonal(hom33) == 0.0)  # so the no-stored-zeros check has teeth
+    for c in (hom33, dis33):
+        ops = [
+            ham.build_h_omega(lat33, 0.0),
+            ham.build_h_tfim(lat33, c, 0.0),
+            ham.build_h_total(lat33, part33, c, 0.0),
+            ham.build_h_probe_omega(part33, lat33, 0.0),
+            ham.build_h_eff_homogeneous(lat33, c.jbar, 0.0),
+            ham.build_h_eff_inhomogeneous(lat33, part33, c, 0.0, 0.1),
+        ]
+        for op in ops:
+            coo = op.tocoo()
+            assert np.array_equal(coo.row, coo.col)
+            assert op.nnz == np.count_nonzero(op.data)
+    report = adjacency_components(ham.build_h_eff_homogeneous(lat33, 1.0, 0.0), lat33)
+    assert report.frozen_states == 512

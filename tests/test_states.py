@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsfsense import states
+from hsfsense.lattice import Lattice, canonical_partition
 
 I2 = np.eye(2, dtype=complex)
 Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -215,3 +216,22 @@ def test_rank1_projection_bounded(n, angle):
     psi = single_spin_x_rotation(n, 0, angle) @ states.ghz_x(n)
     p = states.measurement_probability(psi, states.rank1_projector(states.ghz_x(n, "primed")))
     assert -1e-12 <= p <= 1.0 + 1e-12
+
+
+def test_frozen_subspace_lists_probe_configurations_in_probe_factor_order():
+    lat = Lattice(3, 6)
+    part = canonical_partition(lat)
+    assert part.n_probe == 2
+    base = states.frozen_bits(part)
+    want = []
+    for p in range(1 << part.n_probe):
+        s = base
+        for k, site in enumerate(part.probe_order()):
+            if (p >> k) & 1:
+                s |= 1 << site
+        want.append(s)
+    assert states.frozen_subspace(part).tolist() == want
+    probe_state = np.arange(1.0, 5.0)
+    full = states.embed(probe_state, part, lat)
+    assert full[want].tolist() == probe_state.tolist()
+    assert np.count_nonzero(full) == 4
