@@ -38,12 +38,12 @@ def main() -> int:
     lat = Lattice(args.width, args.height)
     psi = states.ghz_x(lat.n_sites)
     ts = np.linspace(0.0, args.t_max, args.t_points)
-    h_ideal = ham.build_h_omega(lat, args.omega)
+    h_ideal = ham.op_omega(lat, args.omega)
 
     lines = ["jbar,t,fidelity"]
     for jbar in args.jbars:
         c = sample_gaussian(lat, jbar, args.sigma_ratio * jbar, seed=args.seed)
-        curve = dynamical_fidelity_grid(psi, h_ideal, ham.build_h_tfim(lat, c, args.omega), ts)
+        curve = dynamical_fidelity_grid(psi, h_ideal, ham.op_tfim(lat, c, args.omega), ts)
         lines += [f"{jbar:.17g},{t:.17g},{f:.17g}" for t, f in zip(ts, curve)]
 
     text = "\n".join(lines) + "\n"

@@ -114,7 +114,7 @@ def verify_bound(
         proj = states.probe_projector(
             states.ghz_x(partition.n_probe, "primed"), partition, lattice
         )
-        h_total = ham.build_h_total(lattice, partition, couplings, omega)
+        h_total = ham.op_total(lattice, partition, couplings, omega)
         eps = epsilon_deviation_grid(psi, h_total, partition.probe_order(), omega, proj, t_grid)
         rhs = np.array([error_bound_rhs(n, omega, gap, t) for t in t_grid])
 

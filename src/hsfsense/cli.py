@@ -71,8 +71,8 @@ def _cmd_fidelity(config: RunConfig) -> str:
 
     lattice, _, couplings = _build_system(config)
     psi0 = states.ghz_x(lattice.n_sites)
-    h_ideal = ham.build_h_omega(lattice, config.omega)
-    h_actual = ham.build_h_tfim(lattice, couplings, config.omega)
+    h_ideal = ham.op_omega(lattice, config.omega)
+    h_actual = ham.op_tfim(lattice, couplings, config.omega)
     ts = np.linspace(0.0, config.t_max, config.t_points)
     fd = dynamical_fidelity_grid(psi0, h_ideal, h_actual, ts)
     lines = ["t,fidelity"]

@@ -1,12 +1,15 @@
 """Exact unitary time evolution and derived diagnostics.
 
-Two interchangeable propagators: a cached dense eigendecomposition (exact to
-machine precision, best when many times are needed at moderate dimension)
-and a Lanczos approximation of exp(-iHt)|psi> with full reorthogonalization
-and adaptive substepping (memory-lean, best at large dimension), which raises
-EvolutionError rather than return an unconverged step.  The decoupled probe
-drive is a product of single-spin rotations and is applied in closed form.
-hbar = 1 throughout; times are in inverse energy units.
+The generator is a sparse matrix or a matrix-free
+``hamiltonian.TransverseFieldOperator``.  Two interchangeable propagators: a
+cached dense eigendecomposition (exact to machine precision, best when many
+times are needed at moderate dimension; an operator is diagonalized through
+its ``tocsr()``) and a Lanczos approximation of exp(-iHt)|psi> with full
+reorthogonalization and adaptive substepping (memory-lean, best at large
+dimension), which needs only ``H @ psi`` and raises EvolutionError rather
+than return an unconverged step.  The decoupled probe drive is a product of
+single-spin rotations and is applied in closed form.  hbar = 1 throughout;
+times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import EvolutionError
-from .hamiltonian import is_hermitian
+from .hamiltonian import TransverseFieldOperator, is_hermitian
 from .states import Projector
 
 _EIG_DIM_MAX = 2048  # dense eigh above this costs more than Lanczos on a t-grid
@@ -25,32 +28,36 @@ _KRYLOV_DIM = 40
 
 
 class EvolutionEngine:
-    """Propagator e^{-iHt} for a fixed Hermitian sparse Hamiltonian.
+    """Propagator e^{-iHt} for a fixed Hermitian Hamiltonian.
 
-    method: "eig", "krylov", or "auto" (eig iff dimension <= 2048).
-    Immutable after construction; ``evolve`` is pure.
+    ``hamiltonian`` is a sparse matrix (checked Hermitian here) or a
+    ``TransverseFieldOperator`` (Hermitian by construction, applied
+    matrix-free).  method: "eig", "krylov", or "auto" (eig iff dimension <=
+    2048).  Immutable after construction; ``evolve`` is pure.
     """
 
-    def __init__(self, hamiltonian: sp.spmatrix, method: str = "auto"):
-        if hamiltonian.shape[0] != hamiltonian.shape[1]:
-            raise EvolutionError("Hamiltonian must be square")
-        if not is_hermitian(hamiltonian, tol=1e-12):
-            raise EvolutionError("Hamiltonian must be Hermitian")
+    def __init__(self, hamiltonian, method: str = "auto"):
+        matrix_free = isinstance(hamiltonian, TransverseFieldOperator)
+        if not matrix_free:
+            if hamiltonian.shape[0] != hamiltonian.shape[1]:
+                raise EvolutionError("Hamiltonian must be square")
+            if not is_hermitian(hamiltonian, tol=1e-12):
+                raise EvolutionError("Hamiltonian must be Hermitian")
         if method == "auto":
             method = "eig" if hamiltonian.shape[0] <= _EIG_DIM_MAX else "krylov"
         if method not in ("eig", "krylov"):
             raise EvolutionError(f"unknown method {method!r}")
         self.method = method
-        self.hamiltonian = hamiltonian.tocsr()
+        self.hamiltonian = hamiltonian if matrix_free else hamiltonian.tocsr()
         self._eigvals = None
         self._eigvecs = None
         if method == "eig":
-            w, v = np.linalg.eigh(hamiltonian.toarray())
+            w, v = np.linalg.eigh(self.hamiltonian.tocsr().toarray())
             self._eigvals, self._eigvecs = w, v
         else:
             # Lanczos substep length from the max absolute row sum, a bound on ||H||_2
-            hnorm = max(abs(self.hamiltonian).sum(axis=1).max(), 1e-30)
-            self._dt_max = 20.0 / hnorm
+            hnorm = hamiltonian.norm_bound() if matrix_free else abs(self.hamiltonian).sum(axis=1).max()
+            self._dt_max = 20.0 / max(hnorm, 1e-30)
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} |state>; norm preserved to 1e-10."""
@@ -87,11 +94,11 @@ class EvolutionEngine:
     def _apply(self, psi: np.ndarray) -> np.ndarray:
         """H|psi> for a contiguous complex psi.
 
-        A real H acts on the (dim, 2) real view of psi, which gives the same
-        sums as the complex product without upcasting H's data to complex.
+        A real sparse H acts on the (dim, 2) real view of psi, which gives the
+        same sums as the complex product without upcasting H's data to complex.
         """
         h = self.hamiltonian
-        if h.dtype.kind == "c":
+        if isinstance(h, TransverseFieldOperator) or h.dtype.kind == "c":
             return h @ psi
         return (h @ psi.view(np.float64).reshape(-1, 2)).view(complex).reshape(-1)
 
@@ -162,7 +169,10 @@ def _lanczos_step(apply_h, psi: np.ndarray, dt: float, basis: np.ndarray) -> tup
 
 
 def dynamical_fidelity_grid(
-    psi0: np.ndarray, h_ideal: sp.spmatrix, h_actual: sp.spmatrix, ts
+    psi0: np.ndarray,
+    h_ideal: sp.spmatrix | TransverseFieldOperator,
+    h_actual: sp.spmatrix | TransverseFieldOperator,
+    ts,
 ) -> np.ndarray:
     """|<psi0| e^{+i h_ideal t} e^{-i h_actual t} |psi0>|^2 at each t in ``ts``."""
     if h_ideal.shape != h_actual.shape or psi0.shape[0] != h_ideal.shape[0]:
@@ -199,7 +209,7 @@ def probe_drive_grid(state: np.ndarray, probe_sites, omega: float, ts) -> list[n
 
 def epsilon_deviation_grid(
     psi: np.ndarray,
-    h_total: sp.spmatrix,
+    h_total: sp.spmatrix | TransverseFieldOperator,
     probe_sites,
     omega: float,
     projector: Projector,

@@ -70,10 +70,15 @@ def _offdiagonal_pattern(h_eff: sp.spmatrix) -> sp.csr_matrix:
     """Where a square operator has nonzero off-diagonal entries, as a CSR pattern."""
     if h_eff.shape[0] != h_eff.shape[1]:
         raise FragmentError(f"operator of shape {h_eff.shape} is not square")
-    coo = h_eff.tocoo()
-    keep = (coo.row != coo.col) & (coo.data != 0)
-    ones = np.ones(np.count_nonzero(keep))
-    return sp.csr_matrix((ones, (coo.row[keep], coo.col[keep])), shape=h_eff.shape)
+    csr = h_eff.tocsr()
+    rows = np.repeat(np.arange(csr.shape[0], dtype=csr.indices.dtype), np.diff(csr.indptr))
+    keep = (csr.indices != rows) & (csr.data != 0)
+    del rows
+    # kept entries before each row start: the running count of ``keep``
+    kept = np.zeros(keep.shape[0] + 1, dtype=csr.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    indices = csr.indices[keep]
+    return sp.csr_matrix((np.ones(indices.shape[0]), indices, kept[csr.indptr]), shape=csr.shape)
 
 
 def _component_labels(pattern: sp.csr_matrix) -> np.ndarray:

@@ -6,18 +6,22 @@ enter only through diagonal field contributions, never as basis bits.
 Every operator is a real diagonal plus single-spin flips ``(omega/2)
 sigma^x_i``, each on every basis state or only where a mask holds; one
 assembly (``_assemble``) makes it a real symmetric CSR matrix, and every
-basis-bit read uses one cached bit table (``_basis``).
+basis-bit read uses one cached bit table (``_basis``).  The unmasked family
+(a diagonal plus one flip amplitude on a set of sites) also has a
+matrix-free form, ``TransverseFieldOperator``; its ``tocsr()`` is the
+builders' CSR.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .couplings import CouplingMap
-from .errors import PartitionError
+from .errors import EvolutionError, PartitionError
 from .lattice import Lattice, SitePartition
 
 
@@ -62,9 +66,80 @@ def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
     return sp.coo_matrix((data, (row, col)), shape=(states.shape[0],) * 2).tocsr()
 
 
-def build_h_omega(lattice: Lattice, omega: float) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class TransverseFieldOperator:
+    """``diag + value * sum_{i in sites} sigma^x_i`` on 2^n_sites states, without a matrix.
+
+    ``diag`` is a real vector over the basis (None for no diagonal).  Real
+    entries make the operator Hermitian by construction.  ``op @ psi``
+    applies it to a vector, ``norm_bound()`` is its max absolute row sum and
+    ``tocsr()`` its matrix.
+    """
+
+    n_sites: int
+    diag: np.ndarray | None
+    value: float
+    sites: tuple[int, ...]
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.value) or not np.isfinite(self.value):
+            raise EvolutionError(f"flip amplitude must be real and finite, got {self.value!r}")
+        object.__setattr__(self, "value", float(self.value))
+        sites = tuple(int(i) for i in self.sites)
+        if any(not 0 <= i < self.n_sites for i in sites) or len(set(sites)) != len(sites):
+            raise EvolutionError(f"sites {sites} must be distinct and in range for {self.n_sites} sites")
+        object.__setattr__(self, "sites", sites)
+        if self.diag is not None:
+            if np.iscomplexobj(self.diag):
+                raise EvolutionError("diagonal must be real")
+            diag = np.asarray(self.diag, dtype=float)
+            if diag.shape != (1 << self.n_sites,):
+                raise EvolutionError(f"diagonal of shape {diag.shape} for {self.n_sites} sites")
+            if not np.all(np.isfinite(diag)):
+                raise EvolutionError("diagonal must be finite")
+            object.__setattr__(self, "diag", diag)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (1 << self.n_sites,) * 2
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        """The operator applied to a vector over the basis.
+
+        sigma^x_i flips axis n_sites-1-i of the vector reshaped to (2,)*n_sites
+        (bit i of the basis index), so each flip is a reversed view added in place.
+        """
+        psi = np.asarray(psi)
+        if psi.shape != (self.shape[0],):
+            raise EvolutionError(f"vector of shape {psi.shape} for an operator of shape {self.shape}")
+        n = self.n_sites
+        x = psi.reshape((2,) * n)
+        out = np.zeros(psi.shape, dtype=np.result_type(psi, float))
+        flipped = out.reshape((2,) * n)
+        for i in self.sites:
+            flipped += np.flip(x, axis=n - 1 - i)
+        out *= self.value
+        if self.diag is not None:
+            out += psi * self.diag
+        return out
+
+    def norm_bound(self) -> float:
+        """max |diag| + |value| * len(sites): the exact max absolute row sum, a bound on ||H||_2."""
+        top = 0.0 if self.diag is None else float(np.max(np.abs(self.diag)))
+        return top + abs(self.value) * len(self.sites)
+
+    def tocsr(self) -> sp.csr_matrix:
+        return _assemble(self.n_sites, self.diag, [(i, self.value, None) for i in self.sites])
+
+
+def op_omega(lattice: Lattice, omega: float) -> TransverseFieldOperator:
     """(omega/2) * sum_i sigma^x_i over all dynamical sites."""
-    return _assemble(lattice.n_sites, None, [(i, omega / 2.0, None) for i in range(lattice.n_sites)])
+    return TransverseFieldOperator(lattice.n_sites, None, omega / 2.0, range(lattice.n_sites))
+
+
+def build_h_omega(lattice: Lattice, omega: float) -> sp.csr_matrix:
+    """CSR of ``op_omega``."""
+    return op_omega(lattice, omega).tocsr()
 
 
 def ising_diagonal(couplings: CouplingMap) -> np.ndarray:
@@ -125,25 +200,41 @@ def build_h_shift(partition: SitePartition, couplings: CouplingMap) -> sp.csr_ma
     return _assemble(couplings.lattice.n_sites, shift_diagonal(partition, couplings), [])
 
 
-def build_h_tfim(lattice: Lattice, couplings: CouplingMap, omega: float) -> sp.csr_matrix:
+def op_tfim(lattice: Lattice, couplings: CouplingMap, omega: float) -> TransverseFieldOperator:
     """Transverse field plus Ising couplings."""
-    return _assemble(
-        lattice.n_sites, ising_diagonal(couplings), [(i, omega / 2.0, None) for i in range(lattice.n_sites)]
-    )
+    diag = ising_diagonal(couplings)
+    return TransverseFieldOperator(lattice.n_sites, diag, omega / 2.0, range(lattice.n_sites))
+
+
+def build_h_tfim(lattice: Lattice, couplings: CouplingMap, omega: float) -> sp.csr_matrix:
+    """CSR of ``op_tfim``."""
+    return op_tfim(lattice, couplings, omega).tocsr()
+
+
+def op_total(
+    lattice: Lattice, partition: SitePartition, couplings: CouplingMap, omega: float
+) -> TransverseFieldOperator:
+    """TFIM plus the probe shift fields."""
+    diag = ising_diagonal(couplings) + shift_diagonal(partition, couplings)
+    return TransverseFieldOperator(lattice.n_sites, diag, omega / 2.0, range(lattice.n_sites))
 
 
 def build_h_total(
     lattice: Lattice, partition: SitePartition, couplings: CouplingMap, omega: float
 ) -> sp.csr_matrix:
-    """TFIM plus the probe shift fields."""
-    diag = ising_diagonal(couplings) + shift_diagonal(partition, couplings)
-    return _assemble(lattice.n_sites, diag, [(i, omega / 2.0, None) for i in range(lattice.n_sites)])
+    """CSR of ``op_total``."""
+    return op_total(lattice, partition, couplings, omega).tocsr()
+
+
+def op_probe_omega(partition: SitePartition, couplings_or_lattice, omega: float) -> TransverseFieldOperator:
+    """(omega/2) * sum over probe sites of sigma^x_i, on the full space."""
+    lattice = getattr(couplings_or_lattice, "lattice", couplings_or_lattice)
+    return TransverseFieldOperator(lattice.n_sites, None, omega / 2.0, sorted(partition.probe_sites))
 
 
 def build_h_probe_omega(partition: SitePartition, couplings_or_lattice, omega: float) -> sp.csr_matrix:
-    """(omega/2) * sum over probe sites of sigma^x_i, on the full space."""
-    lattice = getattr(couplings_or_lattice, "lattice", couplings_or_lattice)
-    return _assemble(lattice.n_sites, None, [(p, omega / 2.0, None) for p in sorted(partition.probe_sites)])
+    """CSR of ``op_probe_omega``."""
+    return op_probe_omega(partition, couplings_or_lattice, omega).tocsr()
 
 
 def dw_diagonal(lattice: Lattice) -> np.ndarray:

@@ -4,7 +4,7 @@ series, intermediate (Zeno) scaling, and the Bernoulli outcome estimator."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,35 +71,38 @@ def ramsey_uncertainty(p_s: float, dp_domega: float, m: int) -> float:
     return math.sqrt(p_s * (1.0 - p_s)) / (abs(dp_domega) * math.sqrt(m))
 
 
-def _p_s_of_omega(
+def _ramsey_setup(
     scheme: str,
     omega: float,
-    config: RamseyConfig,
     lattice: Lattice,
     partition: SitePartition | None,
     couplings: CouplingMap | None,
     ideal: bool,
-) -> float:
+) -> tuple[np.ndarray, ham.TransverseFieldOperator, states.Projector]:
+    """Initial state, generator at ``omega`` and readout projector of one scheme.
+
+    Every generator is a diagonal plus (omega/2) sum sigma^x, so another
+    omega only replaces the operator's flip amplitude ``value``.
+    """
     n = lattice.n_sites
     if scheme == "ghz_free":
         psi0 = states.ghz_x(n)
-        h = ham.build_h_omega(lattice, omega)
+        h = ham.op_omega(lattice, omega)
         proj = states.rank1_projector(states.ghz_x(n, "primed"))
     elif scheme == "ghz_interacting":
         psi0 = states.ghz_x(n)
-        h = ham.build_h_tfim(lattice, couplings, omega)
+        h = ham.op_tfim(lattice, couplings, omega)
         proj = states.rank1_projector(states.ghz_x(n, "primed"))
     elif scheme == "hsf":
         psi0 = states.embed(states.ghz_x(partition.n_probe), partition, lattice)
         proj = states.probe_projector(states.ghz_x(partition.n_probe, "primed"), partition, lattice)
         if ideal:
-            h = ham.build_h_probe_omega(partition, lattice, omega)
+            h = ham.op_probe_omega(partition, lattice, omega)
         else:
-            h = ham.build_h_total(lattice, partition, couplings, omega)
+            h = ham.op_total(lattice, partition, couplings, omega)
     else:
         raise SensingError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    engine = EvolutionEngine(h, method="krylov")
-    return states.measurement_probability(engine.evolve(psi0, config.t_int), proj)
+    return psi0, h, proj
 
 
 def numeric_sensitivity(
@@ -114,9 +117,14 @@ def numeric_sensitivity(
 
     P_s(omega) is obtained by exact evolution; the derivative uses a central
     difference with one Richardson refinement at step max(1e-6, 1e-3 |omega|).
+    The state, projector and diagonal are built once; each omega is one
+    Lanczos evolution of the matrix-free generator.
     """
+    psi0, h, proj = _ramsey_setup(scheme, config.omega, lattice, partition, couplings, ideal)
+
     def p_of(w):
-        return _p_s_of_omega(scheme, w, config, lattice, partition, couplings, ideal)
+        engine = EvolutionEngine(replace(h, value=w / 2.0), method="krylov")
+        return states.measurement_probability(engine.evolve(psi0, config.t_int), proj)
 
     p_center = p_of(config.omega)
     step = max(1e-6, 1e-3 * abs(config.omega))

@@ -27,8 +27,15 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def _popcounts(n: int) -> np.ndarray:
-    states = np.arange(1 << n, dtype=np.uint64)
-    return np.array([int(s).bit_count() for s in states])
+    """Number of set bits of every index below 2^n.
+
+    Indices [2^k, 2^(k+1)) are those below 2^k plus bit k, so each doubling
+    step appends the previous counts plus one.
+    """
+    counts = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
 
 
 def ghz_x(n: int, phase: str = "plain") -> np.ndarray:

@@ -39,14 +39,18 @@ from test_hamiltonian import (
 
 
 def test_acceptance_1_heisenberg_limit():
-    """HSF probes under the pure probe drive reach the Heisenberg limit."""
-    for w, h in ((3, 3), (4, 3)):
+    """HSF probes under the pure probe drive reach the Heisenberg limit, also
+    with two probes (3x6), where the full disordered dynamics stay close to it."""
+    rc = RamseyConfig(omega=0.05, t_int=0.1, t_all=10.0)
+    for w, h in ((3, 3), (4, 3), (3, 6)):
         lat = Lattice(w, h)
         part = canonical_partition(lat)
-        rc = RamseyConfig(omega=0.05, t_int=0.1, t_all=10.0)
         got = numeric_sensitivity("hsf", rc, lat, part, None, ideal=True)
         want = 1.0 / (part.n_probe * math.sqrt(rc.t_int * rc.t_int * rc.repetitions))
         assert abs(got - want) / want < 1e-6, f"{w}x{h}: {got} vs {want}"
+    assert part.n_probe == 2
+    got = numeric_sensitivity("hsf", rc, lat, part, sample_gaussian(lat, 1.0, 0.3, seed=3))
+    assert abs(got - want) / want < 1e-3, f"3x6 full dynamics: {got} vs {want}"
     print("\nACCEPTANCE 1 (Heisenberg-limited sensitivity): PASS")
 
 

@@ -157,3 +157,43 @@ def test_epsilon_grid_matches_scalar(lat33, part33, dis33):
     assert abs(grid[0]) < 1e-12
     for k, t in enumerate(ts):
         assert grid[k] == pytest.approx(epsilon_deviation(psi, h_total, h_probe, proj, t), abs=1e-9)
+
+
+def test_engine_on_operator_matches_csr_engine(lat33, lat34, part33, part34, dis33):
+    for lat, part in ((lat33, part33), (lat34, part34)):
+        c = sample_gaussian(lat, 1.0, 0.3, seed=4)
+        op = ham.op_total(lat, part, c, 0.4)
+        csr = ham.build_h_total(lat, part, c, 0.4)
+        psi = states.ghz_x(lat.n_sites)
+        ts = np.linspace(0.0, 2.0, 9)
+        got = EvolutionEngine(op, method="krylov").evolve_grid(psi, ts)
+        want = EvolutionEngine(csr, method="krylov").evolve_grid(psi, ts)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    # the eig path diagonalizes the operator's own CSR: the same numbers as the matrix engine
+    eig_op = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
+    eig_csr = EvolutionEngine(ham.build_h_tfim(lat33, dis33, 0.4))
+    assert eig_op.method == eig_csr.method == "eig"
+    for t in (0.3, 1.7):
+        assert np.array_equal(eig_op.evolve(states.ghz_x(9), t), eig_csr.evolve(states.ghz_x(9), t))
+
+
+def test_epsilon_grid_on_operator_matches_csr(lat34, part34):
+    c = sample_gaussian(lat34, 1.0, 0.3, seed=6)
+    psi = states.embed(states.ghz_x(part34.n_probe), part34, lat34)
+    proj = states.probe_projector(states.ghz_x(part34.n_probe, "primed"), part34, lat34)
+    ts = np.linspace(0.0, 2.0, 7)
+    args = (part34.probe_order(), 0.05, proj, ts)
+    got = epsilon_deviation_grid(psi, ham.op_total(lat34, part34, c, 0.05), *args)
+    want = epsilon_deviation_grid(psi, ham.build_h_total(lat34, part34, c, 0.05), *args)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.max(np.abs(want)) > 1e-6  # eps itself is far above the tolerance
+
+
+def test_non_hermitian_matrix_rejected(lat33, dis33):
+    import scipy.sparse as sp
+
+    h = ham.build_h_tfim(lat33, dis33, 0.4).tolil()
+    h[0, 1] += 1e-6
+    with pytest.raises(EvolutionError, match="Hermitian"):
+        EvolutionEngine(sp.csr_matrix(h))

@@ -10,8 +10,8 @@ import pytest
 
 from hsfsense import hamiltonian as ham
 from hsfsense.couplings import homogeneous, sample_gaussian
-from hsfsense.errors import PartitionError
-from hsfsense.lattice import Boundary, Lattice, SitePartition
+from hsfsense.errors import EvolutionError, PartitionError
+from hsfsense.lattice import Boundary, Lattice, SitePartition, canonical_partition
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -266,3 +266,75 @@ def test_zero_drive_stores_only_nonzero_diagonal_entries(lat33, part33, hom33, d
             assert op.nnz == np.count_nonzero(op.data)
     report = adjacency_components(ham.build_h_eff_homogeneous(lat33, 1.0, 0.0), lat33)
     assert report.frozen_states == 512
+
+
+def one_probe_partition(lat):
+    """Probe on site 0, every other site a frozen ancilla (builders do not re-validate)."""
+    rest = range(1, lat.n_sites)
+    return SitePartition(
+        probe_sites=frozenset({0}),
+        ancilla_sites=frozenset(rest),
+        frozen_pattern={i: i % 2 == 1 for i in rest},
+    )
+
+
+def unmasked_families(lat, part, couplings, omega):
+    """(name, builder CSR, matrix-free operator) of each unmasked family; the
+    two drives do not depend on the couplings and are built once per omega."""
+    for c in couplings:
+        yield "tfim", ham.build_h_tfim(lat, c, omega), ham.op_tfim(lat, c, omega)
+        yield "total", ham.build_h_total(lat, part, c, omega), ham.op_total(lat, part, c, omega)
+    yield "omega", ham.build_h_omega(lat, omega), ham.op_omega(lat, omega)
+    yield "probe_omega", ham.build_h_probe_omega(part, lat, omega), ham.op_probe_omega(part, lat, omega)
+
+
+OPERATOR_CASES = [(lat, one_probe_partition(lat)) for lat in SMALL_LATTICES] + [
+    (Lattice(3, 6), canonical_partition(Lattice(3, 6)))  # two probes
+]
+
+
+@pytest.mark.parametrize(
+    "lat,part", OPERATOR_CASES, ids=[f"{l.width}x{l.height}-{l.boundary.value}" for l, _ in OPERATOR_CASES]
+)
+def test_operator_matches_builder_csr(lat, part):
+    rng = np.random.default_rng(1)
+    dim = 1 << lat.n_sites
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    couplings = (homogeneous(lat, 1.0), sample_gaussian(lat, 1.0, 0.3, seed=3))
+    for omega in (0.0, 0.4):
+        for name, csr, op in unmasked_families(lat, part, couplings, omega):
+            built = op.tocsr()
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(built, attr), getattr(csr, attr)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (name, attr)
+            np.testing.assert_allclose(op @ psi, csr @ psi, rtol=0, atol=1e-13, err_msg=name)
+            row_sum = abs(csr).sum(axis=1).max()
+            assert op.norm_bound() == pytest.approx(row_sum, rel=1e-14, abs=0.0), name
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"diag": np.zeros(8, dtype=complex)}, "real"),
+        ({"diag": np.array([0.0] * 7 + [np.nan])}, "finite"),
+        ({"diag": np.array([0.0] * 7 + [np.inf])}, "finite"),
+        ({"diag": np.zeros(4)}, "shape"),
+        ({"value": 0.5j}, "real and finite"),
+        ({"value": np.inf}, "real and finite"),
+        ({"value": np.nan}, "real and finite"),
+        ({"sites": (0, 3)}, "in range"),
+        ({"sites": (-1,)}, "in range"),
+        ({"sites": (1, 1)}, "distinct"),
+    ],
+)
+def test_operator_rejects_bad_input(kwargs, match):
+    args = {"n_sites": 3, "diag": np.arange(8.0), "value": 0.2, "sites": (0, 1, 2), **kwargs}
+    with pytest.raises(EvolutionError, match=match):
+        ham.TransverseFieldOperator(**args)
+
+
+def test_operator_rejects_a_vector_of_the_wrong_length():
+    op = ham.TransverseFieldOperator(3, None, 0.2, (0, 2))
+    with pytest.raises(EvolutionError, match="shape"):
+        op @ np.ones(4, dtype=complex)
