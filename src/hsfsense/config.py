@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -133,6 +134,9 @@ def parse_config(text: str) -> RunConfig:
         attr, parser, validator = KEYS[key]
         try:
             parsed = parser(value)
+            items = parsed if isinstance(parsed, tuple) else (parsed,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
             if validator:
                 parsed = validator(parsed)
         except ConfigError as exc:

@@ -72,8 +72,8 @@ class TransverseFieldOperator:
 
     ``diag`` is a real vector over the basis (None for no diagonal).  Real
     entries make the operator Hermitian by construction.  ``op @ psi``
-    applies it to a vector, ``norm_bound()`` is its max absolute row sum and
-    ``tocsr()`` its matrix.
+    applies it to a vector, ``flip_sum`` applies ``sum_{i in sites} sigma^x_i``
+    in place and ``tocsr()`` is its matrix.
     """
 
     n_sites: int
@@ -103,30 +103,30 @@ class TransverseFieldOperator:
     def shape(self) -> tuple[int, int]:
         return (1 << self.n_sites,) * 2
 
-    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        """The operator applied to a vector over the basis.
+    def flip_sum(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = sum_{i in sites} sigma^x_i psi``, written in place; returns ``out``.
 
         sigma^x_i flips axis n_sites-1-i of the vector reshaped to (2,)*n_sites
         (bit i of the basis index), so each flip is a reversed view added in place.
         """
+        n = self.n_sites
+        x, acc = psi.reshape((2,) * n), out.reshape((2,) * n)
+        flips = (np.flip(x, axis=n - 1 - i) for i in self.sites)
+        np.copyto(acc, next(flips, 0.0))
+        for view in flips:
+            acc += view
+        return out
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        """The operator applied to a vector over the basis."""
         psi = np.asarray(psi)
         if psi.shape != (self.shape[0],):
             raise EvolutionError(f"vector of shape {psi.shape} for an operator of shape {self.shape}")
-        n = self.n_sites
-        x = psi.reshape((2,) * n)
-        out = np.zeros(psi.shape, dtype=np.result_type(psi, float))
-        flipped = out.reshape((2,) * n)
-        for i in self.sites:
-            flipped += np.flip(x, axis=n - 1 - i)
+        out = self.flip_sum(psi, np.empty(psi.shape, dtype=np.result_type(psi, float)))
         out *= self.value
         if self.diag is not None:
             out += psi * self.diag
         return out
-
-    def norm_bound(self) -> float:
-        """max |diag| + |value| * len(sites): the exact max absolute row sum, a bound on ||H||_2."""
-        top = 0.0 if self.diag is None else float(np.max(np.abs(self.diag)))
-        return top + abs(self.value) * len(self.sites)
 
     def tocsr(self) -> sp.csr_matrix:
         return _assemble(self.n_sites, self.diag, [(i, self.value, None) for i in self.sites])

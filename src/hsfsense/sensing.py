@@ -4,7 +4,7 @@ series, intermediate (Zeno) scaling, and the Bernoulli outcome estimator."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class RamseyConfig:
 
     @property
     def repetitions(self) -> int:
-        return int(math.floor(self.t_all / self.t_int))
+        """floor(t_all / t_int), with a relative tolerance so 0.3/0.1 counts 3, not 2."""
+        return int(math.floor(self.t_all / self.t_int * (1.0 + 1e-9)))
 
     def phase_warning(self, n: int) -> bool:
         """True when omega * n * t_int is not small and linearization is suspect."""
@@ -81,8 +82,8 @@ def _ramsey_setup(
 ) -> tuple[np.ndarray, ham.TransverseFieldOperator, states.Projector]:
     """Initial state, generator at ``omega`` and readout projector of one scheme.
 
-    Every generator is a diagonal plus (omega/2) sum sigma^x, so another
-    omega only replaces the operator's flip amplitude ``value``.
+    Every generator is a diagonal plus (omega/2) sum sigma^x, so omega
+    enters only through the operator's flip amplitude ``value``.
     """
     n = lattice.n_sites
     if scheme == "ghz_free":
@@ -113,25 +114,17 @@ def numeric_sensitivity(
     couplings: CouplingMap | None = None,
     ideal: bool = False,
 ) -> float:
-    """Simulated delta-omega for one scheme via a finite-difference slope.
+    """Simulated delta-omega for one scheme from the exact slope dP/domega.
 
-    P_s(omega) is obtained by exact evolution; the derivative uses a central
-    difference with one Richardson refinement at step max(1e-6, 1e-3 |omega|).
-    The state, projector and diagonal are built once; each omega is one
-    Lanczos evolution of the matrix-free generator.
+    One Chebyshev march of the matrix-free generator diag + (omega/2) S
+    carries the state and its derivative with respect to omega/2
+    (``EvolutionEngine.evolve_tangent``).  With u the projector amplitudes of
+    the state, P = ||u||^2 and dP/domega = Re<u, du/d(omega/2)>.
     """
     psi0, h, proj = _ramsey_setup(scheme, config.omega, lattice, partition, couplings, ideal)
-
-    def p_of(w):
-        engine = EvolutionEngine(replace(h, value=w / 2.0), method="krylov")
-        return states.measurement_probability(engine.evolve(psi0, config.t_int), proj)
-
-    p_center = p_of(config.omega)
-    step = max(1e-6, 1e-3 * abs(config.omega))
-    d_coarse = (p_of(config.omega + step) - p_of(config.omega - step)) / (2 * step)
-    d_fine = (p_of(config.omega + step / 2) - p_of(config.omega - step / 2)) / step
-    derivative = (4 * d_fine - d_coarse) / 3.0
-    return ramsey_uncertainty(p_center, derivative, config.repetitions)
+    psi, dpsi = EvolutionEngine(h).evolve_tangent(psi0, config.t_int)
+    slope = float(np.vdot(proj.amplitudes(psi), proj.amplitudes(dpsi)).real)
+    return ramsey_uncertainty(states.measurement_probability(psi, proj), slope, config.repetitions)
 
 
 def bond_square_sum(couplings: CouplingMap) -> float:

@@ -93,59 +93,45 @@ def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -
     return full
 
 
-def probe_ancilla_index_maps(partition: SitePartition, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Per full basis state: its probe-factor index and ancilla-factor index."""
-    n = lattice.n_sites
-    states = np.arange(1 << n, dtype=np.int64)
-    p_idx = np.zeros(1 << n, dtype=np.int64)
-    a_idx = np.zeros(1 << n, dtype=np.int64)
-    for k, site in enumerate(partition.probe_order()):
-        p_idx |= ((states >> site) & 1) << k
-    for k, site in enumerate(sorted(partition.ancilla_sites)):
-        a_idx |= ((states >> site) & 1) << k
-    return p_idx, a_idx
-
-
 @dataclass(frozen=True)
 class Projector:
-    """Hermitian idempotent measurement operator.
+    """Rank-1 projector |phi><phi| on some sites, tensored with the identity on the rest.
 
-    kind "rank1": |phi><phi| from ``vector`` over the full basis.
-    kind "probe_rank1": |phi^P><phi^P| (x) identity on the ancilla factor.
+    ``vector`` is phi over the configurations of ``sites`` (bit k on site ``sites[k]``)
+    out of ``n_sites``; with every site listed in order it acts on the full space.
     """
 
-    kind: str
     vector: np.ndarray
-    p_index: np.ndarray | None = None
-    a_index: np.ndarray | None = None
+    sites: tuple[int, ...]
+    n_sites: int
+
+    def amplitudes(self, state: np.ndarray) -> np.ndarray:
+        """<phi| contracted with ``state`` over the axes of ``sites`` in its (2,)*N view.
+
+        One amplitude per configuration of the other sites; the expectation
+        is their squared norm.
+        """
+        n, m = self.n_sites, len(self.sites)
+        if state.shape != (1 << n,):
+            raise EvolutionError("projector/state dimension mismatch")
+        # phi's axis m-1-k is bit k, which is axis n-1-sites[k] of the state
+        axes = [n - 1 - site for site in reversed(self.sites)]
+        phi = self.vector.conj().reshape((2,) * m)
+        return np.tensordot(phi, state.reshape((2,) * n), axes=(list(range(m)), axes)).reshape(-1)
 
     def expectation(self, state: np.ndarray) -> float:
-        if self.kind == "rank1":
-            if self.vector.shape != state.shape:
-                raise EvolutionError("projector/state dimension mismatch")
-            return float(abs(np.vdot(self.vector, state)) ** 2)
-        if self.p_index.shape != state.shape:
-            raise EvolutionError("projector/state dimension mismatch")
-        n_p = self.vector.shape[0]
-        n_a = state.shape[0] // n_p
-        amp = np.zeros((n_p, n_a), dtype=complex)
-        amp[self.p_index, self.a_index] = state
-        return float(np.sum(np.abs(self.vector.conj() @ amp) ** 2))
+        return float(np.sum(np.abs(self.amplitudes(state)) ** 2))
 
 
 def rank1_projector(vector: np.ndarray) -> Projector:
-    return Projector(kind="rank1", vector=np.asarray(vector, dtype=complex))
+    """|phi><phi| on the full space."""
+    n = len(vector).bit_length() - 1
+    return Projector(np.asarray(vector, dtype=complex), tuple(range(n)), n)
 
 
 def probe_projector(probe_vector: np.ndarray, partition: SitePartition, lattice: Lattice) -> Projector:
     """|phi^P><phi^P| on the probe factor, identity on ancillas."""
-    p_idx, a_idx = probe_ancilla_index_maps(partition, lattice)
-    return Projector(
-        kind="probe_rank1",
-        vector=np.asarray(probe_vector, dtype=complex),
-        p_index=p_idx,
-        a_index=a_idx,
-    )
+    return Projector(np.asarray(probe_vector, dtype=complex), tuple(partition.probe_order()), lattice.n_sites)
 
 
 def measurement_probability(state: np.ndarray, projector: Projector) -> float:

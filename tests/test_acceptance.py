@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hsfsense import hamiltonian as ham
 from hsfsense import states
@@ -247,8 +248,7 @@ def test_acceptance_9_oracle_equivalence():
     psi = states.ghz_x(10)
     worst = 0.0
     for t in (0.3, 1.0, 2.5):
-        a = EvolutionEngine(h, method="eig").evolve(psi, t)
-        b = EvolutionEngine(h, method="krylov").evolve(psi, t)
-        worst = max(worst, float(np.linalg.norm(a - b)))
-    assert worst < 1e-9, f"krylov/eig mismatch {worst}"
-    print(f"\nACCEPTANCE 9 (oracle equivalence, krylov-eig distance {worst:.1e}): PASS")
+        want = scipy.linalg.expm(-1j * t * h.toarray()) @ psi  # dense oracle
+        worst = max(worst, float(np.linalg.norm(EvolutionEngine(h).evolve(psi, t) - want)))
+    assert worst < 1e-9, f"Chebyshev/dense expm mismatch {worst}"
+    print(f"\nACCEPTANCE 9 (oracle equivalence, Chebyshev-expm distance {worst:.1e}): PASS")

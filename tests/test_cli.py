@@ -194,6 +194,25 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli(tmp_path, "command = warp\n") == 2
 
 
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("sweep", "omega = nan"),
+        ("sweep", "omega = inf"),
+        ("bound", "omega = nan"),
+        ("bound", "omega = inf"),
+        ("sweep", "t_int = nan"),
+        ("bound", "t_int = nan"),
+        ("bound", "t_max = inf"),
+        ("zeno", "zeno.beta_values = 0;nan"),
+    ],
+)
+def test_non_finite_number_is_config_error(tmp_path, command, line):
+    text = f"command = {command}\nlattice.width = 3\nlattice.height = 3\n{line}\nout = {tmp_path / 'o.csv'}\n"
+    assert run_cli(tmp_path, text) == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_missing_config_file_exit_code():
     assert main(["--config", "/no/such/file.cfg"]) == 2
 

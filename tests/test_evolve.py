@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from hsfsense import evolve as evolve_module
@@ -51,19 +52,10 @@ def test_evolution_is_unitary(lat33, dis33):
         assert np.linalg.norm(eng.evolve(psi, t)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_methods_agree(lat33, dis33):
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
-    psi = states.ghz_x(9)
-    for t in (0.5, 2.0):
-        a = EvolutionEngine(h, method="eig").evolve(psi, t)
-        b = EvolutionEngine(h, method="krylov").evolve(psi, t)
-        assert np.linalg.norm(a - b) < 1e-10
-
-
 def test_group_property(lat33, dis33):
     """U(t1 + t2) = U(t2) U(t1), including negative times."""
     h = ham.build_h_tfim(lat33, dis33, 0.4)
-    eng = EvolutionEngine(h, method="krylov")
+    eng = EvolutionEngine(h)
     psi = states.ghz_x(9)
     ab = eng.evolve(eng.evolve(psi, 0.7), 0.9)
     direct = eng.evolve(psi, 1.6)
@@ -76,28 +68,67 @@ def test_evolve_grid_matches_pointwise(lat33, dis33):
     h = ham.build_h_tfim(lat33, dis33, 0.4)
     psi = states.ghz_x(9)
     ts = np.linspace(0.0, 2.0, 9)
-    for method in ("eig", "krylov"):
-        eng = EvolutionEngine(h, method=method)
-        grid = eng.evolve_grid(psi, ts)
-        for k, t in enumerate(ts):
-            assert np.linalg.norm(grid[k] - eng.evolve(psi, t)) < 1e-10
+    eng = EvolutionEngine(h)
+    grid = eng.evolve_grid(psi, ts[::-1])[::-1]  # marched in sorted order, returned in the given one
+    for k, t in enumerate(ts):
+        assert np.linalg.norm(grid[k] - eng.evolve(psi, t)) < 1e-10
 
 
-def test_unconverged_lanczos_step_raises(lat33, dis33, monkeypatch):
-    eng = EvolutionEngine(ham.build_h_tfim(lat33, dis33, 0.4), method="krylov")
-    monkeypatch.setattr(evolve_module, "_KRYLOV_DIM", 2)
-    with pytest.raises(EvolutionError, match="did not converge"):
-        eng.evolve(states.ghz_x(9), 1.0)
+def test_gershgorin_interval_holds_the_spectrum(lat33, dis33):
+    # the operator's interval equals the CSR one: test_hamiltonian.test_operator_matches_builder_csr
+    h = ham.build_h_tfim(lat33, dis33, 0.4)
+    lo, hi = EvolutionEngine(h).interval
+    eigs = np.linalg.eigvalsh(h.toarray())
+    assert lo <= eigs[0] and eigs[-1] <= hi
+    assert hi - lo < 2.0 * (eigs[-1] - eigs[0])  # not vacuously wide
+
+
+def test_too_narrow_interval_raises(lat33, dis33, monkeypatch):
+    gershgorin = evolve_module._gershgorin
+    monkeypatch.setattr(evolve_module, "_gershgorin", lambda d, r: tuple(0.5 * x for x in gershgorin(d, r)))
+    for h in (ham.build_h_tfim(lat33, dis33, 0.4), ham.op_tfim(lat33, dis33, 0.4)):
+        with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+            EvolutionEngine(h).evolve(states.ghz_x(9), 1.0)
+    with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+        EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4)).evolve_tangent(states.ghz_x(9), 1.0)
+
+
+def van_loan_oracle(op, psi, t):
+    """(e^{-iHt} psi, d/dvalue e^{-iHt} psi) from the block generator [[H, S], [0, H]]
+    (Van Loan, IEEE TAC 23, 1978), evolved by expm_multiply."""
+    h = op.tocsr()
+    s = ham.TransverseFieldOperator(op.n_sites, None, 1.0, op.sites).tocsr()
+    block = sp.bmat([[h, s], [None, h]]).tocsr()
+    out = expm_multiply(-1j * t * block, np.concatenate([np.zeros_like(psi), psi]))
+    return out[psi.shape[0]:], out[: psi.shape[0]]
+
+
+def test_tangent_matches_van_loan_block_oracle(lat33, lat34, part33, part34):
+    rng = np.random.default_rng(9)
+    for lat, part in ((lat33, part33), (lat34, part34)):
+        c = sample_gaussian(lat, 1.0, 0.3, seed=2)
+        psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
+        psi /= np.linalg.norm(psi)
+        # value 0 without a diagonal: the interval degenerates to a point
+        for op in (ham.op_total(lat, part, c, 0.4), ham.op_probe_omega(part, lat, 0.4), ham.op_omega(lat, 0.0)):
+            eng = EvolutionEngine(op)
+            for t in (0.1, 0.9, -0.4):
+                state, tangent = eng.evolve_tangent(psi, t)
+                want_state, want_tangent = van_loan_oracle(op, psi, t)
+                np.testing.assert_allclose(state, want_state, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(tangent, want_tangent, rtol=0, atol=1e-13)
+    with pytest.raises(EvolutionError, match="TransverseFieldOperator"):
+        EvolutionEngine(op.tocsr()).evolve_tangent(psi, 0.1)
 
 
 def test_krylov_grid_matches_expm_multiply(lat34, part34):
     h = ham.build_h_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
     psi = states.ghz_x(lat34.n_sites)
     ts = np.linspace(0.0, 2.0, 9)
-    got = EvolutionEngine(h, method="krylov").evolve_grid(psi, ts)
+    got = EvolutionEngine(h).evolve_grid(psi, ts)
     want = expm_multiply(-1j * h, psi, start=0.0, stop=2.0, num=9, endpoint=True)
     for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 def test_probe_drive_closed_form_matches_krylov_with_two_probes():
@@ -108,17 +139,12 @@ def test_probe_drive_closed_form_matches_krylov_with_two_probes():
     psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
     psi /= np.linalg.norm(psi)
     ts = np.array([0.0, 0.4, 1.3, 3.0])
-    want = EvolutionEngine(ham.build_h_probe_omega(part, lat, 0.7), method="krylov").evolve_grid(psi, ts)
+    want = EvolutionEngine(ham.build_h_probe_omega(part, lat, 0.7)).evolve_grid(psi, ts)
     got = probe_drive_grid(psi, part.probe_order(), 0.7, ts)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
     with pytest.raises(EvolutionError, match="out of range"):
         probe_drive_grid(psi, [lat.n_sites], 0.7, ts)
-
-
-def test_invalid_method_rejected(lat33, dis33):
-    with pytest.raises(EvolutionError):
-        EvolutionEngine(ham.build_h_tfim(lat33, dis33, 0.4), method="magic")
 
 
 def test_fidelity_one_for_identical_hamiltonians(lat33, dis33):
@@ -166,16 +192,10 @@ def test_engine_on_operator_matches_csr_engine(lat33, lat34, part33, part34, dis
         csr = ham.build_h_total(lat, part, c, 0.4)
         psi = states.ghz_x(lat.n_sites)
         ts = np.linspace(0.0, 2.0, 9)
-        got = EvolutionEngine(op, method="krylov").evolve_grid(psi, ts)
-        want = EvolutionEngine(csr, method="krylov").evolve_grid(psi, ts)
+        got = EvolutionEngine(op).evolve_grid(psi, ts)
+        want = EvolutionEngine(csr).evolve_grid(psi, ts)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-    # the eig path diagonalizes the operator's own CSR: the same numbers as the matrix engine
-    eig_op = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
-    eig_csr = EvolutionEngine(ham.build_h_tfim(lat33, dis33, 0.4))
-    assert eig_op.method == eig_csr.method == "eig"
-    for t in (0.3, 1.7):
-        assert np.array_equal(eig_op.evolve(states.ghz_x(9), t), eig_csr.evolve(states.ghz_x(9), t))
 
 
 def test_epsilon_grid_on_operator_matches_csr(lat34, part34):
@@ -191,8 +211,6 @@ def test_epsilon_grid_on_operator_matches_csr(lat34, part34):
 
 
 def test_non_hermitian_matrix_rejected(lat33, dis33):
-    import scipy.sparse as sp
-
     h = ham.build_h_tfim(lat33, dis33, 0.4).tolil()
     h[0, 1] += 1e-6
     with pytest.raises(EvolutionError, match="Hermitian"):

@@ -11,6 +11,7 @@ import pytest
 from hsfsense import hamiltonian as ham
 from hsfsense.couplings import homogeneous, sample_gaussian
 from hsfsense.errors import EvolutionError, PartitionError
+from hsfsense.evolve import EvolutionEngine
 from hsfsense.lattice import Boundary, Lattice, SitePartition, canonical_partition
 
 I2 = np.eye(2)
@@ -309,8 +310,10 @@ def test_operator_matches_builder_csr(lat, part):
                 got, want = getattr(built, attr), getattr(csr, attr)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (name, attr)
             np.testing.assert_allclose(op @ psi, csr @ psi, rtol=0, atol=1e-13, err_msg=name)
-            row_sum = abs(csr).sum(axis=1).max()
-            assert op.norm_bound() == pytest.approx(row_sum, rel=1e-14, abs=0.0), name
+            d = csr.diagonal()
+            radius = np.asarray(abs(csr).sum(axis=1)).ravel() - np.abs(d)  # off-diagonal row sums
+            want = (np.min(d - radius), np.max(d + radius))
+            np.testing.assert_allclose(EvolutionEngine(op).interval, want, rtol=1e-14, atol=1e-14, err_msg=name)
 
 
 @pytest.mark.parametrize(
@@ -338,3 +341,6 @@ def test_operator_rejects_a_vector_of_the_wrong_length():
     op = ham.TransverseFieldOperator(3, None, 0.2, (0, 2))
     with pytest.raises(EvolutionError, match="shape"):
         op @ np.ones(4, dtype=complex)
+    # no sites: the flip sum is zero and only the diagonal acts
+    diagonal = ham.TransverseFieldOperator(3, np.arange(8.0), 0.2, ())
+    assert np.array_equal(diagonal @ np.ones(8), np.arange(8.0))

@@ -1,21 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsfsense import hamiltonian as ham
 from hsfsense import states
-from hsfsense.couplings import homogeneous
+from hsfsense.couplings import homogeneous, sample_gaussian
 from hsfsense.errors import SensingError
 from hsfsense.evolve import EvolutionEngine
+from hsfsense.lattice import Lattice, canonical_partition
 from hsfsense.sensing import (
+    SCHEMES,
     RamseyConfig,
     ZenoParams,
     bond_square_sum,
     estimator_mse_analytic,
     monte_carlo_estimator,
+    _ramsey_setup,
     numeric_sensitivity,
     p_s_second_order,
     ramsey_uncertainty,
@@ -43,8 +47,53 @@ def test_ramsey_uncertainty_positive(p, dp, m):
 
 
 def test_repetitions_floor():
-    rc = RamseyConfig(omega=0.1, t_int=0.3, t_all=1.0)
-    assert rc.repetitions == 3
+    cases = {(0.3, 1.0): 3, (0.3, 0.5): 1, (0.1, 10.0): 100}
+    # t_all / t_int rounds just below the integer for these three
+    cases.update({(0.1, 0.3): 3, (0.2, 0.6): 3, (0.1, 0.7): 7})
+    for (t_int, t_all), want in cases.items():
+        assert RamseyConfig(omega=0.1, t_int=t_int, t_all=t_all).repetitions == want, (t_int, t_all)
+
+
+def richardson_sensitivity(scheme, rc, lat, part, couplings, ideal=False):
+    """Test oracle: delta-omega from a central difference with one Richardson
+    refinement at step max(1e-6, 1e-3 |omega|), each P(omega) one evolution."""
+    psi0, h, proj = _ramsey_setup(scheme, rc.omega, lat, part, couplings, ideal)
+
+    def p_of(w):
+        state = EvolutionEngine(replace(h, value=w / 2.0)).evolve(psi0, rc.t_int)
+        return states.measurement_probability(state, proj)
+
+    step = max(1e-6, 1e-3 * abs(rc.omega))
+    d_coarse = (p_of(rc.omega + step) - p_of(rc.omega - step)) / (2 * step)
+    d_fine = (p_of(rc.omega + step / 2) - p_of(rc.omega - step / 2)) / step
+    return ramsey_uncertainty(p_of(rc.omega), (4 * d_fine - d_coarse) / 3.0, rc.repetitions)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from([(3, 3), (4, 3)]),
+    st.sampled_from(SCHEMES),
+    st.floats(0.01, 0.2),
+    st.floats(0.02, 0.3),
+    st.integers(0, 1000),
+)
+def test_exact_slope_matches_richardson_oracle(shape, scheme, omega, t_int, seed):
+    lat = Lattice(*shape)
+    part = canonical_partition(lat)
+    c = sample_gaussian(lat, 1.0, 0.3, seed=seed)
+    rc = RamseyConfig(omega=omega, t_int=t_int, t_all=10.0)
+    want = richardson_sensitivity(scheme, rc, lat, part, c)
+    assert numeric_sensitivity(scheme, rc, lat, part, c) == pytest.approx(want, rel=1e-8)
+
+
+def test_exact_slope_matches_richardson_oracle_with_two_probes():
+    lat = Lattice(3, 6)
+    part = canonical_partition(lat)
+    assert part.n_probe == 2
+    c = sample_gaussian(lat, 1.0, 0.3, seed=7919)
+    rc = RamseyConfig(omega=0.05, t_int=0.1, t_all=10.0)
+    want = richardson_sensitivity("hsf", rc, lat, part, c)
+    assert numeric_sensitivity("hsf", rc, lat, part, c) == pytest.approx(want, rel=1e-8)
 
 
 def test_config_rejects_bad_times():

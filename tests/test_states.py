@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsfsense import states
+from hsfsense.errors import EvolutionError
 from hsfsense.lattice import Lattice, canonical_partition
 
 I2 = np.eye(2, dtype=complex)
@@ -143,23 +144,51 @@ def test_embed_then_probe_projector_recovers_probabilities(lat33, part33):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def probe_ancilla_index_maps(partition, lattice):
+    """Per full basis state: its probe-factor index and ancilla-factor index."""
+    n = lattice.n_sites
+    basis = np.arange(1 << n, dtype=np.int64)
+    p_idx = np.zeros(1 << n, dtype=np.int64)
+    a_idx = np.zeros(1 << n, dtype=np.int64)
+    for k, site in enumerate(partition.probe_order()):
+        p_idx |= ((basis >> site) & 1) << k
+    for k, site in enumerate(sorted(partition.ancilla_sites)):
+        a_idx |= ((basis >> site) & 1) << k
+    return p_idx, a_idx
+
+
 def test_probe_projector_ignores_ancilla_rotation(lat33, part33):
     """P^phi x I^A must not care what the ancilla register holds."""
+    check_probe_amplitudes(lat33, part33)
+
+
+def test_probe_amplitudes_with_two_probes():
+    lat = Lattice(3, 6)
+    part = canonical_partition(lat)
+    assert part.n_probe == 2
+    check_probe_amplitudes(lat, part)
+
+
+def check_probe_amplitudes(lat, part):
+    """Projector amplitudes and expectation of a random state against the index-map oracle."""
     rng = np.random.default_rng(1)
-    n = lat33.n_sites
+    n = lat.n_sites
     full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     full /= np.linalg.norm(full)
-    proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
+    phi = rng.normal(size=1 << part.n_probe) + 1j * rng.normal(size=1 << part.n_probe)
+    phi /= np.linalg.norm(phi)
+    proj = states.probe_projector(phi, part, lat)
     p = states.measurement_probability(full, proj)
     assert 0.0 <= p <= 1.0
-    # explicit sum over ancilla configurations
-    p_idx, a_idx = states.probe_ancilla_index_maps(part33, lat33)
-    n_p = 1 << part33.n_probe
-    amp = np.zeros((n_p, (1 << n) // n_p), dtype=complex)
+    # explicit sum over ancilla configurations, indexed in increasing site order
+    p_idx, a_idx = probe_ancilla_index_maps(part, lat)
+    amp = np.zeros((1 << part.n_probe, (1 << n) >> part.n_probe), dtype=complex)
     amp[p_idx, a_idx] = full
-    phi = states.ghz_x(part33.n_probe, "primed")
-    want = float(np.sum(np.abs(phi.conj() @ amp) ** 2))
-    assert p == pytest.approx(want, abs=1e-12)
+    want = phi.conj() @ amp
+    np.testing.assert_allclose(proj.amplitudes(full), want, rtol=0, atol=1e-15)
+    assert p == pytest.approx(float(np.sum(np.abs(want) ** 2)), abs=1e-12)
+    with pytest.raises(EvolutionError, match="dimension mismatch"):
+        proj.amplitudes(full[: 1 << (n - 1)])
 
 
 def test_ancilla_projector_detects_leakage(lat33, part33):
