@@ -123,7 +123,7 @@ def numeric_sensitivity(
     """
     psi0, h, proj = _ramsey_setup(scheme, config.omega, lattice, partition, couplings, ideal)
     psi, dpsi = EvolutionEngine(h).evolve_tangent(psi0, config.t_int)
-    slope = float(np.vdot(proj.amplitudes(psi), proj.amplitudes(dpsi)).real)
+    slope = float(np.sum(proj.amplitudes(psi).conj() * proj.amplitudes(dpsi)).real)
     return ramsey_uncertainty(states.measurement_probability(psi, proj), slope, config.repetitions)
 
 

@@ -109,15 +109,16 @@ class Projector:
         """<phi| contracted with ``state`` over the axes of ``sites`` in its (2,)*N view.
 
         One amplitude per configuration of the other sites; the expectation
-        is their squared norm.
+        is their squared norm.  The sum runs in numpy, not BLAS, whose idle
+        threads would spin.
         """
         n, m = self.n_sites, len(self.sites)
         if state.shape != (1 << n,):
             raise EvolutionError("projector/state dimension mismatch")
-        # phi's axis m-1-k is bit k, which is axis n-1-sites[k] of the state
+        # bit k of phi's index is bit sites[k] of the state's, axis n-1-sites[k] of its (2,)*N view
         axes = [n - 1 - site for site in reversed(self.sites)]
-        phi = self.vector.conj().reshape((2,) * m)
-        return np.tensordot(phi, state.reshape((2,) * n), axes=(list(range(m)), axes)).reshape(-1)
+        cols = np.moveaxis(state.reshape((2,) * n), axes, range(m)).reshape(1 << m, -1)
+        return (cols * self.vector.conj()[:, None]).sum(axis=0)
 
     def expectation(self, state: np.ndarray) -> float:
         return float(np.sum(np.abs(self.amplitudes(state)) ** 2))

@@ -103,6 +103,31 @@ def test_acceptance_3_error_bound_never_violated():
     print(f"\nACCEPTANCE 3 (universal error bound, {checked} grid points): PASS")
 
 
+# eps(t) of the 2-probe case below on np.linspace(0, 2, 10): the projector
+# expectation of expm_multiply(-1j * H, psi, start=0, stop=2, num=10, endpoint=True)
+# under op_total(...).tocsr() minus the one under op_probe_omega(...).tocsr().
+# Pinned: at N=18 that reference takes ~18 s on 2 cores, six times the bound check itself.
+EPS_3X6_EXPM_MULTIPLY = [
+    0.0, -4.448557577862999e-08, -4.6668201336697024e-07, -1.129327737547925e-06,
+    -1.1780600431832156e-06, -6.29311716737746e-07, -2.735363132666535e-07,
+    -2.3958864403539337e-07, -2.994299385106203e-07, -5.245894393324235e-07,
+]
+
+
+def test_acceptance_3_error_bound_with_two_probes():
+    """The bound holds, and is not vacuous, with two probes (3x6); eps(t) matches
+    an expm_multiply reference far below its own size."""
+    lat = Lattice(3, 6)
+    part = canonical_partition(lat)
+    assert part.n_probe == 2
+    ts = np.linspace(0.0, 2.0, 10)
+    report = verify_bound(lat, part, sample_gaussian(lat, 1.0, 0.2, seed=0), omega=0.005, t_grid=ts)
+    assert report.satisfied and not report.vacuous, f"max_ratio={report.max_ratio}"
+    np.testing.assert_allclose(report.epsilon_values, EPS_3X6_EXPM_MULTIPLY, rtol=0, atol=1e-10)
+    assert np.max(np.abs(report.epsilon_values)) > 1e-6
+    print(f"\nACCEPTANCE 3 (error bound with two probes, max_ratio={report.max_ratio:.2g}): PASS")
+
+
 def test_acceptance_4_gap_inequalities():
     """delta_pr >= j_gap >= 4(1-k)jbar > 0; homogeneous case exactly 4 jbar."""
     lat = Lattice(3, 3)

@@ -89,6 +89,8 @@ def test_too_narrow_interval_raises(lat33, dis33, monkeypatch):
     for h in (ham.build_h_tfim(lat33, dis33, 0.4), ham.op_tfim(lat33, dis33, 0.4)):
         with pytest.raises(EvolutionError, match="does not hold the spectrum"):
             EvolutionEngine(h).evolve(states.ghz_x(9), 1.0)
+        with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+            EvolutionEngine(h).evolve_grid(states.ghz_x(9), [0.0, 0.5, 1.0])
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
         EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4)).evolve_tangent(states.ghz_x(9), 1.0)
 
@@ -129,6 +131,22 @@ def test_krylov_grid_matches_expm_multiply(lat34, part34):
     want = expm_multiply(-1j * h, psi, start=0.0, stop=2.0, num=9, endpoint=True)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_grid_across_windows_matches_expm_multiply(lat34, part34):
+    """More than two windows of points, given unsorted, with t = 0 and a time
+    repeated across a window boundary."""
+    op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
+    psi = states.ghz_x(lat34.n_sites)
+    num = 2 * evolve_module._WINDOW + 5
+    want = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=3.0, num=num, endpoint=True)
+    picks = np.random.default_rng(1).permutation(np.append(np.arange(num), evolve_module._WINDOW - 1))
+    ts = np.linspace(0.0, 3.0, num)[picks]
+    got = EvolutionEngine(op).evolve_grid(psi, ts)
+    csr = EvolutionEngine(op.tocsr()).evolve_grid(psi, ts)
+    for k, g, c in zip(picks, got, csr):
+        np.testing.assert_allclose(g, want[k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c, g, rtol=0, atol=1e-12)
 
 
 def test_probe_drive_closed_form_matches_krylov_with_two_probes():
