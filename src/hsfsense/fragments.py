@@ -34,6 +34,7 @@ class FragmentReport:
     n_sites: int
     sectors: tuple[SectorCensus, ...]
     labels: np.ndarray  # per basis state: minimum state index of its fragment
+    fragments: np.ndarray  # one row (dw sector, minimum state, size) per fragment, by minimum state
 
     @property
     def total_fragments(self) -> int:
@@ -55,14 +56,14 @@ class FragmentReport:
         }
 
     def to_csv(self, lattice: Lattice) -> str:
-        dw = dw_diagonal(lattice)
-        roots, counts = np.unique(self.labels, return_counts=True)
+        if lattice.n_sites != self.n_sites:
+            raise FragmentError(f"census of {self.n_sites} sites written for a lattice of {lattice.n_sites}")
         chunks = ["dw_sector,fragment_id,size,is_frozen\n"]
-        # Python ints format faster than numpy scalars; chunks bound the lists' memory
-        for at in range(0, roots.shape[0], _CSV_CHUNK_ROWS):
-            r, c = roots[at:at + _CSV_CHUNK_ROWS], counts[at:at + _CSV_CHUNK_ROWS]
-            rows = zip(dw[r].tolist(), r.tolist(), c.tolist())
-            chunks.append("".join(f"{d},{root},{size},{int(size == 1)}\n" for d, root, size in rows))
+        # one %-template per chunk over Python ints; chunks bound the lists' memory
+        for at in range(0, self.fragments.shape[0], _CSV_CHUNK_ROWS):
+            rows = self.fragments[at:at + _CSV_CHUNK_ROWS]
+            block = np.column_stack((rows, rows[:, 2] == 1))
+            chunks.append(("%d,%d,%d,%d\n" * block.shape[0]) % tuple(block.ravel().tolist()))
         return "".join(chunks)
 
 
@@ -108,6 +109,7 @@ def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport
     # fragments sorted by (sector, size), then cut at each sector boundary
     roots, sizes = np.unique(labels, return_counts=True)
     sector = dw[roots]
+    fragments = np.column_stack((sector, roots, sizes))
     order = np.lexsort((sizes, sector))
     sector, sizes = sector[order], sizes[order]
     cuts = np.flatnonzero(np.diff(sector)) + 1
@@ -120,7 +122,7 @@ def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport
         )
         for sec, sz in zip(np.split(sector, cuts), np.split(sizes, cuts))
     )
-    return FragmentReport(n_sites=lattice.n_sites, sectors=sectors, labels=labels)
+    return FragmentReport(n_sites=lattice.n_sites, sectors=sectors, labels=labels, fragments=fragments)
 
 
 def refinement_check(

@@ -5,17 +5,18 @@ of site i (bit 1 = up, z = +1).  Frame spins are fixed down (z = -1) and
 enter only through diagonal field contributions, never as basis bits.
 Every operator is a real diagonal plus single-spin flips ``(omega/2)
 sigma^x_i``, each on every basis state or only where a mask holds; one
-assembly (``_assemble``) makes it a real symmetric CSR matrix, and every
-basis-bit read uses one cached bit table (``_basis``).  The unmasked family
-(a diagonal plus one flip amplitude on a set of sites) also has a
-matrix-free form, ``TransverseFieldOperator``; its ``tocsr()`` is the
-builders' CSR.
+assembly (``_assemble``) makes it a real symmetric CSR matrix.  Diagonals
+and masks are built on the ``(2,)*(N-L) + (2^L,)`` view of a basis vector
+(``_view``; the low L bits share the last axis) from per-site bits that
+broadcast against it (``_bit``), so no table of every state's bits is
+stored.  The unmasked family (a diagonal plus one flip amplitude on a set of
+sites) also has a matrix-free form, ``TransverseFieldOperator``; its
+``tocsr()`` is the builders' CSR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,18 +26,28 @@ from .errors import EvolutionError, PartitionError
 from .lattice import Lattice, SitePartition
 
 
-@lru_cache(maxsize=1)
-def _basis(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every basis index (int32) and its bit table: row i holds bit i of each index.
+_LOW = 8  # the low bits of a basis index, folded into the last axis of ``_view``
 
-    Both are read-only and cached for the last N asked for.
-    """
-    states = np.arange(1 << n_sites, dtype=np.int32)
-    bits = np.empty((n_sites, 1 << n_sites), dtype=np.uint8)
-    for i in range(n_sites):
-        np.bitwise_and(states >> i, 1, out=bits[i], casting="unsafe")
-    states.flags.writeable = bits.flags.writeable = False
-    return states, bits
+
+def _view(n_sites: int) -> tuple[int, ...]:
+    """Shape of a basis vector as ``(2,)*(n-L) + (2^L,)``: one axis per high bit, the low L bits last."""
+    low = min(n_sites, _LOW)
+    return (2,) * (n_sites - low) + (1 << low,)
+
+
+def _bit(n_sites: int, site: int) -> np.ndarray:
+    """Bit ``site`` of the basis index (uint8), shaped to broadcast against ``_view(n_sites)``."""
+    shape = [1] * len(_view(n_sites))
+    if site < _LOW:
+        shape[-1] = 1 << min(n_sites, _LOW)
+        return ((np.arange(shape[-1], dtype=np.uint8) >> site) & 1).reshape(shape)
+    shape[n_sites - 1 - site] = 2
+    return np.arange(2, dtype=np.uint8).reshape(shape)
+
+
+def _expand(n_sites: int, values: np.ndarray) -> np.ndarray:
+    """A broadcast over ``_view(n_sites)``, written out as one value per basis state."""
+    return np.broadcast_to(values, _view(n_sites)).reshape(-1)
 
 
 def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
@@ -48,7 +59,7 @@ def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
     entries and terms with value 0 are not stored.  ``flips`` is iterated
     once, so a generator keeps only one mask alive at a time.
     """
-    states, _ = _basis(n_sites)
+    states = np.arange(1 << n_sites, dtype=np.int32)
     # blocks of (bit flipped, value(s), basis states acted on); the diagonal flips no bit
     blocks = [] if diag is None else [(0, diag[diag != 0], states[diag != 0])]
     for site, value, mask in flips:
@@ -145,12 +156,12 @@ def build_h_omega(lattice: Lattice, omega: float) -> sp.csr_matrix:
 def ising_diagonal(couplings: CouplingMap) -> np.ndarray:
     """Diagonal of -sum_bonds J_ij z_i z_j; frame bonds contribute with z = -1."""
     lattice = couplings.lattice
-    _, bits = _basis(lattice.n_sites)
-    diag = np.zeros(bits.shape[1])
+    n = lattice.n_sites
+    diag = np.zeros(_view(n))
     for (i, j), jij in couplings.items():
-        anti = bits[i] ^ (0 if lattice.is_frame(j) else bits[j])
+        anti = _bit(n, i) ^ (0 if lattice.is_frame(j) else _bit(n, j))
         diag -= np.array([jij, -jij])[anti]  # J z_i z_j, exactly +/-J
-    return diag
+    return diag.reshape(-1)
 
 
 def build_h_int(lattice: Lattice, couplings: CouplingMap) -> sp.csr_matrix:
@@ -188,10 +199,17 @@ def shift_fields(partition: SitePartition, couplings: CouplingMap) -> dict[int, 
 
 
 def shift_diagonal(partition: SitePartition, couplings: CouplingMap) -> np.ndarray:
-    _, bits = _basis(couplings.lattice.n_sites)
-    diag = np.zeros(bits.shape[1])
+    n = couplings.lattice.n_sites
+    diag = np.zeros(_view(n))
     for site, h in shift_fields(partition, couplings).items():
-        diag -= np.array([-h, h])[bits[site]]  # h z_site
+        diag -= np.array([-h, h])[_bit(n, site)]  # h z_site
+    return diag.reshape(-1)
+
+
+def _ising_and_shift_diagonal(partition: SitePartition, couplings: CouplingMap) -> np.ndarray:
+    """``ising_diagonal + shift_diagonal``, summed into the first."""
+    diag = ising_diagonal(couplings)
+    diag += shift_diagonal(partition, couplings)
     return diag
 
 
@@ -215,7 +233,7 @@ def op_total(
     lattice: Lattice, partition: SitePartition, couplings: CouplingMap, omega: float
 ) -> TransverseFieldOperator:
     """TFIM plus the probe shift fields."""
-    diag = ising_diagonal(couplings) + shift_diagonal(partition, couplings)
+    diag = _ising_and_shift_diagonal(partition, couplings)
     return TransverseFieldOperator(lattice.n_sites, diag, omega / 2.0, range(lattice.n_sites))
 
 
@@ -239,27 +257,27 @@ def build_h_probe_omega(partition: SitePartition, couplings_or_lattice, omega: f
 
 def dw_diagonal(lattice: Lattice) -> np.ndarray:
     """Number of anti-aligned bonds per basis state; frame bonds count with frame spins down."""
-    _, bits = _basis(lattice.n_sites)
-    counts = np.zeros(bits.shape[1], dtype=np.int64)
-    for i, j in lattice.bonds():
-        counts += bits[i] ^ (0 if lattice.is_frame(j) else bits[j])
-    return counts
+    n, bonds = lattice.n_sites, lattice.bonds()
+    # counted in the narrowest type that holds the number of bonds, then widened
+    counts = np.zeros(_view(n), dtype=np.min_scalar_type(len(bonds)))
+    for i, j in bonds:
+        counts += _bit(n, i) ^ (0 if lattice.is_frame(j) else _bit(n, j))
+    return counts.reshape(-1).astype(np.int64)
 
 
 def _flip_mask(lattice: Lattice, site: int) -> np.ndarray:
-    """Boolean mask over basis states where the two-up/two-down condition holds at site.
+    """Where the two-up/two-down condition holds at site, broadcastable to ``_view``.
 
     All false when the site has fewer than 4 neighbor slots (open-boundary
     edge): the condition is then unsatisfiable.
     """
-    _, bits = _basis(lattice.n_sites)
     slots = lattice.neighbors(site)
     if len(slots) < 4:
-        return np.zeros(bits.shape[1], dtype=bool)
-    ups = np.zeros(bits.shape[1], dtype=np.uint8)
+        return np.zeros(1, dtype=bool)
+    ups = np.zeros(1, dtype=np.uint8)
     for j in slots:
         if not lattice.is_frame(j):
-            ups += bits[j]
+            ups = ups + _bit(lattice.n_sites, j)
     return ups == 2
 
 
@@ -272,8 +290,9 @@ def build_h_eff_homogeneous(lattice: Lattice, jbar: float, omega: float) -> sp.c
     """
     from .couplings import homogeneous
 
-    flips = ((i, omega / 2.0, _flip_mask(lattice, i)) for i in range(lattice.n_sites))
-    return _assemble(lattice.n_sites, ising_diagonal(homogeneous(lattice, jbar)), flips)
+    n = lattice.n_sites
+    flips = ((i, omega / 2.0, _expand(n, _flip_mask(lattice, i))) for i in range(n))
+    return _assemble(n, ising_diagonal(homogeneous(lattice, jbar)), flips)
 
 
 def _mismatch_vector(
@@ -282,15 +301,14 @@ def _mismatch_vector(
     couplings: CouplingMap,
     shift: dict[int, float],
 ) -> np.ndarray:
-    """|sum_j delta_ij z_j + h_i| per basis state (h_i only on probe sites)."""
-    _, bits = _basis(lattice.n_sites)
-    acc = np.full(bits.shape[1], shift.get(site, 0.0))
+    """|sum_j delta_ij z_j + h_i| (h_i only on probe sites), broadcastable to ``_view``."""
+    acc = np.full(1, shift.get(site, 0.0))
     for j in lattice.neighbors(site):
         d = couplings.bond_delta(site, j)
         if lattice.is_frame(j):
-            acc -= d
+            acc = acc - d
         else:
-            acc += np.array([-d, d])[bits[j]]  # d z_j
+            acc = acc + np.array([-d, d])[_bit(lattice.n_sites, j)]  # d z_j
     return np.abs(acc)
 
 
@@ -310,11 +328,12 @@ def build_h_eff_inhomogeneous(
     if delta_th <= 0:
         raise PartitionError(f"delta_th must be positive, got {delta_th}")
     shift = shift_fields(partition, couplings)
-    flips = (
-        (i, omega / 2.0, _flip_mask(lattice, i) & (_mismatch_vector(lattice, i, couplings, shift) <= delta_th))
+    allowed = (
+        _flip_mask(lattice, i) & (_mismatch_vector(lattice, i, couplings, shift) <= delta_th)
         for i in range(lattice.n_sites)
     )
-    return _assemble(lattice.n_sites, ising_diagonal(couplings) + shift_diagonal(partition, couplings), flips)
+    flips = ((i, omega / 2.0, _expand(lattice.n_sites, mask)) for i, mask in enumerate(allowed))
+    return _assemble(lattice.n_sites, _ising_and_shift_diagonal(partition, couplings), flips)
 
 
 def is_hermitian(op: sp.spmatrix, tol: float = 0.0) -> bool:

@@ -26,16 +26,16 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _popcounts(n: int) -> np.ndarray:
-    """Number of set bits of every index below 2^n.
+def _parities(n: int) -> np.ndarray:
+    """Parity (0 or 1, uint8) of the number of set bits of every index below 2^n.
 
     Indices [2^k, 2^(k+1)) are those below 2^k plus bit k, so each doubling
-    step appends the previous counts plus one.
+    step appends the previous parities flipped.
     """
-    counts = np.zeros(1, dtype=np.int64)
+    parity = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
-        counts = np.concatenate((counts, counts + 1))
-    return counts
+        parity = np.concatenate((parity, parity ^ 1))
+    return parity
 
 
 def ghz_x(n: int, phase: str = "plain") -> np.ndarray:
@@ -43,15 +43,22 @@ def ghz_x(n: int, phase: str = "plain") -> np.ndarray:
 
     ``phase`` selects the relative amplitude c: 1 for "plain", i for
     "primed" (the measurement-basis partner used in the Ramsey readout).
+    Amplitude s takes one of two values, chosen by the parity of s, and the
+    vector is filled with them in place.
     """
     if n < 1:
         raise EvolutionError(f"need at least one spin, got n={n}")
     if phase not in ("plain", "primed"):
         raise EvolutionError(f"phase must be 'plain' or 'primed', got {phase!r}")
     c = 1j if phase == "primed" else 1.0
-    signs = (-1.0) ** _popcounts(n)
-    vec = (1.0 + c * signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))
-    return _fix_phase(vec.astype(complex))
+    signs = np.array([1.0, -1.0])  # (-1)^parity
+    amps = _fix_phase(((1.0 + c * signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex))
+    # the parity of s is that of its high bits (row) xor that of its low bits (column)
+    low = n // 2
+    rows = amps[_parities(low) ^ np.array([[0], [1]], dtype=np.uint8)]
+    vec = np.empty((1 << (n - low), 1 << low), dtype=complex)
+    np.take(rows, _parities(n - low), axis=0, out=vec, mode="clip")  # "clip" writes out unbuffered
+    return vec.reshape(-1)
 
 
 def frozen_bits(partition: SitePartition) -> int:
@@ -104,6 +111,15 @@ class Projector:
     vector: np.ndarray
     sites: tuple[int, ...]
     n_sites: int
+
+    def __post_init__(self):
+        if len(set(self.sites)) != len(self.sites) or any(not 0 <= i < self.n_sites for i in self.sites):
+            raise EvolutionError(f"sites {self.sites} must be distinct and in range for {self.n_sites} sites")
+        if np.shape(self.vector) != (1 << len(self.sites),):
+            raise EvolutionError(
+                f"projector vector of shape {np.shape(self.vector)} on {len(self.sites)} sites; "
+                f"expected ({1 << len(self.sites)},)"
+            )
 
     def amplitudes(self, state: np.ndarray) -> np.ndarray:
         """<phi| contracted with ``state`` over the axes of ``sites`` in its (2,)*N view.

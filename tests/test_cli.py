@@ -140,8 +140,13 @@ def test_fragments_command_prints_summary(tmp_path, capsys):
             "lattice.width = 3\nlattice.height = 3\nomega = 0.4\n",
             "b690a0c77b6c8c99bbcbec0e94c2677db905b719448d6e8d80f37da1ef6ca72c",
         ),
+        (
+            "lattice.width = 4\nlattice.height = 4\ncouplings.sigma = 0.3\ncouplings.seed = 5\n"
+            "omega = 0.4\ndelta_th = 0.1\n",
+            "8742b3b327f98ea1510793d5de42d9bf5c47008be16c3627988e1ae839a765f6",
+        ),
     ],
-    ids=["disordered-4x3", "homogeneous-3x3"],
+    ids=["disordered-4x3", "homogeneous-3x3", "disordered-4x4"],
 )
 def test_fragments_csv_is_pinned(tmp_path, keys, digest):
     """The census CSV is integers only, so its bytes are the same on every platform."""

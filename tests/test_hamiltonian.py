@@ -5,6 +5,8 @@ sparse builders.  Bit i of a basis index is site i's z spin (1 = up), so
 site 0 is the least significant kron factor.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,105 @@ def test_operator_matches_builder_csr(lat, part):
             radius = np.asarray(abs(csr).sum(axis=1)).ravel() - np.abs(d)  # off-diagonal row sums
             want = (np.min(d - radius), np.max(d + radius))
             np.testing.assert_allclose(EvolutionEngine(op).interval, want, rtol=1e-14, atol=1e-14, err_msg=name)
+
+
+@lru_cache(maxsize=1)
+def bit_table(n):
+    """Row i holds bit i of every basis index."""
+    return np.array([(np.arange(1 << n) >> i) & 1 for i in range(n)], dtype=np.uint8)
+
+
+def ising_diagonal_oracle(couplings):
+    lat = couplings.lattice
+    bits = bit_table(lat.n_sites)
+    diag = np.zeros(bits.shape[1])
+    for (i, j), jij in couplings.items():
+        anti = bits[i] ^ (0 if lat.is_frame(j) else bits[j])
+        diag -= np.array([jij, -jij])[anti]
+    return diag
+
+
+def shift_diagonal_oracle(partition, couplings):
+    bits = bit_table(couplings.lattice.n_sites)
+    diag = np.zeros(bits.shape[1])
+    for site, h in ham.shift_fields(partition, couplings).items():
+        diag -= np.array([-h, h])[bits[site]]
+    return diag
+
+
+def dw_diagonal_oracle(lat):
+    bits = bit_table(lat.n_sites)
+    counts = np.zeros(bits.shape[1], dtype=np.int64)
+    for i, j in lat.bonds():
+        counts += bits[i] ^ (0 if lat.is_frame(j) else bits[j])
+    return counts
+
+
+def flip_mask_oracle(lat, site):
+    bits = bit_table(lat.n_sites)
+    if len(lat.neighbors(site)) < 4:
+        return np.zeros(bits.shape[1], dtype=bool)
+    ups = np.zeros(bits.shape[1], dtype=np.uint8)
+    for j in lat.neighbors(site):
+        if not lat.is_frame(j):
+            ups += bits[j]
+    return ups == 2
+
+
+def mismatch_oracle(lat, site, couplings, shift):
+    bits = bit_table(lat.n_sites)
+    acc = np.full(bits.shape[1], shift.get(site, 0.0))
+    for j in lat.neighbors(site):
+        d = couplings.bond_delta(site, j)
+        if lat.is_frame(j):
+            acc -= d
+        else:
+            acc += np.array([-d, d])[bits[j]]
+    return np.abs(acc)
+
+
+def h_eff_bit_table_oracles(lat, part, couplings, omega, delta_th):
+    """Both constrained builders as they were built from a stored bit table, in the same assembly."""
+    n = lat.n_sites
+    hom = ham._assemble(
+        n,
+        ising_diagonal_oracle(homogeneous(lat, couplings.jbar)),
+        [(i, omega / 2.0, flip_mask_oracle(lat, i)) for i in range(n)],
+    )
+    shift = ham.shift_fields(part, couplings)
+    flips = [
+        (i, omega / 2.0, flip_mask_oracle(lat, i) & (mismatch_oracle(lat, i, couplings, shift) <= delta_th))
+        for i in range(n)
+    ]
+    diag = ising_diagonal_oracle(couplings) + shift_diagonal_oracle(part, couplings)
+    return hom, ham._assemble(n, diag, flips)
+
+
+# N below, at and just above the fold of the low bits (ham._LOW = 8), and N = 18 with two probes,
+# where bonds and flip masks join two unfolded high bits
+BIT_TABLE_SHAPES = [(2, 3), (4, 2), (3, 3), (3, 6)]
+BIT_TABLE_CASES = [(w, h, b) for w, h in BIT_TABLE_SHAPES for b in Boundary]
+
+
+@pytest.mark.parametrize("w,h,boundary", BIT_TABLE_CASES, ids=[f"{w}x{h}-{b.value}" for w, h, b in BIT_TABLE_CASES])
+def test_diagonals_and_constrained_builders_match_the_bit_table(w, h, boundary):
+    lat = Lattice(w, h, boundary)
+    part = canonical_partition(Lattice(w, h)) if w >= 3 and h >= 3 else one_probe_partition(lat)
+    c = sample_gaussian(lat, 1.0, 0.3, seed=3)
+    for got, want in (
+        (ham.ising_diagonal(c), ising_diagonal_oracle(c)),
+        (ham.shift_diagonal(part, c), shift_diagonal_oracle(part, c)),
+        (ham.dw_diagonal(lat), dw_diagonal_oracle(lat)),
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    hom, inhom = h_eff_bit_table_oracles(lat, part, c, 0.4, 0.1)
+    built = (ham.build_h_eff_homogeneous(lat, c.jbar, 0.4), ham.build_h_eff_inhomogeneous(lat, part, c, 0.4, 0.1))
+    for name, got, want in zip(("homogeneous", "inhomogeneous"), built, (hom, inhom)):
+        if lat.boundary is Boundary.FIXED_DOWN_FRAME or min(w, h) >= 3:  # some site has four slots
+            assert want.nnz > (1 << lat.n_sites), name  # so some flip survives its mask
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, attr)
 
 
 @pytest.mark.parametrize(

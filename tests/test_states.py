@@ -106,6 +106,24 @@ def test_ghz_x_matches_kron_oracle(n):
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def popcounts(n):
+    """Number of set bits of every index below 2^n, by doubling."""
+    counts = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 16])
+def test_ghz_x_matches_the_popcount_formula_bit_for_bit(n):
+    """The in-place fill gives the bytes of the full-vector formula, signed zeros included."""
+    for phase, c in (("plain", 1.0), ("primed", 1j)):
+        signs = (-1.0) ** popcounts(n)
+        want = states._fix_phase(((1.0 + c * signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex))
+        got = states.ghz_x(n, phase)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_ghz_plain_primed_overlap():
     # |<GHZ|GHZ'>|^2 = 1/2
     for n in (1, 3, 6):
@@ -245,6 +263,19 @@ def test_rank1_projection_bounded(n, angle):
     psi = single_spin_x_rotation(n, 0, angle) @ states.ghz_x(n)
     p = states.measurement_probability(psi, states.rank1_projector(states.ghz_x(n, "primed")))
     assert -1e-12 <= p <= 1.0 + 1e-12
+
+
+def test_projector_rejects_bad_input_at_construction():
+    bad = [
+        lambda: states.rank1_projector(np.ones(6)),  # not a power of two: two sites, four amplitudes
+        lambda: states.rank1_projector(np.ones(0)),
+        lambda: states.Projector(np.ones(4, dtype=complex), (0,), 3),
+        lambda: states.Projector(np.ones(4, dtype=complex), (0, 3), 3),
+        lambda: states.Projector(np.ones(4, dtype=complex), (1, 1), 3),
+    ]
+    for make in bad:
+        with pytest.raises(EvolutionError):
+            make()
 
 
 def test_frozen_subspace_lists_probe_configurations_in_probe_factor_order():
