@@ -11,11 +11,11 @@ set-up, ``peak_mb`` the peak after the stage.  Stages:
   dw_diagonal   the domain-wall count of every basis state
   h_eff_inhom   ``build_h_eff_inhomogeneous`` (the census operator, CSR)
 
-Not part of the tests; at 4x6 (N = 24) it needs a few GB for ``h_eff_inhom``.
+Couplings are Gaussian (mean 1, spread 0.3) with seed ``SEED``.  Not part of
+the tests; at 4x6 (N = 24) ``h_eff_inhom`` peaks at about 1.55 GB.
 
 Usage:
     python scripts/build_budget.py --width 4 --height 6
-    python scripts/build_budget.py --width 4 --height 6 --stages op_total ghz_x
 """
 
 import argparse
@@ -29,6 +29,8 @@ from hsfsense import hamiltonian as ham
 from hsfsense import states
 from hsfsense.couplings import sample_gaussian
 from hsfsense.lattice import Lattice, canonical_partition
+
+SEED = 3
 
 STAGES = {
     "op_total": lambda lat, part, c: ham.op_total(lat, part, c, 0.4),
@@ -46,7 +48,7 @@ def peak_mb() -> float:
 def run_stage(args) -> dict:
     lat = Lattice(args.width, args.height)
     part = canonical_partition(lat)
-    c = sample_gaussian(lat, 1.0, 0.3, seed=args.seed)
+    c = sample_gaussian(lat, 1.0, 0.3, seed=SEED)
     base = peak_mb()
     start = time.perf_counter()
     result = STAGES[args.stage](lat, part, c)
@@ -59,8 +61,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--width", type=int, default=4)
     ap.add_argument("--height", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--stages", nargs="+", choices=list(STAGES), default=list(STAGES))
     ap.add_argument("--stage", choices=list(STAGES), help=argparse.SUPPRESS)  # one stage, in this process
     args = ap.parse_args()
     if args.stage:
@@ -68,11 +68,10 @@ def main() -> int:
         return 0
 
     n = args.width * args.height
-    print(f"# {args.width}x{args.height}, N = {n}, seed {args.seed}; one fresh process per stage")
+    print(f"# {args.width}x{args.height}, N = {n}, seed {SEED}; one fresh process per stage")
     print("stage,wall_s,base_mb,peak_mb")
-    for stage in args.stages:
-        cmd = [sys.executable, __file__, "--width", str(args.width), "--height", str(args.height),
-               "--seed", str(args.seed), "--stage", stage]
+    for stage in STAGES:
+        cmd = [sys.executable, __file__, "--width", str(args.width), "--height", str(args.height), "--stage", stage]
         done = subprocess.run(cmd, capture_output=True, text=True)
         if done.returncode != 0:
             print(f"{stage},failed (exit {done.returncode}): {done.stderr.strip().splitlines()[-1:]}")

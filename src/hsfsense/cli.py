@@ -138,7 +138,7 @@ def _cmd_fragments(config: RunConfig) -> tuple[str, dict]:
     else:
         h_eff = ham.build_h_eff_homogeneous(lattice, couplings.jbar, config.omega)
     report = adjacency_components(h_eff, lattice)
-    return report.to_csv(lattice), report.summary()
+    return report.to_csv(), report.summary()
 
 
 def _cmd_bound(config: RunConfig) -> tuple[str, dict]:

@@ -55,9 +55,7 @@ class FragmentReport:
             "frozen_states": self.frozen_states,
         }
 
-    def to_csv(self, lattice: Lattice) -> str:
-        if lattice.n_sites != self.n_sites:
-            raise FragmentError(f"census of {self.n_sites} sites written for a lattice of {lattice.n_sites}")
+    def to_csv(self) -> str:
         chunks = ["dw_sector,fragment_id,size,is_frozen\n"]
         # one %-template per chunk over Python ints; chunks bound the lists' memory
         for at in range(0, self.fragments.shape[0], _CSV_CHUNK_ROWS):

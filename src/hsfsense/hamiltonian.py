@@ -206,13 +206,6 @@ def shift_diagonal(partition: SitePartition, couplings: CouplingMap) -> np.ndarr
     return diag.reshape(-1)
 
 
-def _ising_and_shift_diagonal(partition: SitePartition, couplings: CouplingMap) -> np.ndarray:
-    """``ising_diagonal + shift_diagonal``, summed into the first."""
-    diag = ising_diagonal(couplings)
-    diag += shift_diagonal(partition, couplings)
-    return diag
-
-
 def build_h_shift(partition: SitePartition, couplings: CouplingMap) -> sp.csr_matrix:
     """Diagonal shift-field operator supported on probe sites only."""
     return _assemble(couplings.lattice.n_sites, shift_diagonal(partition, couplings), [])
@@ -233,7 +226,8 @@ def op_total(
     lattice: Lattice, partition: SitePartition, couplings: CouplingMap, omega: float
 ) -> TransverseFieldOperator:
     """TFIM plus the probe shift fields."""
-    diag = _ising_and_shift_diagonal(partition, couplings)
+    diag = ising_diagonal(couplings)
+    diag += shift_diagonal(partition, couplings)
     return TransverseFieldOperator(lattice.n_sites, diag, omega / 2.0, range(lattice.n_sites))
 
 
@@ -333,7 +327,9 @@ def build_h_eff_inhomogeneous(
         for i in range(lattice.n_sites)
     )
     flips = ((i, omega / 2.0, _expand(lattice.n_sites, mask)) for i, mask in enumerate(allowed))
-    return _assemble(lattice.n_sites, _ising_and_shift_diagonal(partition, couplings), flips)
+    diag = ising_diagonal(couplings)
+    diag += shift_diagonal(partition, couplings)
+    return _assemble(lattice.n_sites, diag, flips)
 
 
 def is_hermitian(op: sp.spmatrix, tol: float = 0.0) -> bool:

@@ -173,7 +173,7 @@ def test_evolution_never_leaks_out_of_fragment(lat33, part33, dis33):
 
 def test_report_csv_shape(lat33):
     report = adjacency_components(ham.build_h_eff_homogeneous(lat33, 1.0, 0.1), lat33)
-    lines = report.to_csv(lat33).strip().splitlines()
+    lines = report.to_csv().strip().splitlines()
     assert lines[0] == "dw_sector,fragment_id,size,is_frozen"
     assert len(lines) == 1 + report.total_fragments
     sizes = [int(line.split(",")[2]) for line in lines[1:]]
@@ -186,9 +186,9 @@ def test_csv_chunks_join_to_one_table(monkeypatch):
 
     lat = Lattice(4, 3)
     report = adjacency_components(ham.build_h_eff_homogeneous(lat, 1.0, 0.4), lat)
-    whole = report.to_csv(lat)
+    whole = report.to_csv()
     monkeypatch.setattr(fragments, "_CSV_CHUNK_ROWS", 7)
-    assert report.to_csv(lat) == whole
+    assert report.to_csv() == whole
     rows = whole.splitlines()
     assert rows[0] == "dw_sector,fragment_id,size,is_frozen"
     assert len(rows) == 1 + report.total_fragments > 7
