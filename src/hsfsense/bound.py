@@ -93,18 +93,13 @@ def verify_bound(
     couplings: CouplingMap,
     omega: float,
     t_grid,
-    use_delta_pr: bool = False,
 ) -> BoundReport:
-    """Full-simulation check that |epsilon(t)| <= rhs(t) on the grid.
-
-    The denominator defaults to the analytic j_gap; set ``use_delta_pr`` for
-    the sharper enumerated gap.
-    """
+    """Full-simulation check that |epsilon(t)| <= rhs(t) on the grid, with the
+    analytic j_gap as the denominator of rhs."""
     t_grid = np.asarray(t_grid, dtype=float)
     n = lattice.n_sites
     jg = j_gap(lattice, partition, couplings)
     dpr = delta_pr_numeric(lattice, partition, couplings)
-    gap = dpr if use_delta_pr else jg
 
     if omega == 0.0:
         eps = np.zeros_like(t_grid)
@@ -116,7 +111,7 @@ def verify_bound(
         )
         h_total = ham.op_total(lattice, partition, couplings, omega)
         eps = epsilon_deviation_grid(psi, h_total, partition.probe_order(), omega, proj, t_grid)
-        rhs = np.array([error_bound_rhs(n, omega, gap, t) for t in t_grid])
+        rhs = np.array([error_bound_rhs(n, omega, jg, t) for t in t_grid])
 
     satisfied = bool(np.all(np.abs(eps) <= rhs + 1e-14))
     vacuous = bool(omega != 0.0 and np.all(rhs >= 1.0))

@@ -14,7 +14,7 @@ class CouplingError(ValueError):
 
 
 class EvolutionError(ValueError):
-    """Evolution engine misuse (non-Hermitian generator, dimension mismatch)."""
+    """Evolution engine misuse (generator not a TransverseFieldOperator, dimension mismatch)."""
 
 
 class SensingError(ValueError):

@@ -1,28 +1,27 @@
 """Exact unitary time evolution and derived diagnostics.
 
-The generator is a sparse matrix or a matrix-free
-``hamiltonian.TransverseFieldOperator``.  One propagator: the Chebyshev
-expansion of exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984)
-on the Gershgorin interval [c - r, c + r] that holds the spectrum,
+The generator is a matrix-free ``hamiltonian.TransverseFieldOperator``
+H = diag + value * S.  One propagator: the Chebyshev expansion of exp(-iHt)
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) on the Gershgorin
+interval [c - r, c + r] that holds the spectrum,
 
     e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k((H - c)/r),
 
 truncated where the Bessel tail falls below ``_TAIL_TOL``; a norm drift beyond an
 output's budget raises EvolutionError.  Only the coefficients depend on t, so a
 time grid is marched in windows of ``_WINDOW`` sorted points, each window one
-series from its start state.  For ``diag + value * S`` the recurrence also
-carries the exact derivative in ``value``.  The decoupled probe drive is applied in
-closed form as single-spin rotations.  hbar = 1; times are in inverse energy units.
+series from its start state.  The recurrence also carries the exact derivative
+in ``value``.  The decoupled probe drive is applied in closed form as
+single-spin rotations.  hbar = 1; times are in inverse energy units.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.special
 
 from .errors import EvolutionError
-from .hamiltonian import TransverseFieldOperator, is_hermitian
+from .hamiltonian import TransverseFieldOperator
 from .states import Projector
 
 _TAIL_TOL = 1e-15  # truncation error of one output, relative to the norm of the state
@@ -30,7 +29,7 @@ _WINDOW = 10  # consecutive grid points that share one Chebyshev series
 
 
 def _gershgorin(diag, radius) -> tuple[float, float]:
-    """Spectral interval of a Hermitian matrix from its diagonal and off-diagonal absolute row sums."""
+    """Spectral interval of a Hermitian operator from its diagonal and off-diagonal absolute row sums."""
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
@@ -41,36 +40,25 @@ def _norm(v: np.ndarray, scratch: np.ndarray) -> float:
 
 
 class EvolutionEngine:
-    """Propagator e^{-iHt} for a fixed Hermitian Hamiltonian.
+    """Propagator e^{-iHt} for a fixed ``TransverseFieldOperator`` H = diag + value * S.
 
-    ``hamiltonian`` is a sparse matrix (checked Hermitian here) or a
-    ``TransverseFieldOperator`` (Hermitian by construction, applied
-    matrix-free).  ``interval`` is its Gershgorin interval.  ``evolve``,
-    ``evolve_grid`` and ``evolve_tangent`` leave their input state unchanged.
+    H is Hermitian by construction and applied matrix-free.  ``interval`` is its
+    Gershgorin interval [min diag - |value| |S|, max diag + |value| |S|].
+    ``evolve``, ``evolve_grid`` and ``evolve_tangent`` leave their input state
+    unchanged.
     """
 
-    def __init__(self, hamiltonian):
-        if isinstance(hamiltonian, TransverseFieldOperator):
-            diag = 0.0 if hamiltonian.diag is None else hamiltonian.diag
-            radius = abs(hamiltonian.value) * len(hamiltonian.sites)
-            self._off = None
-        else:
-            if hamiltonian.shape[0] != hamiltonian.shape[1]:
-                raise EvolutionError("Hamiltonian must be square")
-            if not is_hermitian(hamiltonian, tol=1e-12):
-                raise EvolutionError("Hamiltonian must be Hermitian")
-            hamiltonian = hamiltonian.tocsr()
-            diag = hamiltonian.diagonal().real
-            self._off = (hamiltonian - sp.diags(diag)).tocsr()
-            radius = np.asarray(abs(self._off).sum(axis=1)).ravel()
+    def __init__(self, hamiltonian: TransverseFieldOperator):
+        if not isinstance(hamiltonian, TransverseFieldOperator):
+            raise EvolutionError(f"generator must be a TransverseFieldOperator, got {type(hamiltonian).__name__}")
         self.hamiltonian = hamiltonian
-        self.interval = _gershgorin(diag, radius)
+        diag = 0.0 if hamiltonian.diag is None else hamiltonian.diag
+        self.interval = _gershgorin(diag, abs(hamiltonian.value) * len(hamiltonian.sites))
         lo, hi = self.interval
         self._center = 0.5 * (lo + hi)
         self._radius = max(0.5 * (hi - lo), 1e-300)
-        # 2 (H - c)/r is its off-diagonal part times 2/r plus this diagonal
+        # 2 (H - c)/r is its flip part (2 value/r) S plus this diagonal
         self._shift = (2.0 / self._radius) * (diag - self._center)
-        self._off = None if self._off is None else self._off * (2.0 / self._radius)
         self._coeffs: dict = {}
         self._work: list = []
 
@@ -98,10 +86,8 @@ class EvolutionEngine:
         return out
 
     def evolve_tangent(self, state: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{-iHt} psi, d/dvalue e^{-iHt} psi) for a ``TransverseFieldOperator``
-        H = diag + value * S, with the interval held fixed."""
-        if not isinstance(self.hamiltonian, TransverseFieldOperator):
-            raise EvolutionError("the tangent needs a TransverseFieldOperator")
+        """(e^{-iHt} psi, d/dvalue e^{-iHt} psi) for H = diag + value * S, with
+        the interval held fixed."""
         return self._series(state, [t], tangent=True)[0]
 
     def _coefficients(self, dt: float, tangent: bool) -> np.ndarray:
@@ -126,20 +112,12 @@ class EvolutionEngine:
             self._coeffs[key] = a * np.exp(-1j * self._center * dt)
         return self._coeffs[key]
 
-    def _recur(self, cur: np.ndarray, prev: np.ndarray, out: np.ndarray, off_done: bool = False) -> None:
-        """``out`` = 2 H_s cur - prev, using ``prev`` as scratch; with ``off_done``
-        (operators only) ``out`` already holds the off-diagonal part (2/r)(H - diag H) cur.
-
-        A real sparse H acts on the (dim, 2) real view of cur: no upcast of its data."""
-        h = self.hamiltonian
-        if isinstance(h, TransverseFieldOperator):
-            if not off_done:
-                h.flip_sum(cur, out)
-                out *= 2.0 * h.value / self._radius
-        elif self._off.dtype.kind == "c":
-            np.copyto(out, self._off @ cur)
-        else:
-            np.copyto(out.view(np.float64).reshape(-1, 2), self._off @ cur.view(np.float64).reshape(-1, 2))
+    def _recur(self, cur: np.ndarray, prev: np.ndarray, out: np.ndarray, flips_done: bool = False) -> None:
+        """``out`` = 2 H_s cur - prev, using ``prev`` as scratch; with ``flips_done``
+        ``out`` already holds the flip part (2 value/r) S cur."""
+        if not flips_done:
+            self.hamiltonian.flip_sum(cur, out)
+            out *= 2.0 * self.hamiltonian.value / self._radius
         out -= prev
         np.multiply(cur, self._shift, out=prev)
         out += prev
@@ -176,7 +154,7 @@ class EvolutionEngine:
                 np.multiply(pn, 2.0 / self._radius, out=qp)
                 qn += qp  # q_k
                 pn *= 2.0 * self.hamiltonian.value / self._radius
-            self._recur(pc, pp, pn, off_done=tangent)  # p_k
+            self._recur(pc, pp, pn, flips_done=tangent)  # p_k
             pp, pc, pn = pc, pn, pp
             qp, qc, qn = qc, qn, qp
             if k == 1:
@@ -205,8 +183,8 @@ class EvolutionEngine:
 
 def dynamical_fidelity_grid(
     psi0: np.ndarray,
-    h_ideal: sp.spmatrix | TransverseFieldOperator,
-    h_actual: sp.spmatrix | TransverseFieldOperator,
+    h_ideal: TransverseFieldOperator,
+    h_actual: TransverseFieldOperator,
     ts,
 ) -> np.ndarray:
     """|<psi0| e^{+i h_ideal t} e^{-i h_actual t} |psi0>|^2 at each t in ``ts``."""
@@ -243,7 +221,7 @@ def probe_drive_grid(state: np.ndarray, probe_sites, omega: float, ts) -> list[n
 
 def epsilon_deviation_grid(
     psi: np.ndarray,
-    h_total: sp.spmatrix | TransverseFieldOperator,
+    h_total: TransverseFieldOperator,
     probe_sites,
     omega: float,
     projector: Projector,

@@ -19,6 +19,7 @@ from .hamiltonian import dw_diagonal
 from .lattice import Lattice
 
 _CSV_CHUNK_ROWS = 1 << 16
+_SUPPORT_TOL = 1e-12  # |amplitude| above which ``fragment_of`` counts a basis state as occupied
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,13 @@ def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport
     if not np.array_equal(dw[labels], dw):
         raise FragmentError("operator mixes domain-wall sectors; not a constrained builder output")
 
-    # fragments sorted by (sector, size), then cut at each sector boundary
-    roots, sizes = np.unique(labels, return_counts=True)
+    # every label is a state index, so a count per index gives the ascending roots and their sizes
+    counts = np.bincount(labels, minlength=labels.shape[0])
+    roots = np.flatnonzero(counts)
+    sizes = counts[roots]
     sector = dw[roots]
     fragments = np.column_stack((sector, roots, sizes))
+    # fragments sorted by (sector, size), then cut at each sector boundary
     order = np.lexsort((sizes, sector))
     sector, sizes = sector[order], sizes[order]
     cuts = np.flatnonzero(np.diff(sector)) + 1
@@ -151,7 +155,7 @@ def refinement_check(
     return pattern_in.multiply(_offdiagonal_pattern(h_hom)).nnz == pattern_in.nnz
 
 
-def fragment_of(state: np.ndarray, h_eff: sp.spmatrix, tol: float = 1e-12) -> set[int]:
+def fragment_of(state: np.ndarray, h_eff: sp.spmatrix) -> set[int]:
     """All basis states reachable from the support of ``state`` under h_eff.
 
     Population outside this set stays exactly zero along any h_eff
@@ -162,5 +166,5 @@ def fragment_of(state: np.ndarray, h_eff: sp.spmatrix, tol: float = 1e-12) -> se
             f"state of shape {state.shape} does not match an operator of shape {h_eff.shape}"
         )
     labels = _component_labels(_offdiagonal_pattern(h_eff))
-    reached = np.isin(labels, labels[np.abs(state) > tol])
+    reached = np.isin(labels, labels[np.abs(state) > _SUPPORT_TOL])
     return set(np.flatnonzero(reached).tolist())

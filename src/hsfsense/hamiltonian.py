@@ -238,15 +238,14 @@ def build_h_total(
     return op_total(lattice, partition, couplings, omega).tocsr()
 
 
-def op_probe_omega(partition: SitePartition, couplings_or_lattice, omega: float) -> TransverseFieldOperator:
+def op_probe_omega(partition: SitePartition, lattice: Lattice, omega: float) -> TransverseFieldOperator:
     """(omega/2) * sum over probe sites of sigma^x_i, on the full space."""
-    lattice = getattr(couplings_or_lattice, "lattice", couplings_or_lattice)
     return TransverseFieldOperator(lattice.n_sites, None, omega / 2.0, sorted(partition.probe_sites))
 
 
-def build_h_probe_omega(partition: SitePartition, couplings_or_lattice, omega: float) -> sp.csr_matrix:
+def build_h_probe_omega(partition: SitePartition, lattice: Lattice, omega: float) -> sp.csr_matrix:
     """CSR of ``op_probe_omega``."""
-    return op_probe_omega(partition, couplings_or_lattice, omega).tocsr()
+    return op_probe_omega(partition, lattice, omega).tocsr()
 
 
 def dw_diagonal(lattice: Lattice) -> np.ndarray:
@@ -330,10 +329,3 @@ def build_h_eff_inhomogeneous(
     diag = ising_diagonal(couplings)
     diag += shift_diagonal(partition, couplings)
     return _assemble(lattice.n_sites, diag, flips)
-
-
-def is_hermitian(op: sp.spmatrix, tol: float = 0.0) -> bool:
-    diff = (op - op.getH()).tocoo()
-    if diff.nnz == 0:
-        return True
-    return np.max(np.abs(diff.data)) <= tol

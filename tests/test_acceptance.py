@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 
 from hsfsense import hamiltonian as ham
 from hsfsense import states
@@ -66,7 +67,7 @@ def test_acceptance_2_fidelity_decay_ordering():
         for jbar in jbars:
             c = sample_gaussian(lat, jbar, 0.3 * jbar, seed=seed)
             curves[jbar] = dynamical_fidelity_grid(
-                psi, ham.build_h_omega(lat, 0.4), ham.build_h_tfim(lat, c, 0.4), ts
+                psi, ham.op_omega(lat, 0.4), ham.op_tfim(lat, c, 0.4), ts
             )
         for jbar in jbars:
             assert abs(curves[jbar][0] - 1.0) < 1e-12
@@ -173,7 +174,7 @@ def test_acceptance_6_second_order_series():
     c = sample_gaussian(lat, 1.0, 0.3, seed=7)
     psi0 = states.ghz_x(9)
     proj = states.rank1_projector(states.ghz_x(9, "primed"))
-    eng = EvolutionEngine(ham.build_h_tfim(lat, c, 0.4))
+    eng = EvolutionEngine(ham.op_tfim(lat, c, 0.4))
     errs = []
     for t in (0.02, 0.01, 0.005):
         rc = RamseyConfig(omega=0.4, t_int=t, t_all=10.0)
@@ -226,14 +227,33 @@ def test_acceptance_8_fragmentation_structure():
             amask = sum(1 << a for a in part.ancilla_sites)
             assert all((s & amask) == frozen for s in frag)
             outside = np.array(sorted(set(range(1 << 9)) - frag))
-            leak = np.linalg.norm(EvolutionEngine(h_in).evolve(psi, 3.0)[outside])
+            leak = np.linalg.norm(expm_multiply(-3j * h_in, psi)[outside])
             leak_max = max(leak_max, leak)
             assert leak < 1e-12
     print(f"\nACCEPTANCE 8 (fragmentation census and confinement, max leak {leak_max:.1e}): PASS")
 
 
+def test_acceptance_8_confinement_with_two_probes():
+    """With two probes (3x6), the fragment of the embedded GHZ state is the frozen
+    subspace: every probe configuration over the frozen ancilla pattern, with no
+    matrix element of h_eff leaving it."""
+    lat = Lattice(3, 6)
+    part = canonical_partition(lat)
+    assert part.n_probe == 2
+    h_in = ham.build_h_eff_inhomogeneous(lat, part, sample_gaussian(lat, 1.0, 0.3, seed=1), 0.1, 0.1)
+    psi = states.embed(states.ghz_x(part.n_probe), part, lat)
+    frag = np.array(sorted(fragment_of(psi, h_in)))
+    amask = sum(1 << a for a in part.ancilla_sites)
+    assert np.all((frag & amask) == states.frozen_bits(part))
+    assert frag.size == 1 << part.n_probe
+    outside = np.setdiff1d(np.arange(1 << lat.n_sites), frag)
+    assert h_in[outside][:, frag].count_nonzero() == 0
+    print(f"\nACCEPTANCE 8 (confinement with two probes, fragment of {frag.size} states): PASS")
+
+
 def test_acceptance_9_oracle_equivalence():
-    """Builders match the dense Kronecker oracle; Krylov matches eig at N=10."""
+    """Builders match the dense Kronecker oracle; the Chebyshev propagator matches
+    dense expm at N=10."""
     for lat in SMALL_LATTICES:
         c = sample_gaussian(lat, 1.2, 0.3, seed=6)
         np.testing.assert_allclose(
@@ -269,11 +289,11 @@ def test_acceptance_9_oracle_equivalence():
 
     lat = Lattice(5, 2)
     c = sample_gaussian(lat, 1.0, 0.3, seed=4)
-    h = ham.build_h_tfim(lat, c, 0.4)
+    h = ham.op_tfim(lat, c, 0.4)
     psi = states.ghz_x(10)
     worst = 0.0
     for t in (0.3, 1.0, 2.5):
-        want = scipy.linalg.expm(-1j * t * h.toarray()) @ psi  # dense oracle
+        want = scipy.linalg.expm(-1j * t * h.tocsr().toarray()) @ psi  # dense oracle
         worst = max(worst, float(np.linalg.norm(EvolutionEngine(h).evolve(psi, t) - want)))
     assert worst < 1e-9, f"Chebyshev/dense expm mismatch {worst}"
     print(f"\nACCEPTANCE 9 (oracle equivalence, Chebyshev-expm distance {worst:.1e}): PASS")

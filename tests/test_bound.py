@@ -84,11 +84,11 @@ def test_verify_bound_holds_on_3x3(lat33, part33):
 def test_verify_bound_with_delta_pr_gap(lat33, part33):
     c = sample_gaussian(lat33, 1.0, 0.2, seed=3)
     ts = np.linspace(0.0, 1.0, 10)
-    loose = verify_bound(lat33, part33, c, omega=0.01, t_grid=ts, use_delta_pr=True)
-    tight = verify_bound(lat33, part33, c, omega=0.01, t_grid=ts, use_delta_pr=False)
-    assert loose.satisfied
+    report = verify_bound(lat33, part33, c, omega=0.01, t_grid=ts)
+    sharp = np.array([error_bound_rhs(lat33.n_sites, 0.01, report.delta_pr, t) for t in ts])
+    assert np.all(np.abs(report.epsilon_values) <= sharp + 1e-14)
     # a larger gap gives a smaller right-hand side
-    assert np.all(loose.rhs_values <= tight.rhs_values + 1e-15)
+    assert np.all(sharp <= report.rhs_values + 1e-15)
 
 
 def test_report_csv_shape(lat33, part33, hom33):

@@ -35,8 +35,7 @@ def epsilon_deviation(psi, h_total, h_probe_omega, projector, t):
 def test_single_spin_rabi_oracle():
     """One spin under (omega/2) sigma^x: closed-form Rabi rotation."""
     lat = Lattice(1, 1)
-    h = ham.build_h_omega(lat, 0.8)
-    eng = EvolutionEngine(h)
+    eng = EvolutionEngine(ham.op_omega(lat, 0.8))
     psi0 = np.array([1.0, 0.0], dtype=complex)
     for t in (0.0, 0.3, 1.7, 5.0):
         got = eng.evolve(psi0, t)
@@ -45,8 +44,7 @@ def test_single_spin_rabi_oracle():
 
 
 def test_evolution_is_unitary(lat33, dis33):
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
-    eng = EvolutionEngine(h)
+    eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
     psi = states.ghz_x(9)
     for t in (0.1, 1.0, 7.3):
         assert np.linalg.norm(eng.evolve(psi, t)) == pytest.approx(1.0, abs=1e-12)
@@ -54,8 +52,7 @@ def test_evolution_is_unitary(lat33, dis33):
 
 def test_group_property(lat33, dis33):
     """U(t1 + t2) = U(t2) U(t1), including negative times."""
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
-    eng = EvolutionEngine(h)
+    eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
     psi = states.ghz_x(9)
     ab = eng.evolve(eng.evolve(psi, 0.7), 0.9)
     direct = eng.evolve(psi, 1.6)
@@ -65,20 +62,19 @@ def test_group_property(lat33, dis33):
 
 
 def test_evolve_grid_matches_pointwise(lat33, dis33):
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
     psi = states.ghz_x(9)
     ts = np.linspace(0.0, 2.0, 9)
-    eng = EvolutionEngine(h)
+    eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
     grid = eng.evolve_grid(psi, ts[::-1])[::-1]  # marched in sorted order, returned in the given one
     for k, t in enumerate(ts):
         assert np.linalg.norm(grid[k] - eng.evolve(psi, t)) < 1e-10
 
 
 def test_gershgorin_interval_holds_the_spectrum(lat33, dis33):
-    # the operator's interval equals the CSR one: test_hamiltonian.test_operator_matches_builder_csr
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
+    # the interval equals the CSR's row-sum one: test_hamiltonian.test_operator_matches_builder_csr
+    h = ham.op_tfim(lat33, dis33, 0.4)
     lo, hi = EvolutionEngine(h).interval
-    eigs = np.linalg.eigvalsh(h.toarray())
+    eigs = np.linalg.eigvalsh(h.tocsr().toarray())
     assert lo <= eigs[0] and eigs[-1] <= hi
     assert hi - lo < 2.0 * (eigs[-1] - eigs[0])  # not vacuously wide
 
@@ -86,13 +82,13 @@ def test_gershgorin_interval_holds_the_spectrum(lat33, dis33):
 def test_too_narrow_interval_raises(lat33, dis33, monkeypatch):
     gershgorin = evolve_module._gershgorin
     monkeypatch.setattr(evolve_module, "_gershgorin", lambda d, r: tuple(0.5 * x for x in gershgorin(d, r)))
-    for h in (ham.build_h_tfim(lat33, dis33, 0.4), ham.op_tfim(lat33, dis33, 0.4)):
-        with pytest.raises(EvolutionError, match="does not hold the spectrum"):
-            EvolutionEngine(h).evolve(states.ghz_x(9), 1.0)
-        with pytest.raises(EvolutionError, match="does not hold the spectrum"):
-            EvolutionEngine(h).evolve_grid(states.ghz_x(9), [0.0, 0.5, 1.0])
+    h = ham.op_tfim(lat33, dis33, 0.4)
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
-        EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4)).evolve_tangent(states.ghz_x(9), 1.0)
+        EvolutionEngine(h).evolve(states.ghz_x(9), 1.0)
+    with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+        EvolutionEngine(h).evolve_grid(states.ghz_x(9), [0.0, 0.5, 1.0])
+    with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+        EvolutionEngine(h).evolve_tangent(states.ghz_x(9), 1.0)
 
 
 def van_loan_oracle(op, psi, t):
@@ -119,18 +115,17 @@ def test_tangent_matches_van_loan_block_oracle(lat33, lat34, part33, part34):
                 want_state, want_tangent = van_loan_oracle(op, psi, t)
                 np.testing.assert_allclose(state, want_state, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(tangent, want_tangent, rtol=0, atol=1e-13)
-    with pytest.raises(EvolutionError, match="TransverseFieldOperator"):
-        EvolutionEngine(op.tocsr()).evolve_tangent(psi, 0.1)
 
 
-def test_krylov_grid_matches_expm_multiply(lat34, part34):
-    h = ham.build_h_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
-    psi = states.ghz_x(lat34.n_sites)
-    ts = np.linspace(0.0, 2.0, 9)
-    got = EvolutionEngine(h).evolve_grid(psi, ts)
-    want = expm_multiply(-1j * h, psi, start=0.0, stop=2.0, num=9, endpoint=True)
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+def test_chebyshev_grid_matches_expm_multiply(lat33, lat34, part33, part34):
+    for lat, part, seed in ((lat33, part33, 4), (lat34, part34, 11)):
+        op = ham.op_total(lat, part, sample_gaussian(lat, 1.0, 0.3, seed=seed), 0.4)
+        psi = states.ghz_x(lat.n_sites)
+        ts = np.linspace(0.0, 2.0, 9)
+        got = EvolutionEngine(op).evolve_grid(psi, ts)
+        want = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=2.0, num=9, endpoint=True)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 def test_grid_across_windows_matches_expm_multiply(lat34, part34):
@@ -143,13 +138,11 @@ def test_grid_across_windows_matches_expm_multiply(lat34, part34):
     picks = np.random.default_rng(1).permutation(np.append(np.arange(num), evolve_module._WINDOW - 1))
     ts = np.linspace(0.0, 3.0, num)[picks]
     got = EvolutionEngine(op).evolve_grid(psi, ts)
-    csr = EvolutionEngine(op.tocsr()).evolve_grid(psi, ts)
-    for k, g, c in zip(picks, got, csr):
+    for k, g in zip(picks, got):
         np.testing.assert_allclose(g, want[k], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(c, g, rtol=0, atol=1e-12)
 
 
-def test_probe_drive_closed_form_matches_krylov_with_two_probes():
+def test_probe_drive_closed_form_matches_chebyshev_with_two_probes():
     lat = Lattice(3, 6)
     part = canonical_partition(lat)
     assert part.n_probe == 2
@@ -157,7 +150,7 @@ def test_probe_drive_closed_form_matches_krylov_with_two_probes():
     psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
     psi /= np.linalg.norm(psi)
     ts = np.array([0.0, 0.4, 1.3, 3.0])
-    want = EvolutionEngine(ham.build_h_probe_omega(part, lat, 0.7)).evolve_grid(psi, ts)
+    want = EvolutionEngine(ham.op_probe_omega(part, lat, 0.7)).evolve_grid(psi, ts)
     got = probe_drive_grid(psi, part.probe_order(), 0.7, ts)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
@@ -166,15 +159,15 @@ def test_probe_drive_closed_form_matches_krylov_with_two_probes():
 
 
 def test_fidelity_one_for_identical_hamiltonians(lat33, dis33):
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
+    h = ham.op_tfim(lat33, dis33, 0.4)
     psi = states.ghz_x(9)
     for t in (0.0, 0.5, 2.0):
         assert dynamical_fidelity(psi, h, h, t) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_grid_matches_scalar(lat33, dis33):
-    h_ideal = ham.build_h_omega(lat33, 0.4)
-    h_actual = ham.build_h_tfim(lat33, dis33, 0.4)
+    h_ideal = ham.op_omega(lat33, 0.4)
+    h_actual = ham.op_tfim(lat33, dis33, 0.4)
     psi = states.ghz_x(9)
     ts = np.linspace(0.0, 1.0, 6)
     grid = dynamical_fidelity_grid(psi, h_ideal, h_actual, ts)
@@ -185,15 +178,15 @@ def test_fidelity_grid_matches_scalar(lat33, dis33):
 
 
 def test_epsilon_zero_when_dynamics_match(lat33, part33):
-    h = ham.build_h_probe_omega(part33, lat33, 0.4)
+    h = ham.op_probe_omega(part33, lat33, 0.4)
     psi = states.embed(states.ghz_x(part33.n_probe), part33, lat33)
     proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
     assert abs(epsilon_deviation(psi, h, h, proj, 1.3)) < 1e-12
 
 
 def test_epsilon_grid_matches_scalar(lat33, part33, dis33):
-    h_total = ham.build_h_total(lat33, part33, dis33, 0.4)
-    h_probe = ham.build_h_probe_omega(part33, lat33, 0.4)
+    h_total = ham.op_total(lat33, part33, dis33, 0.4)
+    h_probe = ham.op_probe_omega(part33, lat33, 0.4)
     psi = states.embed(states.ghz_x(part33.n_probe), part33, lat33)
     proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
     ts = np.linspace(0.0, 1.0, 5)
@@ -203,33 +196,25 @@ def test_epsilon_grid_matches_scalar(lat33, part33, dis33):
         assert grid[k] == pytest.approx(epsilon_deviation(psi, h_total, h_probe, proj, t), abs=1e-9)
 
 
-def test_engine_on_operator_matches_csr_engine(lat33, lat34, part33, part34, dis33):
-    for lat, part in ((lat33, part33), (lat34, part34)):
-        c = sample_gaussian(lat, 1.0, 0.3, seed=4)
-        op = ham.op_total(lat, part, c, 0.4)
-        csr = ham.build_h_total(lat, part, c, 0.4)
-        psi = states.ghz_x(lat.n_sites)
-        ts = np.linspace(0.0, 2.0, 9)
-        got = EvolutionEngine(op).evolve_grid(psi, ts)
-        want = EvolutionEngine(csr).evolve_grid(psi, ts)
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-
-
 def test_epsilon_grid_on_operator_matches_csr(lat34, part34):
+    """eps(t) of the engine and the closed-form drive against both dynamics
+    evolved by expm_multiply on the CSR matrices."""
     c = sample_gaussian(lat34, 1.0, 0.3, seed=6)
     psi = states.embed(states.ghz_x(part34.n_probe), part34, lat34)
     proj = states.probe_projector(states.ghz_x(part34.n_probe, "primed"), part34, lat34)
     ts = np.linspace(0.0, 2.0, 7)
-    args = (part34.probe_order(), 0.05, proj, ts)
-    got = epsilon_deviation_grid(psi, ham.op_total(lat34, part34, c, 0.05), *args)
-    want = epsilon_deviation_grid(psi, ham.build_h_total(lat34, part34, c, 0.05), *args)
+    h_total, h_probe = ham.op_total(lat34, part34, c, 0.05), ham.op_probe_omega(part34, lat34, 0.05)
+    got = epsilon_deviation_grid(psi, h_total, part34.probe_order(), 0.05, proj, ts)
+
+    def expectations(op):
+        grid = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=2.0, num=7, endpoint=True)
+        return np.array([proj.expectation(state) for state in grid])
+
+    want = expectations(h_total) - expectations(h_probe)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.max(np.abs(want)) > 1e-6  # eps itself is far above the tolerance
 
 
-def test_non_hermitian_matrix_rejected(lat33, dis33):
-    h = ham.build_h_tfim(lat33, dis33, 0.4).tolil()
-    h[0, 1] += 1e-6
-    with pytest.raises(EvolutionError, match="Hermitian"):
-        EvolutionEngine(sp.csr_matrix(h))
+def test_sparse_matrix_rejected(lat33, dis33):
+    with pytest.raises(EvolutionError, match="TransverseFieldOperator"):
+        EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4).tocsr())

@@ -153,8 +153,7 @@ def test_second_order_series_has_third_order_error(lat33, dis33):
     n = lat33.n_sites
     psi0 = states.ghz_x(n)
     proj = states.rank1_projector(states.ghz_x(n, "primed"))
-    h = ham.build_h_tfim(lat33, dis33, 0.4)
-    eng = EvolutionEngine(h)
+    eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
     errs = []
     for t in (0.02, 0.01, 0.005):
         rc = RamseyConfig(omega=0.4, t_int=t, t_all=10.0)
