@@ -117,13 +117,30 @@ def test_tangent_matches_van_loan_block_oracle(lat33, lat34, part33, part34):
                 np.testing.assert_allclose(tangent, want_tangent, rtol=0, atol=1e-13)
 
 
-def test_chebyshev_grid_matches_expm_multiply(lat33, lat34, part33, part34):
-    for lat, part, seed in ((lat33, part33, 4), (lat34, part34, 11)):
-        op = ham.op_total(lat, part, sample_gaussian(lat, 1.0, 0.3, seed=seed), 0.4)
+def test_krylov_grid_matches_expm_multiply(lat34, part34):
+    """The Chebyshev series, a polynomial in H applied to psi (so a Krylov-subspace
+    propagator), against expm_multiply on the operator's own CSR matrix."""
+    op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
+    psi = states.ghz_x(lat34.n_sites)
+    ts = np.linspace(0.0, 2.0, 9)
+    got = EvolutionEngine(op).evolve_grid(psi, ts)
+    want = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=2.0, num=9, endpoint=True)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_engine_on_operator_matches_csr_engine(lat33, lat34, part33, part34):
+    """The engine on the matrix-free operator against the independently built
+    CSR matrix (build_h_total), which expm_multiply evolves now that the engine
+    takes no sparse matrix."""
+    for lat, part in ((lat33, part33), (lat34, part34)):
+        c = sample_gaussian(lat, 1.0, 0.3, seed=4)
+        op = ham.op_total(lat, part, c, 0.4)
+        csr = ham.build_h_total(lat, part, c, 0.4)
         psi = states.ghz_x(lat.n_sites)
         ts = np.linspace(0.0, 2.0, 9)
         got = EvolutionEngine(op).evolve_grid(psi, ts)
-        want = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=2.0, num=9, endpoint=True)
+        want = expm_multiply(-1j * csr, psi, start=0.0, stop=2.0, num=9, endpoint=True)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
