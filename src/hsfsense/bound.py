@@ -17,7 +17,8 @@ from . import states
 from .couplings import CouplingMap
 from .errors import BoundError
 from .evolve import epsilon_deviation_grid
-from .lattice import Lattice, SitePartition
+from .lattice import Lattice, SitePartition, validate_partition
+from .sensing import ramsey_setup
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,18 @@ def verify_bound(
     t_grid,
 ) -> BoundReport:
     """Full-simulation check that |epsilon(t)| <= rhs(t) on the grid, with the
-    analytic j_gap as the denominator of rhs."""
+    analytic j_gap as the denominator of rhs.
+
+    The premises are checked before anything evolves: a partition that breaks
+    a freezing rule raises BoundError with its violations, and so do the
+    envelope's own inputs (``omega < 0``, a nonpositive gap).
+    """
+    violations = validate_partition(lattice, partition)
+    if violations:
+        raise BoundError(
+            "partition breaks the freezing rules: "
+            + "; ".join(f"site {site}: {msg}" for site, msg in violations)
+        )
     t_grid = np.asarray(t_grid, dtype=float)
     n = lattice.n_sites
     jg = j_gap(lattice, partition, couplings)
@@ -105,13 +117,9 @@ def verify_bound(
         eps = np.zeros_like(t_grid)
         rhs = np.zeros_like(t_grid)
     else:
-        psi = states.embed(states.ghz_x(partition.n_probe), partition, lattice)
-        proj = states.probe_projector(
-            states.ghz_x(partition.n_probe, "primed"), partition, lattice
-        )
-        h_total = ham.op_total(lattice, partition, couplings, omega)
-        eps = epsilon_deviation_grid(psi, h_total, partition.probe_order(), omega, proj, t_grid)
         rhs = np.array([error_bound_rhs(n, omega, jg, t) for t in t_grid])
+        psi, h_total, proj = ramsey_setup("hsf", omega, lattice, partition, couplings, ideal=False)
+        eps = epsilon_deviation_grid(psi, h_total, partition.probe_order(), omega, proj, t_grid)
 
     satisfied = bool(np.all(np.abs(eps) <= rhs + 1e-14))
     vacuous = bool(omega != 0.0 and np.all(rhs >= 1.0))

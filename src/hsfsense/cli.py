@@ -36,6 +36,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _build_system(config: RunConfig):
     from . import couplings as cp
+    from .errors import PartitionError
     from .lattice import Boundary, Lattice, canonical_partition, parse_layout
 
     lattice = Lattice(
@@ -46,8 +47,13 @@ def _build_system(config: RunConfig):
     if config.partition == "canonical":
         partition = canonical_partition(lattice)
     elif config.partition.startswith("explicit:"):
-        with open(config.partition.split(":", 1)[1]) as fh:
-            partition = parse_layout(fh.read(), lattice)
+        path = config.partition.split(":", 1)[1]
+        with open(path) as fh:
+            text = fh.read()
+        try:
+            partition = parse_layout(text, lattice)
+        except PartitionError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     else:
         raise ConfigError(f"partition must be 'canonical' or 'explicit:<file>', got {config.partition!r}")
     if config.couplings_file:

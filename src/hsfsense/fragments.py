@@ -2,9 +2,9 @@
 
 Basis states are vertices; nonzero off-diagonal matrix elements of a
 constrained builder are edges.  Connected components come from
-``scipy.sparse.csgraph``, each labelled by its minimum member state, and are
-grouped by domain-wall sector, which is well defined because the builders
-commute with the domain-wall number.
+``scipy.sparse.csgraph``, each labelled by its minimum member state, and
+each fragment tagged with its sector, which is well defined because the
+builders commute with the domain-wall number.
 """
 
 from __future__ import annotations
@@ -19,35 +19,24 @@ from .hamiltonian import dw_diagonal
 from .lattice import Lattice
 
 _CSV_CHUNK_ROWS = 1 << 16
-_SUPPORT_TOL = 1e-12  # |amplitude| above which ``fragment_of`` counts a basis state as occupied
-
-
-@dataclass(frozen=True)
-class SectorCensus:
-    sector_dw: int
-    fragment_count: int
-    fragment_sizes: tuple[int, ...]  # sorted ascending
-    frozen_state_count: int  # size-1 fragments
 
 
 @dataclass(frozen=True)
 class FragmentReport:
-    n_sites: int
-    sectors: tuple[SectorCensus, ...]
     labels: np.ndarray  # per basis state: minimum state index of its fragment
     fragments: np.ndarray  # one row (dw sector, minimum state, size) per fragment, by minimum state
 
     @property
     def total_fragments(self) -> int:
-        return sum(s.fragment_count for s in self.sectors)
+        return self.fragments.shape[0]
 
     @property
     def max_fragment_size(self) -> int:
-        return max(max(s.fragment_sizes) for s in self.sectors)
+        return int(self.fragments[:, 2].max())
 
     @property
     def frozen_states(self) -> int:
-        return sum(s.frozen_state_count for s in self.sectors)
+        return int(np.count_nonzero(self.fragments[:, 2] == 1))
 
     def summary(self) -> dict:
         return {
@@ -92,7 +81,8 @@ def _component_labels(pattern: sp.csr_matrix) -> np.ndarray:
 
 
 def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport:
-    """Connected-component census of a constrained Hamiltonian, by DW sector.
+    """Connected-component census of a constrained Hamiltonian: one row
+    (dw sector, minimum state, size) per fragment.
 
     Raises FragmentError if any off-diagonal element connects states with
     different domain-wall numbers.
@@ -108,23 +98,7 @@ def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport
     # every label is a state index, so a count per index gives the ascending roots and their sizes
     counts = np.bincount(labels, minlength=labels.shape[0])
     roots = np.flatnonzero(counts)
-    sizes = counts[roots]
-    sector = dw[roots]
-    fragments = np.column_stack((sector, roots, sizes))
-    # fragments sorted by (sector, size), then cut at each sector boundary
-    order = np.lexsort((sizes, sector))
-    sector, sizes = sector[order], sizes[order]
-    cuts = np.flatnonzero(np.diff(sector)) + 1
-    sectors = tuple(
-        SectorCensus(
-            sector_dw=int(sec[0]),
-            fragment_count=len(sz),
-            fragment_sizes=tuple(sz.tolist()),
-            frozen_state_count=int(np.sum(sz == 1)),
-        )
-        for sec, sz in zip(np.split(sector, cuts), np.split(sizes, cuts))
-    )
-    return FragmentReport(n_sites=lattice.n_sites, sectors=sectors, labels=labels, fragments=fragments)
+    return FragmentReport(labels=labels, fragments=np.column_stack((dw[roots], roots, counts[roots])))
 
 
 def refinement_check(
@@ -154,17 +128,3 @@ def refinement_check(
     pattern_in = _offdiagonal_pattern(h_inhom)
     return pattern_in.multiply(_offdiagonal_pattern(h_hom)).nnz == pattern_in.nnz
 
-
-def fragment_of(state: np.ndarray, h_eff: sp.spmatrix) -> set[int]:
-    """All basis states reachable from the support of ``state`` under h_eff.
-
-    Population outside this set stays exactly zero along any h_eff
-    trajectory starting from ``state``.
-    """
-    if state.shape != (h_eff.shape[0],):
-        raise FragmentError(
-            f"state of shape {state.shape} does not match an operator of shape {h_eff.shape}"
-        )
-    labels = _component_labels(_offdiagonal_pattern(h_eff))
-    reached = np.isin(labels, labels[np.abs(state) > _SUPPORT_TOL])
-    return set(np.flatnonzero(reached).tolist())

@@ -177,6 +177,8 @@ def parse_layout(text: str, lattice: Lattice) -> SitePartition:
     """Parse an explicit layout file: one line per site, ``index role state``.
 
     Role is P or A; state is ``up``/``down`` and is required for ancillas.
+    Raises PartitionError, naming the line, on a malformed line or a site
+    listed twice.
     """
     probes, ancillas, pattern = set(), set(), {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -186,9 +188,16 @@ def parse_layout(text: str, lattice: Lattice) -> SitePartition:
         parts = line.split()
         if len(parts) < 2:
             raise PartitionError(f"layout line {lineno}: expected 'index role [state]'")
-        site = int(parts[0])
+        try:
+            site = int(parts[0])
+        except ValueError:
+            raise PartitionError(
+                f"layout line {lineno}: site must be an integer, got {parts[0]!r}"
+            ) from None
         if not 0 <= site < lattice.n_sites:
             raise PartitionError(f"layout line {lineno}: site {site} out of range")
+        if site in probes or site in ancillas:
+            raise PartitionError(f"layout line {lineno}: site {site} is listed twice")
         role = parts[1].upper()
         if role == "P":
             probes.add(site)

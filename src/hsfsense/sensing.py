@@ -72,7 +72,7 @@ def ramsey_uncertainty(p_s: float, dp_domega: float, m: int) -> float:
     return math.sqrt(p_s * (1.0 - p_s)) / (abs(dp_domega) * math.sqrt(m))
 
 
-def _ramsey_setup(
+def ramsey_setup(
     scheme: str,
     omega: float,
     lattice: Lattice,
@@ -121,7 +121,7 @@ def numeric_sensitivity(
     (``EvolutionEngine.evolve_tangent``).  With u the projector amplitudes of
     the state, P = ||u||^2 and dP/domega = Re<u, du/d(omega/2)>.
     """
-    psi0, h, proj = _ramsey_setup(scheme, config.omega, lattice, partition, couplings, ideal)
+    psi0, h, proj = ramsey_setup(scheme, config.omega, lattice, partition, couplings, ideal)
     psi, dpsi = EvolutionEngine(h).evolve_tangent(psi0, config.t_int)
     slope = float(np.sum(proj.amplitudes(psi).conj() * proj.amplitudes(dpsi)).real)
     return ramsey_uncertainty(states.measurement_probability(psi, proj), slope, config.repetitions)

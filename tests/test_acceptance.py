@@ -16,7 +16,7 @@ from hsfsense import states
 from hsfsense.bound import delta_pr_numeric, j_gap, verify_bound
 from hsfsense.couplings import homogeneous, k_ratio, sample_gaussian
 from hsfsense.evolve import EvolutionEngine, dynamical_fidelity_grid
-from hsfsense.fragments import adjacency_components, fragment_of, refinement_check
+from hsfsense.fragments import adjacency_components, refinement_check
 from hsfsense.lattice import Lattice, canonical_partition
 from hsfsense.sensing import (
     RamseyConfig,
@@ -27,6 +27,7 @@ from hsfsense.sensing import (
     zeno_uncertainty,
 )
 
+from test_fragments import fragment_of
 from test_hamiltonian import (
     SMALL_LATTICES,
     h_eff_hom_oracle,
@@ -208,7 +209,8 @@ def test_acceptance_8_fragmentation_structure():
     rep_hom = adjacency_components(h_hom, lat)
     comm = h_hom @ dw - dw @ h_hom
     assert comm.nnz == 0 or abs(comm).max() == 0.0
-    assert any(sum(s >= 2 for s in sec.fragment_sizes) >= 2 for sec in rep_hom.sectors)
+    sector, _, size = rep_hom.fragments.T
+    assert np.bincount(sector[size >= 2]).max() >= 2
     assert (rep_hom.total_fragments, rep_hom.max_fragment_size, rep_hom.frozen_states) == (66, 122, 45)
     leak_max = 0.0
     for seed in (1, 2, 3):

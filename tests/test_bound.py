@@ -12,8 +12,8 @@ from hsfsense.bound import (
     verify_bound,
 )
 from hsfsense.couplings import homogeneous, k_ratio, sample_gaussian
-from hsfsense.errors import BoundError
-from hsfsense.lattice import Lattice, canonical_partition
+from hsfsense.errors import BoundError, PartitionError
+from hsfsense.lattice import Lattice, SitePartition, canonical_partition
 
 
 def test_homogeneous_gaps_are_exactly_4j(lat33, part33, hom33):
@@ -99,3 +99,28 @@ def test_report_csv_shape(lat33, part33, hom33):
     assert len(lines) == 1 + len(ts)
     summary = report.summary()
     assert set(summary) >= {"j_g", "delta_pr", "satisfied", "max_ratio"}
+
+
+def test_verify_bound_rejects_a_partition_that_breaks_the_freezing_rules(lat33, part33, hom33):
+    # site 7 up leaves ancilla 6 with two down neighbours and the probe with three up
+    pattern = {**part33.frozen_pattern, 7: True}
+    bad = SitePartition(part33.probe_sites, part33.ancilla_sites, pattern)
+    with pytest.raises(BoundError, match="site 6: ancilla has 2 down"):
+        verify_bound(lat33, bad, hom33, omega=0.01, t_grid=np.linspace(0.0, 0.5, 3))
+
+
+def test_verify_bound_rejects_a_site_that_is_probe_and_ancilla(lat33, part33, hom33):
+    overlap = SitePartition(
+        part33.probe_sites, frozenset(range(9)), {**part33.frozen_pattern, 4: False}
+    )
+    with pytest.raises(PartitionError):
+        verify_bound(lat33, overlap, hom33, omega=0.01, t_grid=np.linspace(0.0, 0.5, 3))
+
+
+def test_verify_bound_rejects_negative_omega_before_evolving(lat33, part33, hom33, monkeypatch):
+    def no_march(*args, **kwargs):
+        pytest.fail("verify_bound evolved before checking omega")
+
+    monkeypatch.setattr("hsfsense.bound.epsilon_deviation_grid", no_march)
+    with pytest.raises(BoundError, match="omega >= 0"):
+        verify_bound(lat33, part33, hom33, omega=-0.005, t_grid=np.linspace(0.0, 2.0, 20))

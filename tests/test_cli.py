@@ -183,6 +183,43 @@ def test_bound_command_reports_vacuous_envelope(tmp_path, capsys):
     assert json.loads(printed)["satisfied"] is True
 
 
+# canonical 3x3 layout: probe 4 with its up collar 3 and 5, every other ancilla down
+_LAYOUT_33 = ["0 A down", "1 A down", "2 A down", "3 A up", "4 P", "5 A up", "6 A down",
+              "7 A down", "8 A down"]
+
+
+def run_bound_on_layout(tmp_path, lines):
+    layout = tmp_path / "layout.txt"
+    layout.write_text("\n".join(lines) + "\n")
+    text = (
+        "command = bound\nlattice.width = 3\nlattice.height = 3\nomega = 0.01\n"
+        f"t_max = 0.5\nt_points = 3\npartition = explicit:{layout}\nout = {tmp_path / 'b.csv'}\n"
+    )
+    return run_cli(tmp_path, text)
+
+
+def test_bound_on_an_explicit_layout(tmp_path, capsys):
+    assert run_bound_on_layout(tmp_path, _LAYOUT_33) == 0
+    assert json.loads(capsys.readouterr().out)["satisfied"] is True
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("two A down", "line 3: site must be an integer"), ("0 A up", "line 3: site 0 is listed twice")],
+)
+def test_malformed_layout_is_config_error(tmp_path, capsys, line, message):
+    assert run_bound_on_layout(tmp_path, _LAYOUT_33[:2] + [line] + _LAYOUT_33[2:]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_bound_rejects_a_layout_that_breaks_the_freezing_rules(tmp_path, capsys):
+    lines = [line.replace("7 A down", "7 A up") for line in _LAYOUT_33]
+    assert run_bound_on_layout(tmp_path, lines) == 3
+    assert "site 6: ancilla has 2 down" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_montecarlo_seed_override_changes_output(tmp_path):
     out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     text = (

@@ -141,14 +141,17 @@ def test_overlapping_roles_rejected(lat33):
         validate_partition(lat33, bad)
 
 
+def canonical_layout_lines(lattice, partition):
+    """One ``index role [state]`` line per site of ``partition``."""
+    return [
+        f"{s} P" if s in partition.probe_sites
+        else f"{s} A {'up' if partition.frozen_pattern[s] else 'down'}"
+        for s in range(lattice.n_sites)
+    ]
+
+
 def test_parse_layout_roundtrip(lat33, part33):
-    lines = []
-    for s in range(lat33.n_sites):
-        if s in part33.probe_sites:
-            lines.append(f"{s} P")
-        else:
-            lines.append(f"{s} A {'up' if part33.frozen_pattern[s] else 'down'}")
-    parsed = parse_layout("\n".join(lines), lat33)
+    parsed = parse_layout("\n".join(canonical_layout_lines(lat33, part33)), lat33)
     assert parsed.probe_sites == part33.probe_sites
     assert parsed.frozen_pattern == part33.frozen_pattern
 
@@ -156,6 +159,19 @@ def test_parse_layout_roundtrip(lat33, part33):
 def test_parse_layout_rejects_bad_site(lat33):
     with pytest.raises(PartitionError):
         parse_layout("99 P", lat33)
+
+
+def test_parse_layout_rejects_a_non_integer_site_with_its_line(lat33, part33):
+    lines = canonical_layout_lines(lat33, part33)
+    lines[2] = "two A down"
+    with pytest.raises(PartitionError, match="line 3: site must be an integer"):
+        parse_layout("\n".join(lines), lat33)
+
+
+def test_parse_layout_rejects_a_site_listed_twice(lat33, part33):
+    lines = canonical_layout_lines(lat33, part33) + ["4 A down"]
+    with pytest.raises(PartitionError, match="line 10: site 4 is listed twice"):
+        parse_layout("\n".join(lines), lat33)
 
 
 def test_probe_order_ascending(part34):

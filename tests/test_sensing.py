@@ -19,9 +19,9 @@ from hsfsense.sensing import (
     bond_square_sum,
     estimator_mse_analytic,
     monte_carlo_estimator,
-    _ramsey_setup,
     numeric_sensitivity,
     p_s_second_order,
+    ramsey_setup,
     ramsey_uncertainty,
     zeno_asymptote,
     zeno_uncertainty,
@@ -57,7 +57,7 @@ def test_repetitions_floor():
 def richardson_sensitivity(scheme, rc, lat, part, couplings, ideal=False):
     """Test oracle: delta-omega from a central difference with one Richardson
     refinement at step max(1e-6, 1e-3 |omega|), each P(omega) one evolution."""
-    psi0, h, proj = _ramsey_setup(scheme, rc.omega, lat, part, couplings, ideal)
+    psi0, h, proj = ramsey_setup(scheme, rc.omega, lat, part, couplings, ideal)
 
     def p_of(w):
         state = EvolutionEngine(replace(h, value=w / 2.0)).evolve(psi0, rc.t_int)
