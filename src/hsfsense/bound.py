@@ -17,7 +17,7 @@ from . import states
 from .couplings import CouplingMap
 from .errors import BoundError
 from .evolve import epsilon_deviation_grid
-from .lattice import Lattice, SitePartition, validate_partition
+from .lattice import Lattice, SitePartition, describe_violations, validate_partition
 from .sensing import ramsey_setup
 
 
@@ -104,10 +104,7 @@ def verify_bound(
     """
     violations = validate_partition(lattice, partition)
     if violations:
-        raise BoundError(
-            "partition breaks the freezing rules: "
-            + "; ".join(f"site {site}: {msg}" for site, msg in violations)
-        )
+        raise BoundError(describe_violations(violations))
     t_grid = np.asarray(t_grid, dtype=float)
     n = lattice.n_sites
     jg = j_gap(lattice, partition, couplings)

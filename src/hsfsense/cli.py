@@ -34,38 +34,40 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _build_system(config: RunConfig):
-    from . import couplings as cp
-    from .errors import PartitionError
-    from .lattice import Boundary, Lattice, canonical_partition, parse_layout
+def _lattice(config: RunConfig):
+    from .lattice import Boundary, Lattice
 
-    lattice = Lattice(
-        config.lattice_width,
-        config.lattice_height,
-        Boundary.FIXED_DOWN_FRAME if config.lattice_boundary == "frame" else Boundary.OPEN,
-    )
+    boundary = Boundary.FIXED_DOWN_FRAME if config.lattice_boundary == "frame" else Boundary.OPEN
+    return Lattice(config.lattice_width, config.lattice_height, boundary)
+
+
+def _partition(config: RunConfig, lattice):
+    """The probe/ancilla partition; built only by the commands that read it."""
+    from .errors import PartitionError
+    from .lattice import canonical_partition, parse_layout
+
     if config.partition == "canonical":
-        partition = canonical_partition(lattice)
-    elif config.partition.startswith("explicit:"):
+        return canonical_partition(lattice)
+    if config.partition.startswith("explicit:"):
         path = config.partition.split(":", 1)[1]
         with open(path) as fh:
             text = fh.read()
         try:
-            partition = parse_layout(text, lattice)
+            return parse_layout(text, lattice)
         except PartitionError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    else:
-        raise ConfigError(f"partition must be 'canonical' or 'explicit:<file>', got {config.partition!r}")
+    raise ConfigError(f"partition must be 'canonical' or 'explicit:<file>', got {config.partition!r}")
+
+
+def _couplings(config: RunConfig, lattice):
+    from . import couplings as cp
+
     if config.couplings_file:
         with open(config.couplings_file) as fh:
-            couplings = cp.from_csv(lattice, config.couplings_jbar, fh.read())
-    elif config.couplings_sigma > 0:
-        couplings = cp.sample_gaussian(
-            lattice, config.couplings_jbar, config.couplings_sigma, config.couplings_seed
-        )
-    else:
-        couplings = cp.homogeneous(lattice, config.couplings_jbar)
-    return lattice, partition, couplings
+            return cp.from_csv(lattice, config.couplings_jbar, fh.read())
+    if config.couplings_sigma > 0:
+        return cp.sample_gaussian(lattice, config.couplings_jbar, config.couplings_sigma, config.couplings_seed)
+    return cp.homogeneous(lattice, config.couplings_jbar)
 
 
 def _cmd_fidelity(config: RunConfig) -> str:
@@ -75,7 +77,8 @@ def _cmd_fidelity(config: RunConfig) -> str:
     from . import states
     from .evolve import dynamical_fidelity_grid
 
-    lattice, _, couplings = _build_system(config)
+    lattice = _lattice(config)
+    couplings = _couplings(config, lattice)
     psi0 = states.ghz_x(lattice.n_sites)
     h_ideal = ham.op_omega(lattice, config.omega)
     h_actual = ham.op_tfim(lattice, couplings, config.omega)
@@ -89,9 +92,11 @@ def _cmd_fidelity(config: RunConfig) -> str:
 def _cmd_sweep(config: RunConfig) -> str:
     from .sensing import SCHEMES, RamseyConfig, numeric_sensitivity
 
-    lattice, partition, couplings = _build_system(config)
-    rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_all)
     schemes = SCHEMES if config.sweep_scheme == "all" else (config.sweep_scheme,)
+    lattice = _lattice(config)
+    partition = _partition(config, lattice) if "hsf" in schemes else None
+    couplings = _couplings(config, lattice)
+    rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_all)
     n = lattice.n_sites
     lines = ["scheme,N,jbar,omega,t_int,delta_omega"]
     for scheme in schemes:
@@ -136,13 +141,14 @@ def _cmd_fragments(config: RunConfig) -> tuple[str, dict]:
     from . import hamiltonian as ham
     from .fragments import adjacency_components
 
-    lattice, partition, couplings = _build_system(config)
+    lattice = _lattice(config)
     if config.couplings_sigma > 0 or config.couplings_file:
+        partition = _partition(config, lattice)
         h_eff = ham.build_h_eff_inhomogeneous(
-            lattice, partition, couplings, config.omega, config.delta_th
+            lattice, partition, _couplings(config, lattice), config.omega, config.delta_th
         )
     else:
-        h_eff = ham.build_h_eff_homogeneous(lattice, couplings.jbar, config.omega)
+        h_eff = ham.build_h_eff_homogeneous(lattice, _couplings(config, lattice).jbar, config.omega)
     report = adjacency_components(h_eff, lattice)
     return report.to_csv(), report.summary()
 
@@ -152,7 +158,8 @@ def _cmd_bound(config: RunConfig) -> tuple[str, dict]:
 
     from .bound import verify_bound
 
-    lattice, partition, couplings = _build_system(config)
+    lattice = _lattice(config)
+    partition, couplings = _partition(config, lattice), _couplings(config, lattice)
     ts = np.linspace(0.0, config.t_max, config.t_points)
     report = verify_bound(lattice, partition, couplings, config.omega, ts)
     return report.to_csv(), report.summary()
@@ -163,7 +170,7 @@ def _cmd_montecarlo(config: RunConfig) -> str:
 
     from .sensing import RamseyConfig, monte_carlo_estimator
 
-    lattice, partition, _ = _build_system(config)
+    partition = _partition(config, _lattice(config))
     rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_all)
     n_probe = partition.n_probe
     p_true = 0.5 * (1.0 + np.sin(n_probe * config.omega * config.t_int))

@@ -5,20 +5,26 @@ H = diag + value * S.  One propagator: the Chebyshev expansion of exp(-iHt)
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) on the Gershgorin
 interval [c - r, c + r] that holds the spectrum,
 
-    e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k((H - c)/r),
+    e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k((H - c)/r).
 
-truncated where the Bessel tail falls below ``_TAIL_TOL``; a norm drift beyond an
-output's budget raises EvolutionError.  Only the coefficients depend on t, so a
-time grid is marched in windows of ``_WINDOW`` sorted points, each window one
-series from its start state.  The recurrence also carries the exact derivative
-in ``value``.  The decoupled probe drive is applied in closed form as
-single-spin rotations.  hbar = 1; times are in inverse energy units.
+The coefficients (-i)^k J_k(x) are the Fourier coefficients of e^{-ix cos theta}
+(Jacobi-Anger), taken from one FFT up to order |x| + 1 and from Miller's
+downward recurrence above it, where J_k decays.  The series is truncated where Kapteyn's
+bound on the Bessel tail falls below ``_TAIL_TOL``; a norm drift beyond an
+output's budget raises EvolutionError.  From a real start state the recurrence
+runs in real arithmetic (H is real), and only the outputs are complex.  Only
+the coefficients depend on t, so a time grid is marched in windows of
+``_WINDOW`` sorted points, each window one series from its start state.  The
+recurrence also carries the exact derivative in ``value``.  The decoupled probe
+drive is applied in closed form as single-spin rotations.  hbar = 1; times are
+in inverse energy units.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.special
 
 from .errors import EvolutionError
 from .hamiltonian import TransverseFieldOperator
@@ -26,6 +32,8 @@ from .states import Projector
 
 _TAIL_TOL = 1e-15  # truncation error of one output, relative to the norm of the state
 _WINDOW = 10  # consecutive grid points that share one Chebyshev series
+_ODD_PHASE = np.array([1.0, -1j])  # (-i)^k / (-1)^floor(k/2) for even and odd k
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # (-1)^floor(k/2) by k mod 4
 
 
 def _gershgorin(diag, radius) -> tuple[float, float]:
@@ -34,9 +42,47 @@ def _gershgorin(diag, radius) -> tuple[float, float]:
 
 
 def _norm(v: np.ndarray, scratch: np.ndarray) -> float:
-    """||v||, squared into ``scratch`` and summed pairwise: BLAS's idle threads would spin."""
-    x = np.multiply(v.view(np.float64), v.view(np.float64), out=scratch.view(np.float64))
+    """||v||, squared into the start of ``scratch`` and summed pairwise: BLAS's idle threads would spin."""
+    v = v.view(np.float64)
+    x = np.multiply(v, v, out=scratch.view(np.float64)[: v.size])
     return float(np.sqrt(np.sum(x)))
+
+
+def _bessel_bound(k: np.ndarray, x: float) -> np.ndarray:
+    """Kapteyn's bound on |J_k(x)|: 1 for k <= |x|, and for k > |x| with z = |x|/k,
+    exp(k (ln z + sqrt(1 - z^2) - ln(1 + sqrt(1 - z^2)))) (Watson, Bessel Functions, 8.7)."""
+    bound = np.ones(k.shape)
+    above = k > abs(x)
+    z = abs(x) / k[above]
+    root = np.sqrt(1.0 - z * z)
+    with np.errstate(divide="ignore"):  # ln 0 at x = 0: the bound is 0
+        bound[above] = np.exp(k[above] * (np.log(z) + root - np.log1p(root)))
+    return bound
+
+
+def _bessel_j(x: float, n_terms: int) -> np.ndarray:
+    """J_k(x) for k < n_terms.
+
+    Up to order |x| + 1 from one FFT (Jacobi-Anger: (-i)^k J_k(x) are the
+    Fourier coefficients of e^{-ix cos theta}) on M = 2^ceil(log2(2 (n_terms + |x|) + 2))
+    points; the aliased orders are at least n_terms + 2|x| + 2, so their J is
+    far below the kept tail.  The FFT's rounding is absolute, ~1e-16, while the
+    tangent weighs J_k by k^2/x.  So above order |x| + 1, where J_k decays, each
+    J_k is the one before times rho_k = J_k/J_{k-1} = x / (2k - x rho_{k+1}),
+    Miller's downward recurrence as a continued fraction, started from
+    rho = 0 twenty orders above the last.
+    """
+    m = 1 << math.ceil(math.log2(2.0 * (n_terms + abs(x)) + 2.0))
+    c = np.fft.fft(np.exp(-1j * x * np.cos(2.0 * np.pi * np.arange(m) / m)))[:n_terms] / m
+    k = np.arange(n_terms)
+    j = np.where(k % 2, -c.imag, c.real) * _SIGNS[k % 4]  # (-i)^k = (-1)^floor(k/2) (1 or -i)
+    k0 = int(abs(x)) + 1  # the FFT's J_k0 is good to rounding relative to its size: O(k0^(-1/3)), or ~x/2
+    if n_terms > k0 + 1:
+        rho = np.zeros(n_terms + 21)  # rho[i] = J_i / J_{i-1}
+        for i in range(n_terms + 19, k0, -1):
+            rho[i] = x / (2.0 * i - x * rho[i + 1])
+        j[k0 + 1 :] = j[k0] * np.cumprod(rho[k0 + 1 : n_terms])
+    return j
 
 
 class EvolutionEngine:
@@ -90,26 +136,30 @@ class EvolutionEngine:
         the interval held fixed."""
         return self._series(state, [t], tangent=True)[0]
 
-    def _coefficients(self, dt: float, tangent: bool) -> np.ndarray:
-        """e^{-icdt} (2 - delta_k0) (-i)^k J_k(r dt) for the terms one step keeps, cached per dt.
+    def _coefficients(self, dt: float, tangent: bool) -> tuple[complex, np.ndarray]:
+        """(e^{-icdt}, b) for the terms one step keeps, cached per dt, where
+        b_k = (2 - delta_k0) (-1)^floor(k/2) J_k(r dt).
 
-        The series stops where twice the tail sum of |J_k| drops below _TAIL_TOL.  For
-        the tangent |J_k| is weighted by 1 + k^2 ||S||/r, which bounds ||dT_k(H_s)/dvalue||
+        The series coefficient (2 - delta_k0) (-i)^k J_k is b_k for even k and
+        -i b_k for odd k.  It stops where twice the tail sum of Kapteyn's bound
+        on |J_k| drops below _TAIL_TOL.  The bound is rigorous and needs no
+        values: the FFT's absolute rounding (~1e-16) would keep a tail of its
+        values above _TAIL_TOL once the tangent weight multiplies it.  For the tangent
+        the bound is weighted by 1 + k^2 ||S||/r, which bounds ||dT_k(H_s)/dvalue||
         (Markov: |T_k'| <= k^2 on [-1, 1]) with ||S|| <= len(sites).
         """
         key = (dt, tangent)
         if key not in self._coeffs:
             x = self._radius * dt
             k = np.arange(int(1.5 * abs(x)) + 40)
-            j = scipy.special.jv(k, x)
             weight = 1.0 + k * k * len(self.hamiltonian.sites) / self._radius if tangent else 1.0
-            tail = 2.0 * np.cumsum((np.abs(j) * weight)[::-1])[::-1]
+            tail = 2.0 * np.cumsum((_bessel_bound(k, x) * weight)[::-1])[::-1]
             if not tail[-1] < _TAIL_TOL:
                 raise EvolutionError(f"Chebyshev series for dt={dt:.6g} does not converge in {k.size} terms")
             n_terms = int(np.argmax(tail < _TAIL_TOL))
-            a = 2.0 * (-1j) ** (k[:n_terms] % 4) * j[:n_terms]
-            a[0] = j[0]
-            self._coeffs[key] = a * np.exp(-1j * self._center * dt)
+            b = 2.0 * _SIGNS[k[:n_terms] % 4] * _bessel_j(x, n_terms)
+            b[0] *= 0.5
+            self._coeffs[key] = (np.exp(-1j * self._center * dt), b)
         return self._coeffs[key]
 
     def _recur(self, cur: np.ndarray, prev: np.ndarray, out: np.ndarray, flips_done: bool = False) -> None:
@@ -122,6 +172,17 @@ class EvolutionEngine:
         np.multiply(cur, self._shift, out=prev)
         out += prev
 
+    def _vectors(self, count: int, real: bool) -> list:
+        """``count`` work vectors, float64 when ``real``.  They are views into
+        complex buffers the engine allocates once, two real vectors to a buffer,
+        so ``self._work[0]`` is free again when a march ends."""
+        dim = self.hamiltonian.shape[0]
+        need = (count + 1) // 2 if real else count
+        self._work += [np.empty(dim, dtype=complex) for _ in range(need - len(self._work))]
+        if not real:
+            return self._work[:count]
+        return [half for w in self._work[:need] for half in w.view(np.float64).reshape(2, dim)][:count]
+
     def _series(self, state: np.ndarray, dts, tangent: bool = False) -> list:
         """Chebyshev steps of each length in ``dts`` from one state: a list of
         (e^{-iH dt} psi, its tangent or None), one pair per dt.
@@ -130,24 +191,29 @@ class EvolutionEngine:
         in ``value`` obeys q_{k+1} = 2 H_s q_k + (2/r) S p_k - q_{k-1}.  From
         p_{-1} = q_{-1} = q_0 = 0 the first term is half the recurrence.  The
         vectors do not depend on dt, so one recurrence serves every row of the
-        coefficient matrix; row j stops at its own Bessel tail.
+        coefficient matrix; row j stops at its own Bessel tail.  H_s is real, so
+        from a real psi every p_k and q_k is real: each row then sums its even and
+        odd terms apart with the real b_k and is e^{-icdt} (even - i odd).
         """
         if state.shape != (self.hamiltonian.shape[0],):
             raise EvolutionError("state/Hamiltonian dimension mismatch")
         for dt in dts:
             if not np.isfinite(dt):
                 raise EvolutionError(f"time must be finite, got {dt}")
-        psi = np.ascontiguousarray(state, dtype=complex)
+        real = not np.any(np.imag(state))
+        psi = np.ascontiguousarray(np.real(state) if real else state, dtype=float if real else complex)
         rows = [self._coefficients(dt, tangent) for dt in dts]
-        count = 6 if tangent else 3  # work vectors, allocated once per engine
-        self._work += [np.empty_like(psi) for _ in range(count - len(self._work))]
-        pp, pc, pn, qp, qc, qn = self._work[:count] + [None] * (6 - count)
-        outs = [a[0] * psi for a in rows]
-        douts = [np.zeros_like(psi) if tangent else None for _ in rows]
+        lanes = 2 if real else 1  # term k adds into lane k % lanes of its row
+        coefs = [b if real else phase * b * _ODD_PHASE[np.arange(b.size) % 2] for phase, b in rows]
+        accs = [np.zeros((lanes,) + psi.shape, dtype=psi.dtype) for _ in rows]
+        daccs = [np.zeros_like(acc) if tangent else None for acc in accs]
+        for c, acc in zip(coefs, accs):
+            np.multiply(psi, c[0], out=acc[0])
+        pp, pc, pn, qp, qc, qn = self._vectors(6 if tangent else 3, real) + [None] * (0 if tangent else 3)
         np.copyto(pc, psi)
         for buf in (pp, qp, qc) if tangent else (pp,):
             buf.fill(0.0)
-        for k in range(1, max(a.size for a in rows)):  # 2 flip sums per term with the tangent, 1 without
+        for k in range(1, max(c.size for c in coefs)):  # 2 flip sums per term with the tangent, 1 without
             if tangent:
                 self._recur(qc, qp, qn)
                 self.hamiltonian.flip_sum(pc, pn)  # S p_{k-1}, shared by both recurrences
@@ -161,24 +227,39 @@ class EvolutionEngine:
                 pc *= 0.5
                 if tangent:
                     qc *= 0.5
-            for a, out, dout in zip(rows, outs, douts):  # in-place numpy: BLAS's idle threads would spin
-                if k < a.size:
-                    np.multiply(pc, a[k], out=pn)
-                    out += pn
+            for c, acc, dacc in zip(coefs, accs, daccs):  # in-place numpy: BLAS's idle threads would spin
+                if k < c.size:
+                    np.multiply(pc, c[k], out=pn)
+                    acc[k % lanes] += pn
                     if tangent:
-                        np.multiply(qc, a[k], out=qn)
-                        dout += qn
+                        np.multiply(qc, c[k], out=qn)
+                        dacc[k % lanes] += qn
+        for j, (phase, _) in enumerate(rows):  # each row's lanes are freed as its output is made
+            accs[j] = _output(accs[j], phase)
+            daccs[j] = None if daccs[j] is None else _output(daccs[j], phase)
         # a unitary step keeps the norm up to truncation and rounding
-        norm = _norm(psi, pn)
-        for dt, a, out in zip(dts, rows, outs):
-            drift = abs(_norm(out, pn) - norm)
-            budget = (_TAIL_TOL + 8 * a.size * np.finfo(float).eps) * norm
+        scratch = self._work[0]
+        norm = _norm(psi, scratch)
+        for dt, c, out in zip(dts, coefs, accs):
+            drift = abs(_norm(out, scratch) - norm)
+            budget = (_TAIL_TOL + 8 * c.size * np.finfo(float).eps) * norm
             if drift > budget:
                 raise EvolutionError(
                     f"Chebyshev step dt={dt:.6g} changed the norm by {drift:.3g} (budget {budget:.3g}); "
                     f"the interval {self.interval} does not hold the spectrum"
                 )
-        return list(zip(outs, douts))
+        return list(zip(accs, daccs))
+
+
+def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
+    """A row's output from its lanes: the one complex lane, or e^{-icdt} (even - i odd) from two real ones."""
+    if acc.shape[0] == 1:
+        return acc[0]
+    out = np.empty(acc.shape[1], dtype=complex)
+    out.real = acc[0]
+    np.negative(acc[1], out=out.imag)
+    out *= phase
+    return out
 
 
 def dynamical_fidelity_grid(

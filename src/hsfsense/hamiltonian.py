@@ -17,13 +17,16 @@ sites) also has a matrix-free form, ``TransverseFieldOperator``; its
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .couplings import CouplingMap
 from .errors import EvolutionError, PartitionError
 from .lattice import Lattice, SitePartition
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 _LOW = 8  # the low bits of a basis index, folded into the last axis of ``_view``
@@ -57,8 +60,11 @@ def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
     when it is None) to its partner with that site's bit flipped; a mask must
     not depend on that bit, so the result is symmetric.  Zero diagonal
     entries and terms with value 0 are not stored.  ``flips`` is iterated
-    once, so a generator keeps only one mask alive at a time.
+    once, so a generator keeps only one mask alive at a time.  scipy is
+    imported here, so only a run that builds a matrix loads it.
     """
+    import scipy.sparse
+
     states = np.arange(1 << n_sites, dtype=np.int32)
     # blocks of (bit flipped, value(s), basis states acted on); the diagonal flips no bit
     blocks = [] if diag is None else [(0, diag[diag != 0], states[diag != 0])]
@@ -74,7 +80,7 @@ def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
         np.bitwise_xor(cols, bit, out=row[start:end])
         data[start:end] = value
     diag = blocks = mask = value = cols = None  # only the COO arrays live through the CSR copy
-    return sp.coo_matrix((data, (row, col)), shape=(states.shape[0],) * 2).tocsr()
+    return scipy.sparse.coo_matrix((data, (row, col)), shape=(states.shape[0],) * 2).tocsr()
 
 
 @dataclass(frozen=True, eq=False)

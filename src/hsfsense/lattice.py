@@ -138,6 +138,11 @@ def validate_partition(lattice: Lattice, partition: SitePartition) -> list[tuple
     return sorted(report)
 
 
+def describe_violations(violations: list[tuple[int, str]]) -> str:
+    """One message that names every violation ``validate_partition`` reported."""
+    return "partition breaks the freezing rules: " + "; ".join(f"site {site}: {msg}" for site, msg in violations)
+
+
 def canonical_partition(lattice: Lattice) -> SitePartition:
     """Deterministic probe tiling with the two-up/two-down collar.
 

@@ -13,7 +13,7 @@ from . import states
 from .couplings import CouplingMap
 from .errors import SensingError
 from .evolve import EvolutionEngine
-from .lattice import Lattice, SitePartition
+from .lattice import Lattice, SitePartition, describe_violations, validate_partition
 
 SCHEMES = ("ghz_free", "ghz_interacting", "hsf")
 
@@ -83,7 +83,8 @@ def ramsey_setup(
     """Initial state, generator at ``omega`` and readout projector of one scheme.
 
     Every generator is a diagonal plus (omega/2) sum sigma^x, so omega
-    enters only through the operator's flip amplitude ``value``.
+    enters only through the operator's flip amplitude ``value``.  The ``hsf``
+    scheme raises SensingError when the partition breaks a freezing rule.
     """
     n = lattice.n_sites
     if scheme == "ghz_free":
@@ -95,6 +96,9 @@ def ramsey_setup(
         h = ham.op_tfim(lattice, couplings, omega)
         proj = states.rank1_projector(states.ghz_x(n, "primed"))
     elif scheme == "hsf":
+        violations = validate_partition(lattice, partition)
+        if violations:
+            raise SensingError(describe_violations(violations))
         psi0 = states.embed(states.ghz_x(partition.n_probe), partition, lattice)
         proj = states.probe_projector(states.ghz_x(partition.n_probe, "primed"), partition, lattice)
         if ideal:

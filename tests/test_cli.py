@@ -107,6 +107,39 @@ def test_hsf_threads_overrides_blas_thread_variables():
     assert count == "1"
 
 
+_SCIPY_FREE_PROBE = """
+import sys
+from pathlib import Path
+
+from hsfsense import cli
+
+out = Path(sys.argv[1])
+for command, keys in (
+    ("bound", "couplings.sigma = 0.3\\nomega = 0.05\\nt_points = 4\\n"),
+    ("sweep", "sweep.scheme = all\\nomega = 0.4\\nt_int = 0.1\\n"),
+    ("fidelity", "couplings.sigma = 0.3\\nt_max = 0.5\\nt_points = 4\\n"),
+):
+    cfg = out / f"{command}.cfg"
+    cfg.write_text(f"command = {command}\\nlattice.width = 3\\nlattice.height = 3\\n{keys}")
+    if cli.main(["--config", str(cfg), "--out", str(out / f"{command}.csv")]) != 0:
+        sys.exit(f"{command} failed")
+print(",".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_bound_sweep_and_fidelity_never_import_scipy(tmp_path):
+    """scipy costs a quarter of a second at start-up; only the census and the
+    CSR builders use it, so a stray top-level import would bring that back."""
+    src = str(Path(hsfsense.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["bound.csv", "fidelity.csv", "sweep.csv"]
+
+
 def test_zeno_command(tmp_path):
     out = tmp_path / "z.csv"
     text = (
@@ -218,6 +251,43 @@ def test_bound_rejects_a_layout_that_breaks_the_freezing_rules(tmp_path, capsys)
     assert run_bound_on_layout(tmp_path, lines) == 3
     assert "site 6: ancilla has 2 down" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_sweep_rejects_a_layout_that_breaks_the_freezing_rules(tmp_path, capsys):
+    layout = tmp_path / "layout.txt"
+    layout.write_text("\n".join(line.replace("7 A down", "7 A up") for line in _LAYOUT_33) + "\n")
+    text = (
+        "command = sweep\nlattice.width = 3\nlattice.height = 3\nomega = 0.05\nt_int = 0.1\n"
+        f"sweep.scheme = hsf\npartition = explicit:{layout}\nout = {tmp_path / 's.csv'}\n"
+    )
+    assert run_cli(tmp_path, text) == 3
+    assert "site 6: ancilla has 2 down" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    ["command = fidelity\nt_max = 0.5\nt_points = 3\n", "command = fragments\n"],
+    ids=["fidelity", "homogeneous-fragments"],
+)
+def test_commands_without_a_partition_run_on_a_2x2_lattice(tmp_path, keys):
+    """Neither the fidelity grid nor the homogeneous census reads the partition,
+    and a 2x2 lattice is too small to host a probe."""
+    out = tmp_path / "o.csv"
+    assert run_cli(tmp_path, f"{keys}lattice.width = 2\nlattice.height = 2\nout = {out}\n") == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    ["command = fragments\ncouplings.sigma = 0.3\n", "command = bound\n", "command = sweep\nsweep.scheme = hsf\n"],
+    ids=["inhomogeneous-fragments", "bound", "sweep-hsf"],
+)
+def test_commands_that_read_the_partition_reject_a_2x2_lattice(tmp_path, capsys, keys):
+    out = tmp_path / "o.csv"
+    assert run_cli(tmp_path, f"{keys}lattice.width = 2\nlattice.height = 2\nout = {out}\n") == 3
+    assert "lattice too small to host a probe" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_montecarlo_seed_override_changes_output(tmp_path):

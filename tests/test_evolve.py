@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 from scipy.sparse.linalg import expm_multiply
 
 from hsfsense import evolve as evolve_module
@@ -230,6 +231,68 @@ def test_epsilon_grid_on_operator_matches_csr(lat34, part34):
     want = expectations(h_total) - expectations(h_probe)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert np.max(np.abs(want)) > 1e-6  # eps itself is far above the tolerance
+
+
+@pytest.mark.parametrize("tangent", [False, True], ids=["plain", "tangent"])
+@pytest.mark.parametrize("x", [0.05, 0.5, 3.0, 10.0, 36.5, 146.0])
+def test_coefficients_match_scipy_bessel(lat33, part33, dis33, x, tangent):
+    """The FFT/continued-fraction coefficients against scipy.special.jv, and Kapteyn's
+    truncation against the tail of jv's own values: never shorter (the bound is
+    rigorous) and at most 5 terms longer."""
+    eng = EvolutionEngine(ham.op_total(lat33, part33, dis33, 0.4))
+    dt = x / eng._radius
+    phase, b = eng._coefficients(dt, tangent)  # at x = 146 the tangent series converges
+    k = np.arange(int(1.5 * x) + 40)
+    j = scipy.special.jv(k, x)
+    weight = 1.0 + k * k * len(eng.hamiltonian.sites) / eng._radius if tangent else 1.0
+    tail = 2.0 * np.cumsum((np.abs(j) * weight)[::-1])[::-1]
+    jv_terms = int(np.argmax(tail < evolve_module._TAIL_TOL))
+    assert jv_terms <= b.size <= jv_terms + 5
+    got = evolve_module._bessel_j(x, b.size)
+    np.testing.assert_allclose(got, j[: b.size], rtol=0, atol=1e-14)
+    # the decaying orders to rounding relative to their size: the tangent weighs them by k^2/x
+    np.testing.assert_allclose(got[k[: b.size] > x + 1], j[: b.size][k[: b.size] > x + 1], rtol=1e-12, atol=0)
+    want = 2.0 * (-1j) ** (k[: b.size] % 4) * j[: b.size]
+    want[0] = j[0]
+    got = b * evolve_module._ODD_PHASE[np.arange(b.size) % 2]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    assert phase == np.exp(-1j * eng._center * dt)
+
+
+def test_kapteyn_bound_holds():
+    k = np.arange(300)
+    for x in (0.0, 1e-3, 0.05, 0.5, 3.0, 10.0, 36.5, 146.0, -7.0):
+        assert np.all(np.abs(scipy.special.jv(k, x)) <= evolve_module._bessel_bound(k, x) * (1 + 1e-12))
+
+
+def test_real_start_matches_the_complex_path(lat34, part34, monkeypatch):
+    """From a real state the recurrence runs in float64; e^{i phi} psi takes the
+    complex path, and e^{-i phi} times its result must give the same states."""
+    op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4)
+    psi = np.random.default_rng(2).normal(size=1 << lat34.n_sites)
+    psi /= np.linalg.norm(psi)
+    turn = np.exp(0.7j)
+    dtypes = []
+    flip_sum = ham.TransverseFieldOperator.flip_sum
+    monkeypatch.setattr(
+        ham.TransverseFieldOperator, "flip_sum", lambda self, v, out: dtypes.append(v.dtype) or flip_sum(self, v, out)
+    )
+    ts = np.linspace(0.0, 2.0, 2 * evolve_module._WINDOW + 3)
+    real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+    for call, first, last in (  # the dtypes of the first and last flip sums from the real state
+        (lambda eng, v: [eng.evolve(v, 1.3)], real, real),
+        (lambda eng, v: eng.evolve_grid(v, ts), real, cplx),  # later windows start from complex states
+        (lambda eng, v: list(eng.evolve_tangent(v, 0.9)), real, real),
+    ):
+        dtypes.clear()
+        got = call(EvolutionEngine(op), psi)
+        assert (dtypes[0], dtypes[-1]) == (first, last)
+        dtypes.clear()
+        want = call(EvolutionEngine(op), turn * psi)
+        assert set(dtypes) == {cplx}
+        for g, w in zip(got, want):
+            assert g.dtype == cplx
+            np.testing.assert_allclose(g, w / turn, rtol=0, atol=1e-13)
 
 
 def test_sparse_matrix_rejected(lat33, dis33):
