@@ -89,6 +89,18 @@ def _cmd_fidelity(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _warn_phase(label: str, rc, n: int) -> None:
+    """Warn on stderr at |omega n t_int| >= 0.5, where the linearization behind
+    ``sweep``'s uncertainty and ``montecarlo``'s estimator is suspect."""
+    if rc.phase_warning(n):
+        print(
+            f"warning: {label}: accumulated phase |omega * n * t_int| = "
+            f"{abs(rc.omega * n * rc.t_int):.3g} >= 0.5 (n = {n}); "
+            "the linearization in omega is suspect",
+            file=sys.stderr,
+        )
+
+
 def _cmd_sweep(config: RunConfig) -> str:
     from .sensing import SCHEMES, RamseyConfig, numeric_sensitivity
 
@@ -101,13 +113,7 @@ def _cmd_sweep(config: RunConfig) -> str:
     lines = ["scheme,N,jbar,omega,t_int,delta_omega"]
     for scheme in schemes:
         n_sensing = partition.n_probe if scheme == "hsf" else n
-        if rc.phase_warning(n_sensing):
-            print(
-                f"warning: {scheme}: accumulated phase |omega * n * t_int| = "
-                f"{abs(config.omega * n_sensing * config.t_int):.3g} >= 0.5 (n = {n_sensing}); "
-                "the linearized uncertainty is suspect",
-                file=sys.stderr,
-            )
+        _warn_phase(scheme, rc, n_sensing)
         delta = numeric_sensitivity(
             scheme, rc, lattice, partition, couplings, ideal=config.sweep_ideal
         )
@@ -166,14 +172,13 @@ def _cmd_bound(config: RunConfig) -> tuple[str, dict]:
 
 
 def _cmd_montecarlo(config: RunConfig) -> str:
-    import numpy as np
-
-    from .sensing import RamseyConfig, monte_carlo_estimator
+    from .sensing import RamseyConfig, ideal_probability, monte_carlo_estimator
 
     partition = _partition(config, _lattice(config))
     rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_all)
     n_probe = partition.n_probe
-    p_true = 0.5 * (1.0 + np.sin(n_probe * config.omega * config.t_int))
+    _warn_phase("montecarlo", rc, n_probe)
+    p_true = ideal_probability(n_probe, config.omega, config.t_int)
     lines = ["trial,omega_est,sq_error"]
     for trial in range(config.mc_trials):
         est, _ = monte_carlo_estimator(

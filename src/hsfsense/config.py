@@ -37,6 +37,21 @@ def _choice(name, options):
     return check
 
 
+def _each(name, rule):
+    """Validate a list value: it must not be empty, and ``rule(name)`` holds for every entry."""
+    check = rule(name)
+
+    def validate(values):
+        if not values:
+            raise ConfigError(f"{name} must list at least one value")
+        return tuple(check(v) for v in values)
+
+    return validate
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}  # in any case
+
+
 def _int_list(text):
     return tuple(int(x) for x in str(text).split(";") if x.strip())
 
@@ -96,12 +111,12 @@ KEYS = {
     "t_points": ("t_points", int, _positive("t_points")),
     "delta_th": ("delta_th", float, _positive("delta_th")),
     "sweep.scheme": ("sweep_scheme", str, _choice("sweep.scheme", ("ghz_free", "ghz_interacting", "hsf", "all"))),
-    "sweep.ideal": ("sweep_ideal", lambda s: str(s).lower() in ("1", "true", "yes"), None),
+    "sweep.ideal": ("sweep_ideal", lambda s: _BOOLS[s.lower()], None),
     "zeno.tau": ("zeno_tau", float, _positive("zeno.tau")),
     "zeno.omega0": ("zeno_omega0", float, None),
-    "zeno.beta_values": ("zeno_beta_values", _float_list, None),
-    "zeno.gamma_values": ("zeno_gamma_values", _float_list, None),
-    "zeno.n_values": ("zeno_n_values", _int_list, None),
+    "zeno.beta_values": ("zeno_beta_values", _float_list, _each("zeno.beta_values", _nonnegative)),
+    "zeno.gamma_values": ("zeno_gamma_values", _float_list, _each("zeno.gamma_values", _nonnegative)),
+    "zeno.n_values": ("zeno_n_values", _int_list, _each("zeno.n_values", _positive)),
     "zeno.t_all": ("zeno_t_all", float, _positive("zeno.t_all")),
     "mc.repetitions": ("mc_repetitions", int, _positive("mc.repetitions")),
     "mc.trials": ("mc_trials", int, _positive("mc.trials")),
@@ -142,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
         except ConfigError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, KeyError):  # KeyError: not a boolean
             problems.append(f"line {lineno}: cannot parse {value!r} for key {key!r}")
             continue
         setattr(config, attr, parsed)

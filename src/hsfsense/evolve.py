@@ -15,9 +15,8 @@ output's budget raises EvolutionError.  From a real start state the recurrence
 runs in real arithmetic (H is real), and only the outputs are complex.  Only
 the coefficients depend on t, so a time grid is marched in windows of
 ``_WINDOW`` sorted points, each window one series from its start state.  The
-recurrence also carries the exact derivative in ``value``.  The decoupled probe
-drive is applied in closed form as single-spin rotations.  hbar = 1; times are
-in inverse energy units.
+recurrence also carries the exact derivative in ``value``.  hbar = 1; times
+are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 
 from .errors import EvolutionError
 from .hamiltonian import TransverseFieldOperator
-from .states import Projector
 
 _TAIL_TOL = 1e-15  # truncation error of one output, relative to the norm of the state
 _WINDOW = 10  # consecutive grid points that share one Chebyshev series
@@ -274,44 +272,3 @@ def dynamical_fidelity_grid(
     ideal = EvolutionEngine(h_ideal).evolve_grid(psi0, ts)
     actual = EvolutionEngine(h_actual).evolve_grid(psi0, ts)
     return np.array([abs(np.sum(a.conj() * b)) ** 2 for a, b in zip(ideal, actual)])  # not BLAS's vdot
-
-
-def probe_drive_grid(state: np.ndarray, probe_sites, omega: float, ts) -> list[np.ndarray]:
-    """exp(-i t (omega/2) sum_{p in probe_sites} sigma^x_p)|state> at each t in ``ts``.
-
-    The drive's terms commute, so its propagator is the product of the
-    rotations cos(omega t/2) - i sin(omega t/2) sigma^x_p.  Each one acts on
-    the state reshaped to (2,)*N, where sigma^x_p flips axis N-1-p (bit p of
-    the basis index).
-    """
-    state = np.asarray(state, dtype=complex)
-    n = state.shape[0].bit_length() - 1
-    if state.shape != (1 << n,):
-        raise EvolutionError(f"state of shape {state.shape} is not a vector over 2^N basis states")
-    if any(not 0 <= p < n for p in probe_sites):
-        raise EvolutionError(f"probe sites {sorted(probe_sites)} out of range for {n} sites")
-    out = []
-    for t in ts:
-        cos, sin = np.cos(0.5 * omega * t), np.sin(0.5 * omega * t)
-        psi = state.reshape((2,) * n)
-        for p in probe_sites:
-            psi = cos * psi - 1j * sin * np.flip(psi, axis=n - 1 - p)
-        out.append(psi.reshape(-1))
-    return out
-
-
-def epsilon_deviation_grid(
-    psi: np.ndarray,
-    h_total: TransverseFieldOperator,
-    probe_sites,
-    omega: float,
-    projector: Projector,
-    ts,
-) -> np.ndarray:
-    """eps(t) on a grid: the projector expectation under ``h_total`` minus the
-    one under the decoupled probe drive (omega/2) sum_{p in probe_sites} sigma^x_p."""
-    full_states = EvolutionEngine(h_total).evolve_grid(psi, ts)
-    eff_states = probe_drive_grid(psi, probe_sites, omega, ts)
-    return np.array(
-        [projector.expectation(a) - projector.expectation(b) for a, b in zip(full_states, eff_states)]
-    )

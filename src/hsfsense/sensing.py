@@ -110,6 +110,20 @@ def ramsey_setup(
     return psi0, h, proj
 
 
+def ideal_probability(n_probe: int, omega: float, t):
+    """Primed-GHZ readout probability under the decoupled probe drive: (1 + sin(m omega t))/2.
+
+    The premise is the ``hsf`` scheme of ``ramsey_setup``: the m probes start
+    in ``ghz_x`` (|+...+> + |-...->)/sqrt(2) and are read out by the projector
+    on its primed partner (|+...+> + i |-...->)/sqrt(2).  The drive
+    (omega/2) sum_p sigma^x_p only phases the two branches,
+    (e^{-i m omega t/2} |+...+> + e^{+i m omega t/2} |-...->)/sqrt(2), so the
+    overlap is (e^{-i m omega t/2} - i e^{+i m omega t/2})/2, whose squared
+    modulus is (1 + sin(m omega t))/2.  ``t`` may be a scalar or an array.
+    """
+    return 0.5 * (1.0 + np.sin(n_probe * omega * t))
+
+
 def numeric_sensitivity(
     scheme: str,
     config: RamseyConfig,

@@ -325,6 +325,49 @@ def test_non_finite_number_is_config_error(tmp_path, command, line):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+def test_sweep_ideal_typo_is_config_error(tmp_path, capsys, value):
+    out = tmp_path / "s.csv"
+    text = f"command = sweep\nlattice.width = 3\nlattice.height = 3\nsweep.ideal = {value}\nout = {out}\n"
+    assert run_cli(tmp_path, text) == 2
+    assert "cannot parse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("zeno.n_values = 0;-4", "zeno.n_values"),
+        ("zeno.n_values = 64;0", "zeno.n_values"),
+        ("zeno.n_values =", "zeno.n_values"),
+        ("zeno.beta_values = -0.1", "zeno.beta_values"),
+        ("zeno.beta_values =", "zeno.beta_values"),
+        ("zeno.gamma_values = 0;-0.5", "zeno.gamma_values"),
+        ("zeno.gamma_values =", "zeno.gamma_values"),
+    ],
+)
+def test_zeno_list_values_are_config_errors(tmp_path, capsys, line, key):
+    out = tmp_path / "z.csv"
+    assert run_cli(tmp_path, f"command = zeno\n{line}\nout = {out}\n") == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_montecarlo_warns_when_accumulated_phase_is_large(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    text = (
+        "command = montecarlo\nlattice.width = 3\nlattice.height = 3\n"
+        f"omega = 5\nt_int = 0.1\nmc.repetitions = 50\nmc.trials = 10\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: montecarlo: ")
+    assert len(captured.err.splitlines()) == 1
+    assert len(out.read_text().splitlines()) == 11
+    assert run_cli(tmp_path, text.replace("omega = 5", "omega = 4.9")) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_config_file_exit_code():
     assert main(["--config", "/no/such/file.cfg"]) == 2
 

@@ -67,6 +67,15 @@ def test_serialize_roundtrip_nondefaults():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize(
+    "value,ideal", [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False)]
+)
+def test_sweep_ideal_accepts_booleans_in_any_case(value, ideal):
+    cfg = parse_config(f"command = sweep\nsweep.ideal = {value}\n")
+    assert cfg.sweep_ideal is ideal
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 @given(
     st.floats(0.001, 10.0, allow_nan=False),
     st.integers(1, 8),

@@ -9,13 +9,10 @@ from hsfsense import hamiltonian as ham
 from hsfsense import states
 from hsfsense.couplings import sample_gaussian
 from hsfsense.errors import EvolutionError
-from hsfsense.evolve import (
-    EvolutionEngine,
-    dynamical_fidelity_grid,
-    epsilon_deviation_grid,
-    probe_drive_grid,
-)
+from hsfsense.bound import verify_bound
+from hsfsense.evolve import EvolutionEngine, dynamical_fidelity_grid
 from hsfsense.lattice import Lattice, canonical_partition
+from hsfsense.sensing import ideal_probability, ramsey_setup
 
 
 def dynamical_fidelity(psi0, h_ideal, h_actual, t):
@@ -26,7 +23,7 @@ def dynamical_fidelity(psi0, h_ideal, h_actual, t):
 
 
 def epsilon_deviation(psi, h_total, h_probe_omega, projector, t):
-    """Pointwise oracle for the grid: both dynamics evolved by the engine, the
+    """Pointwise oracle for verify_bound: both dynamics evolved by the engine, the
     decoupled one from its built operator rather than in closed form."""
     p_actual = projector.expectation(EvolutionEngine(h_total).evolve(psi, t))
     p_eff = projector.expectation(EvolutionEngine(h_probe_omega).evolve(psi, t))
@@ -160,20 +157,18 @@ def test_grid_across_windows_matches_expm_multiply(lat34, part34):
         np.testing.assert_allclose(g, want[k], rtol=0, atol=1e-12)
 
 
-def test_probe_drive_closed_form_matches_chebyshev_with_two_probes():
-    lat = Lattice(3, 6)
-    part = canonical_partition(lat)
-    assert part.n_probe == 2
-    rng = np.random.default_rng(5)
-    psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
-    psi /= np.linalg.norm(psi)
-    ts = np.array([0.0, 0.4, 1.3, 3.0])
-    want = EvolutionEngine(ham.op_probe_omega(part, lat, 0.7)).evolve_grid(psi, ts)
-    got = probe_drive_grid(psi, part.probe_order(), 0.7, ts)
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
-    with pytest.raises(EvolutionError, match="out of range"):
-        probe_drive_grid(psi, [lat.n_sites], 0.7, ts)
+def test_ideal_probability_matches_chebyshev(lat33):
+    """The closed form against the engine's march of the hsf scheme under the
+    decoupled probe drive, with one probe and with two, over three windows."""
+    ts = np.linspace(0.0, 3.0, 2 * evolve_module._WINDOW + 3)
+    for lat, n_probe in ((lat33, 1), (Lattice(3, 6), 2)):
+        part = canonical_partition(lat)
+        assert part.n_probe == n_probe
+        psi, h, proj = ramsey_setup("hsf", 0.7, lat, part, None, ideal=True)
+        got = [proj.expectation(state) for state in EvolutionEngine(h).evolve_grid(psi, ts)]
+        want = ideal_probability(n_probe, 0.7, ts)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert ideal_probability(n_probe, 0.7, ts[5]) == want[5]  # a scalar t gives the array's entry
 
 
 def test_fidelity_one_for_identical_hamiltonians(lat33, dis33):
@@ -208,21 +203,21 @@ def test_epsilon_grid_matches_scalar(lat33, part33, dis33):
     psi = states.embed(states.ghz_x(part33.n_probe), part33, lat33)
     proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
     ts = np.linspace(0.0, 1.0, 5)
-    grid = epsilon_deviation_grid(psi, h_total, part33.probe_order(), 0.4, proj, ts)
+    grid = verify_bound(lat33, part33, dis33, 0.4, ts).epsilon_values
     assert abs(grid[0]) < 1e-12
     for k, t in enumerate(ts):
         assert grid[k] == pytest.approx(epsilon_deviation(psi, h_total, h_probe, proj, t), abs=1e-9)
 
 
 def test_epsilon_grid_on_operator_matches_csr(lat34, part34):
-    """eps(t) of the engine and the closed-form drive against both dynamics
-    evolved by expm_multiply on the CSR matrices."""
+    """verify_bound's eps(t), the engine's march minus the closed-form drive,
+    against both dynamics evolved by expm_multiply on the CSR matrices."""
     c = sample_gaussian(lat34, 1.0, 0.3, seed=6)
     psi = states.embed(states.ghz_x(part34.n_probe), part34, lat34)
     proj = states.probe_projector(states.ghz_x(part34.n_probe, "primed"), part34, lat34)
     ts = np.linspace(0.0, 2.0, 7)
     h_total, h_probe = ham.op_total(lat34, part34, c, 0.05), ham.op_probe_omega(part34, lat34, 0.05)
-    got = epsilon_deviation_grid(psi, h_total, part34.probe_order(), 0.05, proj, ts)
+    got = verify_bound(lat34, part34, c, 0.05, ts).epsilon_values
 
     def expectations(op):
         grid = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=2.0, num=7, endpoint=True)
