@@ -4,6 +4,8 @@
 Runs the full dynamics against the decoupled probe dynamics on a disordered
 instance, checks |eps(t)| against the analytic envelope at every grid point,
 then enumerates the Krylov fragments of the constrained effective model.
+Exits 1 if any seed's bound is not satisfied or its inhomogeneous fragments
+do not refine the homogeneous ones.
 
 Usage:
     python scripts/bound_and_fragments.py --width 3 --height 3 --seeds 5
@@ -40,6 +42,7 @@ def main() -> int:
     print("seed,j_g,delta_pr,max_ratio,satisfied,fragments_hom,fragments_inhom,refines")
     h_hom = ham.build_h_eff_homogeneous(lat, args.jbar, args.omega_ratio * args.jbar)
     rep_hom = adjacency_components(h_hom, lat)
+    failed = False
     for seed in range(args.seeds):
         c = sample_gaussian(lat, args.jbar, args.sigma_ratio * args.jbar, seed=seed)
         report = verify_bound(lat, part, c, omega=args.omega_ratio * args.jbar, t_grid=ts)
@@ -52,7 +55,8 @@ def main() -> int:
             f"{seed},{report.j_g:.6g},{report.delta_pr:.6g},{report.max_ratio:.3g},"
             f"{report.satisfied},{rep_hom.total_fragments},{rep_in.total_fragments},{refines}"
         )
-    return 0
+        failed |= not (report.satisfied and refines)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -79,11 +79,12 @@ def delta_pr_numeric(lattice: Lattice, partition: SitePartition, couplings: Coup
     ))
 
 
-def error_bound_rhs(n: int, omega: float, j_g: float, t: float) -> float:
-    """2 n omega / j_g + 2 (e^(n omega / j_g) - 1) n omega t."""
+def error_bound_rhs(n: int, omega: float, j_g: float, t):
+    """2 n omega / j_g + 2 (e^(n omega / j_g) - 1) n omega t, for a scalar or an array ``t``."""
+    t = np.asarray(t, dtype=float)
     if j_g <= 0:
         raise BoundError(f"j_g must be positive, got {j_g}")
-    if n < 1 or omega < 0 or t < 0:
+    if n < 1 or omega < 0 or np.any(t < 0):
         raise BoundError("need n >= 1, omega >= 0, t >= 0")
     x = n * omega / j_g
     return 2.0 * x + 2.0 * math.expm1(x) * n * omega * t
@@ -115,7 +116,7 @@ def verify_bound(
         eps = np.zeros_like(t_grid)
         rhs = np.zeros_like(t_grid)
     else:
-        rhs = np.array([error_bound_rhs(n, omega, jg, t) for t in t_grid])
+        rhs = error_bound_rhs(n, omega, jg, t_grid)
         psi, h_total, proj = ramsey_setup("hsf", omega, lattice, partition, couplings, ideal=False)
         full = [proj.expectation(state) for state in EvolutionEngine(h_total).evolve_grid(psi, t_grid)]
         eps = np.array(full) - ideal_probability(partition.n_probe, omega, t_grid)

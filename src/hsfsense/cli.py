@@ -175,7 +175,8 @@ def _cmd_montecarlo(config: RunConfig) -> str:
     from .sensing import RamseyConfig, ideal_probability, monte_carlo_estimator
 
     partition = _partition(config, _lattice(config))
-    rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_all)
+    # the draws are mc.repetitions outcomes, so t_all plays no part and is not checked
+    rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_int)
     n_probe = partition.n_probe
     _warn_phase("montecarlo", rc, n_probe)
     p_true = ideal_probability(n_probe, config.omega, config.t_int)

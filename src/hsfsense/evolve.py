@@ -11,12 +11,12 @@ The coefficients (-i)^k J_k(x) are the Fourier coefficients of e^{-ix cos theta}
 (Jacobi-Anger), taken from one FFT up to order |x| + 1 and from Miller's
 downward recurrence above it, where J_k decays.  The series is truncated where Kapteyn's
 bound on the Bessel tail falls below ``_TAIL_TOL``; a norm drift beyond an
-output's budget raises EvolutionError.  From a real start state the recurrence
-runs in real arithmetic (H is real), and only the outputs are complex.  Only
-the coefficients depend on t, so a time grid is marched in windows of
-``_WINDOW`` sorted points, each window one series from its start state.  The
-recurrence also carries the exact derivative in ``value``.  hbar = 1; times
-are in inverse energy units.
+output's budget raises EvolutionError.  The recurrence runs in real
+arithmetic (H is real): a complex start state is marched as its real part and
+its imaginary part, and only the outputs are complex.  Only the coefficients
+depend on t, so one series from the start state gives every time of a grid,
+each time stopping at its own Bessel tail.  The recurrence also carries the
+exact derivative in ``value``.  hbar = 1; times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import EvolutionError
 from .hamiltonian import TransverseFieldOperator
 
 _TAIL_TOL = 1e-15  # truncation error of one output, relative to the norm of the state
-_WINDOW = 10  # consecutive grid points that share one Chebyshev series
-_ODD_PHASE = np.array([1.0, -1j])  # (-i)^k / (-1)^floor(k/2) for even and odd k
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # (-1)^floor(k/2) by k mod 4
 
 
@@ -42,7 +40,7 @@ def _gershgorin(diag, radius) -> tuple[float, float]:
 def _norm(v: np.ndarray, scratch: np.ndarray) -> float:
     """||v||, squared into the start of ``scratch`` and summed pairwise: BLAS's idle threads would spin."""
     v = v.view(np.float64)
-    x = np.multiply(v, v, out=scratch.view(np.float64)[: v.size])
+    x = np.multiply(v, v, out=scratch[: v.size])
     return float(np.sqrt(np.sum(x)))
 
 
@@ -103,8 +101,6 @@ class EvolutionEngine:
         self._radius = max(0.5 * (hi - lo), 1e-300)
         # 2 (H - c)/r is its flip part (2 value/r) S plus this diagonal
         self._shift = (2.0 / self._radius) * (diag - self._center)
-        self._coeffs: dict = {}
-        self._work: list = []
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} |state>."""
@@ -113,30 +109,20 @@ class EvolutionEngine:
     def evolve_grid(self, state: np.ndarray, ts) -> list[np.ndarray]:
         """States at each time in ``ts``, returned in the order of ``ts``.
 
-        The march goes through the times in sorted order, ``_WINDOW`` points at
-        a time.  One series from the window's start state gives every point of
-        the window, and the window's last point starts the next one, so the
-        per-window errors add up along the grid.
+        One series from ``state`` gives every point: entry j is e^{-iH t_j} state,
+        exactly what ``evolve(state, t_j)`` returns.  No state is carried from one
+        point to the next, so errors do not add up along the grid.
         """
-        out: list = [None] * len(ts)
-        current, t_now = state, 0.0
-        order = np.argsort(ts)
-        for start in range(0, len(order), _WINDOW):
-            window = order[start : start + _WINDOW]
-            steps = self._series(current, [ts[k] - t_now for k in window])
-            for k, (psi, _) in zip(window, steps):
-                out[k] = psi
-            current, t_now = out[window[-1]], ts[window[-1]]
-        return out
+        return [psi for psi, _ in self._series(state, ts)]
 
     def evolve_tangent(self, state: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-iHt} psi, d/dvalue e^{-iHt} psi) for H = diag + value * S, with
         the interval held fixed."""
         return self._series(state, [t], tangent=True)[0]
 
-    def _coefficients(self, dt: float, tangent: bool) -> tuple[complex, np.ndarray]:
-        """(e^{-icdt}, b) for the terms one step keeps, cached per dt, where
-        b_k = (2 - delta_k0) (-1)^floor(k/2) J_k(r dt).
+    def _coefficients(self, t: float, tangent: bool) -> tuple[complex, np.ndarray]:
+        """(e^{-ict}, b) for the terms the series at time t keeps, where
+        b_k = (2 - delta_k0) (-1)^floor(k/2) J_k(rt).
 
         The series coefficient (2 - delta_k0) (-i)^k J_k is b_k for even k and
         -i b_k for odd k.  It stops where twice the tail sum of Kapteyn's bound
@@ -146,19 +132,16 @@ class EvolutionEngine:
         the bound is weighted by 1 + k^2 ||S||/r, which bounds ||dT_k(H_s)/dvalue||
         (Markov: |T_k'| <= k^2 on [-1, 1]) with ||S|| <= len(sites).
         """
-        key = (dt, tangent)
-        if key not in self._coeffs:
-            x = self._radius * dt
-            k = np.arange(int(1.5 * abs(x)) + 40)
-            weight = 1.0 + k * k * len(self.hamiltonian.sites) / self._radius if tangent else 1.0
-            tail = 2.0 * np.cumsum((_bessel_bound(k, x) * weight)[::-1])[::-1]
-            if not tail[-1] < _TAIL_TOL:
-                raise EvolutionError(f"Chebyshev series for dt={dt:.6g} does not converge in {k.size} terms")
-            n_terms = int(np.argmax(tail < _TAIL_TOL))
-            b = 2.0 * _SIGNS[k[:n_terms] % 4] * _bessel_j(x, n_terms)
-            b[0] *= 0.5
-            self._coeffs[key] = (np.exp(-1j * self._center * dt), b)
-        return self._coeffs[key]
+        x = self._radius * t
+        k = np.arange(int(1.5 * abs(x)) + 40)
+        weight = 1.0 + k * k * len(self.hamiltonian.sites) / self._radius if tangent else 1.0
+        tail = 2.0 * np.cumsum((_bessel_bound(k, x) * weight)[::-1])[::-1]
+        if not tail[-1] < _TAIL_TOL:
+            raise EvolutionError(f"Chebyshev series for t={t:.6g} does not converge in {k.size} terms")
+        n_terms = int(np.argmax(tail < _TAIL_TOL))
+        b = 2.0 * _SIGNS[k[:n_terms] % 4] * _bessel_j(x, n_terms)
+        b[0] *= 0.5
+        return np.exp(-1j * self._center * t), b
 
     def _recur(self, cur: np.ndarray, prev: np.ndarray, out: np.ndarray, flips_done: bool = False) -> None:
         """``out`` = 2 H_s cur - prev, using ``prev`` as scratch; with ``flips_done``
@@ -170,48 +153,67 @@ class EvolutionEngine:
         np.multiply(cur, self._shift, out=prev)
         out += prev
 
-    def _vectors(self, count: int, real: bool) -> list:
-        """``count`` work vectors, float64 when ``real``.  They are views into
-        complex buffers the engine allocates once, two real vectors to a buffer,
-        so ``self._work[0]`` is free again when a march ends."""
-        dim = self.hamiltonian.shape[0]
-        need = (count + 1) // 2 if real else count
-        self._work += [np.empty(dim, dtype=complex) for _ in range(need - len(self._work))]
-        if not real:
-            return self._work[:count]
-        return [half for w in self._work[:need] for half in w.view(np.float64).reshape(2, dim)][:count]
+    def _series(self, state: np.ndarray, ts, tangent: bool = False) -> list:
+        """One Chebyshev series from ``state`` for every time in ``ts``: a list of
+        (e^{-iHt} psi, its tangent or None), one pair per t.
 
-    def _series(self, state: np.ndarray, dts, tangent: bool = False) -> list:
-        """Chebyshev steps of each length in ``dts`` from one state: a list of
-        (e^{-iH dt} psi, its tangent or None), one pair per dt.
+        H is real, so e^{-iHt}(a + ib) = e^{-iHt} a + i e^{-iHt} b, and so is the
+        tangent: a complex state is marched as its real part and its imaginary
+        part, a real one as itself.  The norm of each output is held to its
+        truncation and rounding budget.
+        """
+        if state.shape != (self.hamiltonian.shape[0],):
+            raise EvolutionError("state/Hamiltonian dimension mismatch")
+        for t in ts:
+            if not np.isfinite(t):
+                raise EvolutionError(f"time must be finite, got {t}")
+        rows = [self._coefficients(t, tangent) for t in ts]
+        work = np.empty((6 if tangent else 3, state.shape[0]))
+        parts = [np.ascontiguousarray(np.real(state), dtype=float)]
+        if np.any(np.imag(state)):
+            parts.append(np.ascontiguousarray(np.imag(state), dtype=float))
+        out = self._march(parts[0], rows, 1.0, work)
+        if len(parts) == 2:
+            for (psi, dpsi), (ipsi, idpsi) in zip(out, self._march(parts[1], rows, 1j, work)):
+                psi += ipsi
+                if tangent:
+                    dpsi += idpsi
+        # a unitary step keeps the norm up to truncation and rounding
+        scratch = work.reshape(-1)
+        norm = math.hypot(*(_norm(part, scratch) for part in parts))
+        for t, (_, b), (psi, _) in zip(ts, rows, out):
+            drift = abs(_norm(psi, scratch) - norm)
+            budget = (_TAIL_TOL + 8 * b.size * np.finfo(float).eps) * norm
+            if drift > budget:
+                raise EvolutionError(
+                    f"Chebyshev series at t={t:.6g} changed the norm by {drift:.3g} (budget {budget:.3g}); "
+                    f"the interval {self.interval} does not hold the spectrum"
+                )
+        return out
+
+    def _march(self, psi: np.ndarray, rows: list, unit: complex, work: np.ndarray) -> list:
+        """unit * (e^{-iHt} psi, its tangent or None) for each row (e^{-ict}, b) from a
+        real psi; ``work`` holds the recurrence's vectors, three, or six to carry
+        the tangent.
 
         p_k = T_k(H_s) psi obeys p_{k+1} = 2 H_s p_k - p_{k-1}; its derivative q_k
         in ``value`` obeys q_{k+1} = 2 H_s q_k + (2/r) S p_k - q_{k-1}.  From
         p_{-1} = q_{-1} = q_0 = 0 the first term is half the recurrence.  The
-        vectors do not depend on dt, so one recurrence serves every row of the
+        vectors do not depend on t, so one recurrence serves every row of the
         coefficient matrix; row j stops at its own Bessel tail.  H_s is real, so
-        from a real psi every p_k and q_k is real: each row then sums its even and
-        odd terms apart with the real b_k and is e^{-icdt} (even - i odd).
+        every p_k and q_k is real: each row sums its even and odd terms apart with
+        the real b_k and is e^{-ict} (even - i odd).
         """
-        if state.shape != (self.hamiltonian.shape[0],):
-            raise EvolutionError("state/Hamiltonian dimension mismatch")
-        for dt in dts:
-            if not np.isfinite(dt):
-                raise EvolutionError(f"time must be finite, got {dt}")
-        real = not np.any(np.imag(state))
-        psi = np.ascontiguousarray(np.real(state) if real else state, dtype=float if real else complex)
-        rows = [self._coefficients(dt, tangent) for dt in dts]
-        lanes = 2 if real else 1  # term k adds into lane k % lanes of its row
-        coefs = [b if real else phase * b * _ODD_PHASE[np.arange(b.size) % 2] for phase, b in rows]
-        accs = [np.zeros((lanes,) + psi.shape, dtype=psi.dtype) for _ in rows]
+        tangent = work.shape[0] == 6
+        accs = [np.zeros((2,) + psi.shape) for _ in rows]
         daccs = [np.zeros_like(acc) if tangent else None for acc in accs]
-        for c, acc in zip(coefs, accs):
-            np.multiply(psi, c[0], out=acc[0])
-        pp, pc, pn, qp, qc, qn = self._vectors(6 if tangent else 3, real) + [None] * (0 if tangent else 3)
+        for (_, b), acc in zip(rows, accs):
+            np.multiply(psi, b[0], out=acc[0])
+        pp, pc, pn, qp, qc, qn = list(work) + [None] * (6 - work.shape[0])
         np.copyto(pc, psi)
         for buf in (pp, qp, qc) if tangent else (pp,):
             buf.fill(0.0)
-        for k in range(1, max(c.size for c in coefs)):  # 2 flip sums per term with the tangent, 1 without
+        for k in range(1, max((b.size for _, b in rows), default=0)):  # 2 flip sums per term with the tangent, 1 without
             if tangent:
                 self._recur(qc, qp, qn)
                 self.hamiltonian.flip_sum(pc, pn)  # S p_{k-1}, shared by both recurrences
@@ -225,34 +227,21 @@ class EvolutionEngine:
                 pc *= 0.5
                 if tangent:
                     qc *= 0.5
-            for c, acc, dacc in zip(coefs, accs, daccs):  # in-place numpy: BLAS's idle threads would spin
-                if k < c.size:
-                    np.multiply(pc, c[k], out=pn)
-                    acc[k % lanes] += pn
+            for (_, b), acc, dacc in zip(rows, accs, daccs):  # in-place numpy: BLAS's idle threads would spin
+                if k < b.size:
+                    np.multiply(pc, b[k], out=pn)
+                    acc[k % 2] += pn
                     if tangent:
-                        np.multiply(qc, c[k], out=qn)
-                        dacc[k % lanes] += qn
+                        np.multiply(qc, b[k], out=qn)
+                        dacc[k % 2] += qn
         for j, (phase, _) in enumerate(rows):  # each row's lanes are freed as its output is made
-            accs[j] = _output(accs[j], phase)
-            daccs[j] = None if daccs[j] is None else _output(daccs[j], phase)
-        # a unitary step keeps the norm up to truncation and rounding
-        scratch = self._work[0]
-        norm = _norm(psi, scratch)
-        for dt, c, out in zip(dts, coefs, accs):
-            drift = abs(_norm(out, scratch) - norm)
-            budget = (_TAIL_TOL + 8 * c.size * np.finfo(float).eps) * norm
-            if drift > budget:
-                raise EvolutionError(
-                    f"Chebyshev step dt={dt:.6g} changed the norm by {drift:.3g} (budget {budget:.3g}); "
-                    f"the interval {self.interval} does not hold the spectrum"
-                )
+            accs[j] = _output(accs[j], unit * phase)
+            daccs[j] = None if daccs[j] is None else _output(daccs[j], unit * phase)
         return list(zip(accs, daccs))
 
 
 def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
-    """A row's output from its lanes: the one complex lane, or e^{-icdt} (even - i odd) from two real ones."""
-    if acc.shape[0] == 1:
-        return acc[0]
+    """A row's output from its even and odd lanes: phase (even - i odd)."""
     out = np.empty(acc.shape[1], dtype=complex)
     out.real = acc[0]
     np.negative(acc[1], out=out.imag)

@@ -65,6 +65,17 @@ def test_rhs_formula_and_monotonicity():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_rhs_takes_the_whole_grid():
+    """An array t gives each scalar call's value bitwise; any t < 0 is rejected."""
+    ts = np.linspace(0.0, 5.0, 30)
+    want = [error_bound_rhs(9, 0.01, 4.0, t) for t in ts]
+    np.testing.assert_array_equal(error_bound_rhs(9, 0.01, 4.0, ts), want)
+    with pytest.raises(BoundError):
+        error_bound_rhs(9, 0.01, 4.0, np.array([0.0, 1.0, -1e-3]))
+    with pytest.raises(BoundError):
+        error_bound_rhs(9, 0.01, 4.0, -1.0)
+
+
 def test_rhs_rejects_nonpositive_gap():
     with pytest.raises(BoundError):
         error_bound_rhs(9, 0.01, 0.0, 1.0)

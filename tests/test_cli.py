@@ -302,6 +302,20 @@ def test_montecarlo_seed_override_changes_output(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_montecarlo_ignores_t_all(tmp_path):
+    """montecarlo draws mc.repetitions outcomes and never reads t_all, so a t_int
+    beyond the default t_all runs, and t_all does not change the CSV."""
+    out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
+    text = (
+        "command = montecarlo\nlattice.width = 3\nlattice.height = 3\n"
+        "omega = 0.01\nt_int = 20\nmc.repetitions = 50\nmc.trials = 10\n"
+    )
+    assert run_cli(tmp_path, text, "--out", str(out1)) == 0
+    assert run_cli(tmp_path, text + "t_all = 20\n", "--out", str(out2)) == 0
+    assert len(out1.read_text().splitlines()) == 11
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_config_error_exit_code(tmp_path):
     assert run_cli(tmp_path, "command = warp\n") == 2
 

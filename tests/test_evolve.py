@@ -63,7 +63,7 @@ def test_evolve_grid_matches_pointwise(lat33, dis33):
     psi = states.ghz_x(9)
     ts = np.linspace(0.0, 2.0, 9)
     eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
-    grid = eng.evolve_grid(psi, ts[::-1])[::-1]  # marched in sorted order, returned in the given one
+    grid = eng.evolve_grid(psi, ts[::-1])[::-1]  # returned in the order given
     for k, t in enumerate(ts):
         assert np.linalg.norm(grid[k] - eng.evolve(psi, t)) < 1e-10
 
@@ -143,24 +143,37 @@ def test_engine_on_operator_matches_csr_engine(lat33, lat34, part33, part34):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
-def test_grid_across_windows_matches_expm_multiply(lat34, part34):
-    """More than two windows of points, given unsorted, with t = 0 and a time
-    repeated across a window boundary."""
+def test_grid_matches_expm_multiply(lat34, part34):
+    """25 points given unsorted, with t = 0 and a repeated time, and a grid out
+    to t = 8, where the series from the start state runs to r t ~ 220 terms."""
     op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
     psi = states.ghz_x(lat34.n_sites)
-    num = 2 * evolve_module._WINDOW + 5
-    want = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=3.0, num=num, endpoint=True)
-    picks = np.random.default_rng(1).permutation(np.append(np.arange(num), evolve_module._WINDOW - 1))
-    ts = np.linspace(0.0, 3.0, num)[picks]
-    got = EvolutionEngine(op).evolve_grid(psi, ts)
-    for k, g in zip(picks, got):
-        np.testing.assert_allclose(g, want[k], rtol=0, atol=1e-12)
+    for stop, num in ((3.0, 25), (8.0, 9)):
+        want = expm_multiply(-1j * op.tocsr(), psi, start=0.0, stop=stop, num=num, endpoint=True)
+        picks = np.random.default_rng(1).permutation(np.append(np.arange(num), 7))
+        ts = np.linspace(0.0, stop, num)[picks]
+        got = EvolutionEngine(op).evolve_grid(psi, ts)
+        for k, g in zip(picks, got):
+            np.testing.assert_allclose(g, want[k], rtol=0, atol=1e-12)
+
+
+def test_grid_rows_equal_single_evolutions(lat34, part34):
+    """Each grid point is its own series from the start state, so it is bitwise
+    what evolve gives at that time, whatever the order of the grid; an empty grid
+    gives no states."""
+    op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
+    psi = states.ghz_x(lat34.n_sites)
+    ts = np.random.default_rng(4).permutation(np.linspace(0.0, 3.0, 13))
+    eng = EvolutionEngine(op)
+    for g, t in zip(eng.evolve_grid(psi, ts), ts):
+        np.testing.assert_array_equal(g, eng.evolve(psi, t))
+    assert eng.evolve_grid(psi, []) == []
 
 
 def test_ideal_probability_matches_chebyshev(lat33):
     """The closed form against the engine's march of the hsf scheme under the
-    decoupled probe drive, with one probe and with two, over three windows."""
-    ts = np.linspace(0.0, 3.0, 2 * evolve_module._WINDOW + 3)
+    decoupled probe drive, with one probe and with two."""
+    ts = np.linspace(0.0, 3.0, 23)
     for lat, n_probe in ((lat33, 1), (Lattice(3, 6), 2)):
         part = canonical_partition(lat)
         assert part.n_probe == n_probe
@@ -249,7 +262,7 @@ def test_coefficients_match_scipy_bessel(lat33, part33, dis33, x, tangent):
     np.testing.assert_allclose(got[k[: b.size] > x + 1], j[: b.size][k[: b.size] > x + 1], rtol=1e-12, atol=0)
     want = 2.0 * (-1j) ** (k[: b.size] % 4) * j[: b.size]
     want[0] = j[0]
-    got = b * evolve_module._ODD_PHASE[np.arange(b.size) % 2]
+    got = b * np.array([1.0, -1j])[np.arange(b.size) % 2]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
     assert phase == np.exp(-1j * eng._center * dt)
 
@@ -261,8 +274,9 @@ def test_kapteyn_bound_holds():
 
 
 def test_real_start_matches_the_complex_path(lat34, part34, monkeypatch):
-    """From a real state the recurrence runs in float64; e^{i phi} psi takes the
-    complex path, and e^{-i phi} times its result must give the same states."""
+    """The recurrence always runs in float64: e^{i phi} psi is marched as its real
+    and imaginary parts, at twice the flip sums, and e^{-i phi} times its result
+    must give the same states."""
     op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4)
     psi = np.random.default_rng(2).normal(size=1 << lat34.n_sites)
     psi /= np.linalg.norm(psi)
@@ -272,21 +286,21 @@ def test_real_start_matches_the_complex_path(lat34, part34, monkeypatch):
     monkeypatch.setattr(
         ham.TransverseFieldOperator, "flip_sum", lambda self, v, out: dtypes.append(v.dtype) or flip_sum(self, v, out)
     )
-    ts = np.linspace(0.0, 2.0, 2 * evolve_module._WINDOW + 3)
-    real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
-    for call, first, last in (  # the dtypes of the first and last flip sums from the real state
-        (lambda eng, v: [eng.evolve(v, 1.3)], real, real),
-        (lambda eng, v: eng.evolve_grid(v, ts), real, cplx),  # later windows start from complex states
-        (lambda eng, v: list(eng.evolve_tangent(v, 0.9)), real, real),
+    ts = np.linspace(0.0, 2.0, 23)
+    for call in (
+        lambda eng, v: [eng.evolve(v, 1.3)],
+        lambda eng, v: eng.evolve_grid(v, ts),
+        lambda eng, v: list(eng.evolve_tangent(v, 0.9)),
     ):
         dtypes.clear()
         got = call(EvolutionEngine(op), psi)
-        assert (dtypes[0], dtypes[-1]) == (first, last)
+        real_sums = len(dtypes)
+        assert set(dtypes) == {np.dtype(np.float64)}
         dtypes.clear()
         want = call(EvolutionEngine(op), turn * psi)
-        assert set(dtypes) == {cplx}
+        assert set(dtypes) == {np.dtype(np.float64)} and len(dtypes) == 2 * real_sums
         for g, w in zip(got, want):
-            assert g.dtype == cplx
+            assert g.dtype == np.complex128
             np.testing.assert_allclose(g, w / turn, rtol=0, atol=1e-13)
 
 
