@@ -12,7 +12,8 @@ set-up, ``peak_mb`` the peak after the stage.  Stages:
   h_eff_inhom   ``build_h_eff_inhomogeneous`` (the census operator, CSR)
 
 Couplings are Gaussian (mean 1, spread 0.3) with seed ``SEED``.  Not part of
-the tests; at 4x6 (N = 24) ``h_eff_inhom`` peaks at about 1.55 GB.
+the tests; at 4x6 (N = 24) ``h_eff_inhom`` peaks at about 1.55 GB.  A stage
+that fails is reported in its row, and the script then exits 1.
 
 Usage:
     python scripts/build_budget.py --width 4 --height 6
@@ -70,15 +71,17 @@ def main() -> int:
     n = args.width * args.height
     print(f"# {args.width}x{args.height}, N = {n}, seed {SEED}; one fresh process per stage")
     print("stage,wall_s,base_mb,peak_mb")
+    status = 0
     for stage in STAGES:
         cmd = [sys.executable, __file__, "--width", str(args.width), "--height", str(args.height), "--stage", stage]
         done = subprocess.run(cmd, capture_output=True, text=True)
         if done.returncode != 0:
             print(f"{stage},failed (exit {done.returncode}): {done.stderr.strip().splitlines()[-1:]}")
+            status = 1
             continue
         row = json.loads(done.stdout.strip().splitlines()[-1])
         print(f"{stage},{row['wall_s']},{row['base_mb']},{row['peak_mb']}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -6,16 +6,22 @@ with the Ising couplings left on, and the fragmentation-protected layout in
 which only a sublattice of probe spins stays dynamical inside a frozen
 ancilla background.
 
+Exits 1 when the free GHZ register or the ideal probe register misses its
+Heisenberg limit by more than HL_RTOL relative: both have it in closed form.
+
 Usage:
     python scripts/sensitivity_comparison.py --width 3 --height 3
 """
 
 import argparse
 import math
+import sys
 
 from hsfsense.couplings import sample_gaussian
 from hsfsense.lattice import Lattice, canonical_partition
 from hsfsense.sensing import SCHEMES, RamseyConfig, numeric_sensitivity
+
+HL_RTOL = 1e-12
 
 
 def main() -> int:
@@ -40,12 +46,17 @@ def main() -> int:
     print(f"# {lat.n_sites} sites, {part.n_probe} probes, M = {rc.repetitions}")
     print(f"# Heisenberg limit: full register {hl_full:.6g}, probe register {hl_probe:.6g}")
     print("scheme,delta_omega")
-    for scheme in SCHEMES:
-        delta = numeric_sensitivity(scheme, rc, lat, part, c)
+    deltas = {scheme: numeric_sensitivity(scheme, rc, lat, part, c) for scheme in SCHEMES}
+    deltas["hsf_ideal"] = numeric_sensitivity("hsf", rc, lat, part, c, ideal=True)
+    for scheme, delta in deltas.items():
         print(f"{scheme},{delta:.17g}")
-    delta = numeric_sensitivity("hsf", rc, lat, part, c, ideal=True)
-    print(f"hsf_ideal,{delta:.17g}")
-    return 0
+    status = 0
+    for scheme, limit in (("ghz_free", hl_full), ("hsf_ideal", hl_probe)):
+        miss = abs(deltas[scheme] - limit) / limit
+        if miss > HL_RTOL:
+            print(f"error: {scheme} misses its Heisenberg limit by {miss:.3g} relative", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

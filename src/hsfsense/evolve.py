@@ -11,12 +11,12 @@ The coefficients (-i)^k J_k(x) are the Fourier coefficients of e^{-ix cos theta}
 (Jacobi-Anger), taken from one FFT up to order |x| + 1 and from Miller's
 downward recurrence above it, where J_k decays.  The series is truncated where Kapteyn's
 bound on the Bessel tail falls below ``_TAIL_TOL``; a norm drift beyond an
-output's budget raises EvolutionError.  The recurrence runs in real
-arithmetic (H is real): a complex start state is marched as its real part and
-its imaginary part, and only the outputs are complex.  Only the coefficients
-depend on t, so one series from the start state gives every time of a grid,
-each time stopping at its own Bessel tail.  The recurrence also carries the
-exact derivative in ``value``.  hbar = 1; times are in inverse energy units.
+output's budget raises EvolutionError.  One real recurrence (H is real)
+marches a stack of lanes: the real part of the start state, its imaginary
+part if that is nonzero, and with the tangent each part's exact derivative in
+``value``; only the outputs are complex.  Only the coefficients depend on t,
+so one series from the start state gives every time of a grid, each time
+stopping at its own Bessel tail.  hbar = 1; times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ def _gershgorin(diag, radius) -> tuple[float, float]:
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _norm(v: np.ndarray, scratch: np.ndarray) -> float:
-    """||v||, squared into the start of ``scratch`` and summed pairwise: BLAS's idle threads would spin."""
-    v = v.view(np.float64)
-    x = np.multiply(v, v, out=scratch[: v.size])
-    return float(np.sqrt(np.sum(x)))
+def _norm(v: np.ndarray) -> float:
+    """||v||, squared and summed pairwise: BLAS's idle threads would spin."""
+    return float(np.sqrt(np.sum(np.square(v.view(np.float64)))))
 
 
 def _bessel_bound(k: np.ndarray, x: float) -> np.ndarray:
@@ -143,23 +141,14 @@ class EvolutionEngine:
         b[0] *= 0.5
         return np.exp(-1j * self._center * t), b
 
-    def _recur(self, cur: np.ndarray, prev: np.ndarray, out: np.ndarray, flips_done: bool = False) -> None:
-        """``out`` = 2 H_s cur - prev, using ``prev`` as scratch; with ``flips_done``
-        ``out`` already holds the flip part (2 value/r) S cur."""
-        if not flips_done:
-            self.hamiltonian.flip_sum(cur, out)
-            out *= 2.0 * self.hamiltonian.value / self._radius
-        out -= prev
-        np.multiply(cur, self._shift, out=prev)
-        out += prev
-
     def _series(self, state: np.ndarray, ts, tangent: bool = False) -> list:
         """One Chebyshev series from ``state`` for every time in ``ts``: a list of
         (e^{-iHt} psi, its tangent or None), one pair per t.
 
         H is real, so e^{-iHt}(a + ib) = e^{-iHt} a + i e^{-iHt} b, and so is the
-        tangent: a complex state is marched as its real part and its imaginary
-        part, a real one as itself.  The norm of each output is held to its
+        tangent: the real part of the state, and its imaginary part if that is
+        nonzero, are lanes of one real march, each followed by its derivative
+        lane with the tangent.  The norm of each output is held to its
         truncation and rounding budget.
         """
         if state.shape != (self.hamiltonian.shape[0],):
@@ -168,84 +157,80 @@ class EvolutionEngine:
             if not np.isfinite(t):
                 raise EvolutionError(f"time must be finite, got {t}")
         rows = [self._coefficients(t, tangent) for t in ts]
-        work = np.empty((6 if tangent else 3, state.shape[0]))
-        parts = [np.ascontiguousarray(np.real(state), dtype=float)]
-        if np.any(np.imag(state)):
-            parts.append(np.ascontiguousarray(np.imag(state), dtype=float))
-        out = self._march(parts[0], rows, 1.0, work)
-        if len(parts) == 2:
-            for (psi, dpsi), (ipsi, idpsi) in zip(out, self._march(parts[1], rows, 1j, work)):
-                psi += ipsi
-                if tangent:
-                    dpsi += idpsi
+        parts = [np.real(state)] + ([np.imag(state)] if np.any(np.imag(state)) else [])
+        width = 2 if tangent else 1
+        lanes = np.zeros((len(parts) * width, state.shape[0]))
+        lanes[::width] = parts
         # a unitary step keeps the norm up to truncation and rounding
-        scratch = work.reshape(-1)
-        norm = math.hypot(*(_norm(part, scratch) for part in parts))
-        for t, (_, b), (psi, _) in zip(ts, rows, out):
-            drift = abs(_norm(psi, scratch) - norm)
+        norm = math.hypot(*(_norm(lane) for lane in lanes[::width]))
+        accs = self._march(lanes, rows, tangent)
+        out = []
+        for j, (t, (phase, b)) in enumerate(zip(ts, rows)):
+            acc, accs[j] = accs[j], None  # each row's sums are freed as its output is made
+            psi = _output(acc[:, ::width], phase)
+            drift = abs(_norm(psi) - norm)
             budget = (_TAIL_TOL + 8 * b.size * np.finfo(float).eps) * norm
             if drift > budget:
                 raise EvolutionError(
                     f"Chebyshev series at t={t:.6g} changed the norm by {drift:.3g} (budget {budget:.3g}); "
                     f"the interval {self.interval} does not hold the spectrum"
                 )
+            out.append((psi, _output(acc[:, 1::width], phase) if tangent else None))
         return out
 
-    def _march(self, psi: np.ndarray, rows: list, unit: complex, work: np.ndarray) -> list:
-        """unit * (e^{-iHt} psi, its tangent or None) for each row (e^{-ict}, b) from a
-        real psi; ``work`` holds the recurrence's vectors, three, or six to carry
-        the tangent.
+    def _march(self, lanes: np.ndarray, rows: list, tangent: bool) -> list:
+        """Each row's even and odd sums, an array of shape (2,) + lanes.shape, from
+        one recurrence that marches the real ``lanes`` in place.
 
-        p_k = T_k(H_s) psi obeys p_{k+1} = 2 H_s p_k - p_{k-1}; its derivative q_k
-        in ``value`` obeys q_{k+1} = 2 H_s q_k + (2/r) S p_k - q_{k-1}.  From
-        p_{-1} = q_{-1} = q_0 = 0 the first term is half the recurrence.  The
-        vectors do not depend on t, so one recurrence serves every row of the
-        coefficient matrix; row j stops at its own Bessel tail.  H_s is real, so
-        every p_k and q_k is real: each row sums its even and odd terms apart with
-        the real b_k and is e^{-ict} (even - i odd).
+        p_k = T_k(H_s) p_0 obeys p_{k+1} = 2 H_s p_k - p_{k-1}.  With the tangent
+        every other lane is the derivative q_k of the lane before it in ``value``,
+        which starts at zero and obeys q_{k+1} = 2 H_s q_k + (2/r) S p_k - q_{k-1}:
+        the series of the block generator [[H, S], [0, H]] (Van Loan, IEEE TAC 23,
+        395, 1978).  From p_{-1} = q_{-1} = 0 the first term is half the
+        recurrence.  The lanes do not depend on t, so one recurrence serves every
+        row (e^{-ict}, b) of the coefficient matrix; row j stops at its own Bessel
+        tail.  H_s is real, so every lane stays real: each row sums its even and
+        odd terms apart with the real b_k.
         """
-        tangent = work.shape[0] == 6
-        accs = [np.zeros((2,) + psi.shape) for _ in rows]
-        daccs = [np.zeros_like(acc) if tangent else None for acc in accs]
+        width = 2 if tangent else 1
+        accs = [np.zeros((2,) + lanes.shape) for _ in rows]
         for (_, b), acc in zip(rows, accs):
-            np.multiply(psi, b[0], out=acc[0])
-        pp, pc, pn, qp, qc, qn = list(work) + [None] * (6 - work.shape[0])
-        np.copyto(pc, psi)
-        for buf in (pp, qp, qc) if tangent else (pp,):
-            buf.fill(0.0)
-        for k in range(1, max((b.size for _, b in rows), default=0)):  # 2 flip sums per term with the tangent, 1 without
+            np.multiply(lanes[::width], b[0], out=acc[0, ::width])  # the derivative lanes start at zero
+        prev, cur, nxt = np.zeros_like(lanes), lanes, np.empty_like(lanes)
+        drive = np.empty_like(lanes[::width]) if tangent else None
+        for k in range(1, max((b.size for _, b in rows), default=0)):  # one flip sum over every lane per term
+            self.hamiltonian.flip_sum(cur, nxt)
             if tangent:
-                self._recur(qc, qp, qn)
-                self.hamiltonian.flip_sum(pc, pn)  # S p_{k-1}, shared by both recurrences
-                np.multiply(pn, 2.0 / self._radius, out=qp)
-                qn += qp  # q_k
-                pn *= 2.0 * self.hamiltonian.value / self._radius
-            self._recur(pc, pp, pn, flips_done=tangent)  # p_k
-            pp, pc, pn = pc, pn, pp
-            qp, qc, qn = qc, qn, qp
+                np.multiply(nxt[::2], 2.0 / self._radius, out=drive)  # (2/r) S p_{k-1}
+            nxt *= 2.0 * self.hamiltonian.value / self._radius
+            nxt -= prev
+            np.multiply(cur, self._shift, out=prev)
+            nxt += prev
+            if tangent:
+                nxt[1::2] += drive
+            prev, cur, nxt = cur, nxt, prev
             if k == 1:
-                pc *= 0.5
-                if tangent:
-                    qc *= 0.5
-            for (_, b), acc, dacc in zip(rows, accs, daccs):  # in-place numpy: BLAS's idle threads would spin
+                cur *= 0.5
+            for (_, b), acc in zip(rows, accs):  # in-place numpy: BLAS's idle threads would spin
                 if k < b.size:
-                    np.multiply(pc, b[k], out=pn)
-                    acc[k % 2] += pn
-                    if tangent:
-                        np.multiply(qc, b[k], out=qn)
-                        dacc[k % 2] += qn
-        for j, (phase, _) in enumerate(rows):  # each row's lanes are freed as its output is made
-            accs[j] = _output(accs[j], unit * phase)
-            daccs[j] = None if daccs[j] is None else _output(daccs[j], unit * phase)
-        return list(zip(accs, daccs))
+                    np.multiply(cur, b[k], out=nxt)
+                    acc[k % 2] += nxt
+        return accs
 
 
 def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
-    """A row's output from its even and odd lanes: phase (even - i odd)."""
-    out = np.empty(acc.shape[1], dtype=complex)
-    out.real = acc[0]
-    np.negative(acc[1], out=out.imag)
-    out *= phase
+    """An output from the even and odd sums (2, parts, 2^N) of the real part and,
+    if it was marched, the imaginary part: the sum of i^part phase (even - i odd)."""
+    out = None
+    for (even, odd), unit in zip(acc.swapaxes(0, 1), (1.0, 1j)):
+        part = np.empty(even.shape, dtype=complex)
+        part.real = even
+        np.negative(odd, out=part.imag)
+        part *= unit * phase
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
 
 

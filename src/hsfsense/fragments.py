@@ -1,10 +1,11 @@
 """Census of dynamically disconnected subspaces of the constrained dynamics.
 
 Basis states are vertices; nonzero off-diagonal matrix elements of a
-constrained builder are edges.  Connected components come from
-``scipy.sparse.csgraph``, each labelled by its minimum member state, and
-each fragment tagged with its sector, which is well defined because the
-builders commute with the domain-wall number.
+constrained builder are edges.  The census reads the builder's CSR as it is:
+it stores no zero, and a diagonal entry joins a state only to itself.
+Connected components come from ``scipy.sparse.csgraph``, each labelled by its
+minimum member state, and each fragment tagged with its sector, which is well
+defined because the builders commute with the domain-wall number.
 """
 
 from __future__ import annotations
@@ -55,28 +56,15 @@ class FragmentReport:
         return "".join(chunks)
 
 
-def _offdiagonal_pattern(h_eff: sp.spmatrix) -> sp.csr_matrix:
-    """Where a square operator has nonzero off-diagonal entries, as a CSR pattern."""
-    if h_eff.shape[0] != h_eff.shape[1]:
-        raise FragmentError(f"operator of shape {h_eff.shape} is not square")
-    csr = h_eff.tocsr()
-    rows = np.repeat(np.arange(csr.shape[0], dtype=csr.indices.dtype), np.diff(csr.indptr))
-    keep = (csr.indices != rows) & (csr.data != 0)
-    del rows
-    # kept entries before each row start: the running count of ``keep``
-    kept = np.zeros(keep.shape[0] + 1, dtype=csr.indptr.dtype)
-    np.cumsum(keep, out=kept[1:])
-    indices = csr.indices[keep]
-    return sp.csr_matrix((np.ones(indices.shape[0]), indices, kept[csr.indptr]), shape=csr.shape)
-
-
-def _component_labels(pattern: sp.csr_matrix) -> np.ndarray:
-    """Per vertex: the minimum vertex index of its connected component."""
+def _component_labels(graph: sp.spmatrix) -> np.ndarray:
+    """Per vertex: the minimum vertex index of its connected component, where
+    every stored entry of ``graph`` is an edge (a diagonal one joins a vertex
+    only to itself)."""
     from scipy.sparse.csgraph import connected_components
 
-    n_components, component = connected_components(pattern, directed=False)
-    labels = np.full(n_components, pattern.shape[0], dtype=np.int64)
-    np.minimum.at(labels, component, np.arange(pattern.shape[0], dtype=np.int64))
+    n_components, component = connected_components(graph, directed=False)
+    labels = np.full(n_components, graph.shape[0], dtype=np.int64)
+    np.minimum.at(labels, component, np.arange(graph.shape[0], dtype=np.int64))
     return labels[component]
 
 
@@ -89,7 +77,7 @@ def adjacency_components(h_eff: sp.spmatrix, lattice: Lattice) -> FragmentReport
     """
     if h_eff.shape != (1 << lattice.n_sites,) * 2:
         raise FragmentError("operator dimension does not match the lattice")
-    labels = _component_labels(_offdiagonal_pattern(h_eff))
+    labels = _component_labels(h_eff)  # the builders store no zero entry
     # an edge joins two sectors iff some fragment is not inside one sector
     dw = dw_diagonal(lattice)
     if not np.array_equal(dw[labels], dw):
@@ -125,6 +113,7 @@ def refinement_check(
     # agrees with the label of that fragment's minimum member
     if not np.array_equal(hom[inhom], hom):
         return False
-    pattern_in = _offdiagonal_pattern(h_inhom)
-    return pattern_in.multiply(_offdiagonal_pattern(h_hom)).nnz == pattern_in.nnz
+    # a sparse difference stores no zero result, so these are the off-diagonal nonzero entries
+    edges_in, edges_hom = ((h - sp.diags(h.diagonal())).astype(bool) for h in (h_inhom, h_hom))
+    return edges_in.multiply(edges_hom).nnz == edges_in.nnz
 

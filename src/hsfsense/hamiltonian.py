@@ -123,12 +123,14 @@ class TransverseFieldOperator:
     def flip_sum(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = sum_{i in sites} sigma^x_i psi``, written in place; returns ``out``.
 
-        sigma^x_i flips axis n_sites-1-i of the vector reshaped to (2,)*n_sites
-        (bit i of the basis index), so each flip is a reversed view added in place.
+        ``psi`` and ``out`` may stack vectors on leading axes: each vector is
+        summed apart, with the adds of a single one.  sigma^x_i flips the last
+        axis but i of the vector reshaped to (2,)*n_sites (bit i of the basis
+        index), so each flip is a reversed view added in place.
         """
-        n = self.n_sites
-        x, acc = psi.reshape((2,) * n), out.reshape((2,) * n)
-        flips = (np.flip(x, axis=n - 1 - i) for i in self.sites)
+        shape = psi.shape[:-1] + (2,) * self.n_sites
+        x, acc = psi.reshape(shape), out.reshape(shape)
+        flips = (np.flip(x, axis=-1 - i) for i in self.sites)
         np.copyto(acc, next(flips, 0.0))
         for view in flips:
             acc += view

@@ -50,7 +50,7 @@ def test_acceptance_1_heisenberg_limit():
         part = canonical_partition(lat)
         got = numeric_sensitivity("hsf", rc, lat, part, None, ideal=True)
         want = 1.0 / (part.n_probe * math.sqrt(rc.t_int * rc.t_int * rc.repetitions))
-        assert abs(got - want) / want < 1e-6, f"{w}x{h}: {got} vs {want}"
+        assert abs(got - want) / want < 1e-12, f"{w}x{h}: {got} vs {want}"
     assert part.n_probe == 2
     got = numeric_sensitivity("hsf", rc, lat, part, sample_gaussian(lat, 1.0, 0.3, seed=3))
     assert abs(got - want) / want < 1e-3, f"3x6 full dynamics: {got} vs {want}"

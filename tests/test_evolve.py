@@ -275,33 +275,47 @@ def test_kapteyn_bound_holds():
 
 def test_real_start_matches_the_complex_path(lat34, part34, monkeypatch):
     """The recurrence always runs in float64: e^{i phi} psi is marched as its real
-    and imaginary parts, at twice the flip sums, and e^{-i phi} times its result
-    must give the same states."""
+    and imaginary parts, lanes of one march with as many flip sums over twice the
+    lanes, and e^{-i phi} times its result must give the same states."""
     op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4)
     psi = np.random.default_rng(2).normal(size=1 << lat34.n_sites)
     psi /= np.linalg.norm(psi)
     turn = np.exp(0.7j)
-    dtypes = []
+    sums = []
     flip_sum = ham.TransverseFieldOperator.flip_sum
     monkeypatch.setattr(
-        ham.TransverseFieldOperator, "flip_sum", lambda self, v, out: dtypes.append(v.dtype) or flip_sum(self, v, out)
+        ham.TransverseFieldOperator, "flip_sum", lambda self, v, out: sums.append(v) or flip_sum(self, v, out)
     )
     ts = np.linspace(0.0, 2.0, 23)
-    for call in (
-        lambda eng, v: [eng.evolve(v, 1.3)],
-        lambda eng, v: eng.evolve_grid(v, ts),
-        lambda eng, v: list(eng.evolve_tangent(v, 0.9)),
+    for call, width in (
+        (lambda eng, v: [eng.evolve(v, 1.3)], 1),
+        (lambda eng, v: eng.evolve_grid(v, ts), 1),
+        (lambda eng, v: list(eng.evolve_tangent(v, 0.9)), 2),
     ):
-        dtypes.clear()
+        sums.clear()
         got = call(EvolutionEngine(op), psi)
-        real_sums = len(dtypes)
-        assert set(dtypes) == {np.dtype(np.float64)}
-        dtypes.clear()
+        real = [(v.dtype, v.shape) for v in sums]
+        assert set(real) == {(np.dtype(np.float64), (width, psi.size))}
+        sums.clear()
         want = call(EvolutionEngine(op), turn * psi)
-        assert set(dtypes) == {np.dtype(np.float64)} and len(dtypes) == 2 * real_sums
+        assert [(v.dtype, v.shape) for v in sums] == [(np.dtype(np.float64), (2 * width, psi.size))] * len(real)
         for g, w in zip(got, want):
             assert g.dtype == np.complex128
             np.testing.assert_allclose(g, w / turn, rtol=0, atol=1e-13)
+
+
+def test_calls_leave_the_state_unchanged(lat34, part34):
+    """The march runs in place on its own lanes, never on the caller's state."""
+    op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4)
+    rng = np.random.default_rng(3)
+    real = rng.normal(size=1 << lat34.n_sites)
+    for psi in (real, real + 1j * rng.normal(size=real.size)):
+        before = psi.copy()
+        eng = EvolutionEngine(op)
+        eng.evolve(psi, 1.3)
+        eng.evolve_grid(psi, [0.0, 0.4, 2.0])
+        eng.evolve_tangent(psi, 0.9)
+        assert psi.dtype == before.dtype and np.array_equal(psi, before)
 
 
 def test_sparse_matrix_rejected(lat33, dis33):

@@ -445,3 +445,16 @@ def test_operator_rejects_a_vector_of_the_wrong_length():
     # no sites: the flip sum is zero and only the diagonal acts
     diagonal = ham.TransverseFieldOperator(3, np.arange(8.0), 0.2, ())
     assert np.array_equal(diagonal @ np.ones(8), np.arange(8.0))
+
+
+def test_flip_sum_of_a_stack_is_each_lanes_flip_sum(lat34, part34):
+    """A stack of vectors is summed lane by lane, with the adds of one vector."""
+    ops = (
+        ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4),
+        ham.op_probe_omega(part34, lat34, 0.4),
+    )
+    stack = np.random.default_rng(4).normal(size=(3, 1 << lat34.n_sites))
+    for op in ops:
+        got = op.flip_sum(stack, np.empty_like(stack))
+        for lane, row in zip(stack, got):
+            assert np.array_equal(row, op.flip_sum(lane, np.empty_like(lane)))

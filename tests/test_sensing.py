@@ -115,7 +115,7 @@ def test_ghz_free_attains_heisenberg_limit(lat33):
     got = numeric_sensitivity("ghz_free", rc, lat33)
     m = rc.repetitions
     want = 1.0 / (9 * math.sqrt(rc.t_int * rc.t_int * m))
-    assert got == pytest.approx(want, rel=1e-6)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_hsf_ideal_attains_probe_heisenberg_limit(lat33, part33):
@@ -123,7 +123,7 @@ def test_hsf_ideal_attains_probe_heisenberg_limit(lat33, part33):
     got = numeric_sensitivity("hsf", rc, lat33, part33, None, ideal=True)
     m = rc.repetitions
     want = 1.0 / (part33.n_probe * math.sqrt(rc.t_int * rc.t_int * m))
-    assert got == pytest.approx(want, rel=1e-6)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_interacting_ghz_is_never_better_than_free(lat33, dis33):
