@@ -16,7 +16,11 @@ marches a stack of lanes: the real part of the start state, its imaginary
 part if that is nonzero, and with the tangent each part's exact derivative in
 ``value``; only the outputs are complex.  Only the coefficients depend on t,
 so one series from the start state gives every time of a grid, each time
-stopping at its own Bessel tail.  hbar = 1; times are in inverse energy units.
+stopping at its own Bessel tail.  Each term is taken one cache-sized block of
+basis states at a time (``TransverseFieldOperator.blocks``): its flip sum,
+recurrence and every time's sums, with the arithmetic of a whole-vector step
+element by element, so the outputs do not depend on the block size.  hbar = 1;
+times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from .errors import EvolutionError
 from .hamiltonian import TransverseFieldOperator
 
 _TAIL_TOL = 1e-15  # truncation error of one output, relative to the norm of the state
+# the longest series whose coefficients are built (~1.5 r t + 40 terms): they
+# take ~0.3 GB while built and the march at N = 16 over half an hour, and the
+# arrays grow with r t, so a longer series fails before they are built
+_MAX_TERMS = 1 << 20
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # (-1)^floor(k/2) by k mod 4
 
 
@@ -131,6 +139,10 @@ class EvolutionEngine:
         (Markov: |T_k'| <= k^2 on [-1, 1]) with ||S|| <= len(sites).
         """
         x = self._radius * t
+        if not 1.5 * abs(x) + 40 <= _MAX_TERMS:
+            raise EvolutionError(
+                f"Chebyshev series for t={t:.6g} (r*t = {x:.6g}) would need more than {_MAX_TERMS} terms"
+            )
         k = np.arange(int(1.5 * abs(x)) + 40)
         weight = 1.0 + k * k * len(self.hamiltonian.sites) / self._radius if tangent else 1.0
         tail = 2.0 * np.cumsum((_bessel_bound(k, x) * weight)[::-1])[::-1]
@@ -191,30 +203,42 @@ class EvolutionEngine:
         row (e^{-ict}, b) of the coefficient matrix; row j stops at its own Bessel
         tail.  H_s is real, so every lane stays real: each row sums its even and
         odd terms apart with the real b_k.
+
+        A term is taken one block of ``hamiltonian.blocks()`` at a time: the
+        flip sum (``flip_block``, which reads the partner blocks of p_{k-1}),
+        the drive, the recurrence, the halving at k = 1 and every row's sum run
+        on that block while it is in cache, and the buffers rotate once the
+        term is done.  Each element gets the operations of a whole-vector step
+        in the same order, so the sums do not depend on the block size.
         """
         width = 2 if tangent else 1
         accs = [np.zeros((2,) + lanes.shape) for _ in rows]
         for (_, b), acc in zip(rows, accs):
             np.multiply(lanes[::width], b[0], out=acc[0, ::width])  # the derivative lanes start at zero
+        op = self.hamiltonian
+        blocks = op.blocks()
+        shift = np.broadcast_to(self._shift, lanes.shape[-1:])  # a scalar without a diagonal
         prev, cur, nxt = np.zeros_like(lanes), lanes, np.empty_like(lanes)
-        drive = np.empty_like(lanes[::width]) if tangent else None
+        drive = np.empty_like(lanes[::width, blocks[0]]) if tangent else None
         for k in range(1, max((b.size for _, b in rows), default=0)):  # one flip sum over every lane per term
-            self.hamiltonian.flip_sum(cur, nxt)
-            if tangent:
-                np.multiply(nxt[::2], 2.0 / self._radius, out=drive)  # (2/r) S p_{k-1}
-            nxt *= 2.0 * self.hamiltonian.value / self._radius
-            nxt -= prev
-            np.multiply(cur, self._shift, out=prev)
-            nxt += prev
-            if tangent:
-                nxt[1::2] += drive
+            live = [(b[k], acc[k % 2]) for (_, b), acc in zip(rows, accs) if k < b.size]
+            for block in blocks:
+                op.flip_block(cur, nxt, block)
+                n, p = nxt[:, block], prev[:, block]
+                if tangent:
+                    np.multiply(n[::2], 2.0 / self._radius, out=drive)  # (2/r) S p_{k-1}
+                n *= 2.0 * op.value / self._radius
+                n -= p
+                np.multiply(cur[:, block], shift[block], out=p)
+                n += p
+                if tangent:
+                    n[1::2] += drive
+                if k == 1:
+                    n *= 0.5
+                for bk, acc in live:  # in-place numpy: BLAS's idle threads would spin
+                    np.multiply(n, bk, out=p)
+                    acc[:, block] += p
             prev, cur, nxt = cur, nxt, prev
-            if k == 1:
-                cur *= 0.5
-            for (_, b), acc in zip(rows, accs):  # in-place numpy: BLAS's idle threads would spin
-                if k < b.size:
-                    np.multiply(cur, b[k], out=nxt)
-                    acc[k % 2] += nxt
         return accs
 
 

@@ -10,8 +10,9 @@ and masks are built on the ``(2,)*(N-L) + (2^L,)`` view of a basis vector
 (``_view``; the low L bits share the last axis) from per-site bits that
 broadcast against it (``_bit``), so no table of every state's bits is
 stored.  The unmasked family (a diagonal plus one flip amplitude on a set of
-sites) also has a matrix-free form, ``TransverseFieldOperator``; its
-``tocsr()`` is the builders' CSR.
+sites) also has a matrix-free form, ``TransverseFieldOperator``, whose flip
+sum works on aligned blocks of 2^_BLOCK basis states; its ``tocsr()`` is the
+builders' CSR.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ if TYPE_CHECKING:
 
 
 _LOW = 8  # the low bits of a basis index, folded into the last axis of ``_view``
+# log2 of the aligned basis states one flip sum or Chebyshev step works on at a
+# time: 256 KB per float64 lane, so the march's buffers of a block stay in L2
+_BLOCK = 15
+# a flip of bit i as a reversed view runs inner loops of 2^i elements; below
+# this bit its 2^(i+1) strided (dst, src) pairs, each one loop over the block,
+# are faster
+_STRIDED = 3
 
 
 def _view(n_sites: int) -> tuple[int, ...]:
@@ -90,7 +98,8 @@ class TransverseFieldOperator:
     ``diag`` is a real vector over the basis (None for no diagonal).  Real
     entries make the operator Hermitian by construction.  ``op @ psi``
     applies it to a vector, ``flip_sum`` applies ``sum_{i in sites} sigma^x_i``
-    in place and ``tocsr()`` is its matrix.
+    in place, ``flip_block`` applies it to one block of ``blocks()``, and
+    ``tocsr()`` is its matrix.
     """
 
     n_sites: int
@@ -124,17 +133,52 @@ class TransverseFieldOperator:
         """``out = sum_{i in sites} sigma^x_i psi``, written in place; returns ``out``.
 
         ``psi`` and ``out`` may stack vectors on leading axes: each vector is
-        summed apart, with the adds of a single one.  sigma^x_i flips the last
-        axis but i of the vector reshaped to (2,)*n_sites (bit i of the basis
-        index), so each flip is a reversed view added in place.
+        summed apart, with the adds of a single one.  The sum is taken one
+        block of ``blocks()`` at a time by ``flip_block``.
         """
-        shape = psi.shape[:-1] + (2,) * self.n_sites
-        x, acc = psi.reshape(shape), out.reshape(shape)
-        flips = (np.flip(x, axis=-1 - i) for i in self.sites)
-        np.copyto(acc, next(flips, 0.0))
-        for view in flips:
-            acc += view
+        if out.shape != psi.shape or psi.shape[-1:] != (self.shape[0],):
+            raise EvolutionError(f"flip sum of shape {psi.shape} into {out.shape} for {self.n_sites} sites")
+        for block in self.blocks():
+            self.flip_block(psi, out, block)
         return out
+
+    def blocks(self) -> list[slice]:
+        """The aligned blocks of 2^_BLOCK basis states (one block for a smaller basis)."""
+        size = 1 << min(self.n_sites, _BLOCK)
+        return [slice(start, start + size) for start in range(0, self.shape[0], size)]
+
+    def flip_block(self, psi: np.ndarray, out: np.ndarray, block: slice) -> None:
+        """``out[..., block]`` of ``flip_sum(psi, out)``, for a block of ``blocks()``.
+
+        sigma^x_i maps basis state s to s ^ 2^i.  A site at or above the block's
+        bits adds the partner block's slice of ``psi``.  A lower site flips
+        inside the block: the block reshaped to (-1, 2, 2^i) has bit i on its
+        middle axis, reversed in a view (for bits below _STRIDED, as 2^(i+1)
+        strided pairs of that view).  Sites are taken in the order of
+        ``sites`` and the first is copied, so every element gets the same adds
+        in the same order, whatever the block size.
+        """
+        size = block.stop - block.start
+        lead, low = psi.shape[:-1], size.bit_length() - 1
+        x, acc = psi[..., block], out[..., block]
+        if not self.sites:
+            acc[...] = 0.0
+        for n, i in enumerate(self.sites):
+            if i >= low:
+                partner = block.start ^ (1 << i)
+                pairs = [(acc, psi[..., partner : partner + size])]
+            else:
+                shape = lead + (-1, 2, 1 << i)
+                x3, acc3 = x.reshape(shape), acc.reshape(shape)
+                if i < _STRIDED:
+                    pairs = [(acc3[..., h, j], x3[..., 1 - h, j]) for h in (0, 1) for j in range(1 << i)]
+                else:
+                    pairs = [(acc3, np.flip(x3, axis=-2))]
+            for dst, src in pairs:
+                if n == 0:
+                    np.copyto(dst, src)
+                else:
+                    dst += src
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         """The operator applied to a vector over the basis."""

@@ -290,6 +290,20 @@ def test_commands_that_read_the_partition_reject_a_2x2_lattice(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_series_too_long_to_build_exits_3_naming_t(tmp_path, capsys):
+    """omega = 1e300 makes r t ~ 1e299: numpy cannot even index the series's
+    coefficient array, so the engine refuses it by name before building it."""
+    out = tmp_path / "o.csv"
+    text = (
+        "command = fidelity\nlattice.width = 3\nlattice.height = 3\ncouplings.sigma = 0.3\n"
+        f"omega = 1e300\nt_max = 0.5\nt_points = 6\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text) == 3
+    err = capsys.readouterr().err
+    assert "error: Chebyshev series for t=0.1 (r*t = " in err and "would need more than 1048576 terms" in err
+    assert not out.exists()
+
+
 def test_montecarlo_seed_override_changes_output(tmp_path):
     out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     text = (

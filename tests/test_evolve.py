@@ -275,16 +275,18 @@ def test_kapteyn_bound_holds():
 
 def test_real_start_matches_the_complex_path(lat34, part34, monkeypatch):
     """The recurrence always runs in float64: e^{i phi} psi is marched as its real
-    and imaginary parts, lanes of one march with as many flip sums over twice the
-    lanes, and e^{-i phi} times its result must give the same states."""
+    and imaginary parts, lanes of one march with as many block flip sums over
+    twice the lanes, and e^{-i phi} times its result must give the same states."""
     op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4)
     psi = np.random.default_rng(2).normal(size=1 << lat34.n_sites)
     psi /= np.linalg.norm(psi)
     turn = np.exp(0.7j)
     sums = []
-    flip_sum = ham.TransverseFieldOperator.flip_sum
+    flip_block = ham.TransverseFieldOperator.flip_block
     monkeypatch.setattr(
-        ham.TransverseFieldOperator, "flip_sum", lambda self, v, out: sums.append(v) or flip_sum(self, v, out)
+        ham.TransverseFieldOperator,
+        "flip_block",
+        lambda self, v, out, block: sums.append(v) or flip_block(self, v, out, block),
     )
     ts = np.linspace(0.0, 2.0, 23)
     for call, width in (
@@ -302,6 +304,60 @@ def test_real_start_matches_the_complex_path(lat34, part34, monkeypatch):
         for g, w in zip(got, want):
             assert g.dtype == np.complex128
             np.testing.assert_allclose(g, w / turn, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("size,block", [("33", 2), ("34", 5)], ids=["3x3-block2", "3x4-block5"])
+def test_march_does_not_depend_on_the_block_size(request, monkeypatch, size, block):
+    """Every Tier-1 march fits one block of 2^15 states.  With 4 states a block
+    at 3x3, or 32 at 3x4, the march runs 128 blocks a term, and every output is
+    bitwise the one-block one: with a diagonal and without, from a real and
+    from a complex start.  Times are short: each block costs interpreter time."""
+    lat, part = request.getfixturevalue(f"lat{size}"), request.getfixturevalue(f"part{size}")
+    ops = (
+        ham.op_total(lat, part, sample_gaussian(lat, 1.0, 0.3, seed=5), 0.4),
+        ham.op_probe_omega(part, lat, 0.4),
+    )
+    rng = np.random.default_rng(8)
+    real = rng.normal(size=1 << lat.n_sites)
+    starts = (real, real + 1j * rng.normal(size=real.size))
+    ts = np.linspace(0.0, 0.3, 23)
+    calls = (
+        lambda eng, v: [eng.evolve(v, 0.3)],
+        lambda eng, v: eng.evolve_grid(v, ts),
+        lambda eng, v: list(eng.evolve_tangent(v, 0.3)),
+    )
+
+    def outputs():
+        return [[s.tobytes() for s in call(EvolutionEngine(op), psi)] for op in ops for psi in starts for call in calls]
+
+    want = outputs()
+    monkeypatch.setattr(ham, "_BLOCK", block)
+    assert [len(op.blocks()) for op in ops] == [128, 128]
+    assert outputs() == want
+
+
+def test_bound_on_two_blocks_equals_one_block(monkeypatch):
+    """The 4x4 bound grid has 2^16 states: two blocks of 2^15, or one of 2^16."""
+    lat = Lattice(4, 4)
+    part, c = canonical_partition(lat), sample_gaussian(lat, 1.0, 0.3, seed=3)
+    ts = np.linspace(0.0, 2.0, 20)
+    two = verify_bound(lat, part, c, 0.005, ts).epsilon_values
+    monkeypatch.setattr(ham, "_BLOCK", 16)
+    one = verify_bound(lat, part, c, 0.005, ts).epsilon_values
+    assert np.asarray(two).tobytes() == np.asarray(one).tobytes()
+
+
+def test_a_series_too_long_to_build_is_an_evolution_error(lat33, dis33):
+    """Past 2^20 terms (r t ~ 7e5) the coefficient arrays grow past ~0.3 GB, and
+    at r t ~ 1e200 numpy cannot index them: the error names t and r t before
+    anything is built."""
+    eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
+    psi = states.ghz_x(lat33.n_sites)
+    for t in (1e200, 7.0e5 / eng._radius):
+        with pytest.raises(EvolutionError, match=r"t=.*\(r\*t = .*\) would need more than 1048576 terms"):
+            eng.evolve(psi, t)
+    with pytest.raises(EvolutionError, match="would need more than"):
+        EvolutionEngine(ham.op_tfim(lat33, dis33, 1e300)).evolve_grid(psi, [0.0, 0.5])
 
 
 def test_calls_leave_the_state_unchanged(lat34, part34):

@@ -458,3 +458,70 @@ def test_flip_sum_of_a_stack_is_each_lanes_flip_sum(lat34, part34):
         got = op.flip_sum(stack, np.empty_like(stack))
         for lane, row in zip(stack, got):
             assert np.array_equal(row, op.flip_sum(lane, np.empty_like(lane)))
+
+
+def axis_flip_sum(n_sites, sites, psi):
+    """sum_{i in sites} sigma^x_i psi as whole-vector flips of axis -1 - i of the
+    (2,)*n_sites view, the first copied and the rest added in the order of sites."""
+    shape = psi.shape[:-1] + (2,) * n_sites
+    x = psi.reshape(shape)
+    acc = np.zeros(shape, dtype=psi.dtype)
+    for n, i in enumerate(sites):
+        if n == 0:
+            acc[...] = np.flip(x, axis=-1 - i)
+        else:
+            acc += np.flip(x, axis=-1 - i)
+    return acc.reshape(psi.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 14, 15, 16, 17])
+def test_flip_sum_matches_the_axis_flip_oracle_bitwise(n):
+    """Below, at and above one block of 2^15 states; every site set in the
+    order given: all sites, a sparse set as the probes are, none, only the top
+    site, and an unsorted order; single vectors and stacks."""
+    rng = np.random.default_rng(n)
+    site_sets = (
+        tuple(range(n)),
+        tuple(range(n // 3, n, 4)),
+        (),
+        (n - 1,),
+        tuple(int(i) for i in rng.permutation(n)),
+    )
+    for sites in site_sets:
+        op = ham.TransverseFieldOperator(n, None, 0.3, sites)
+        for psi in (rng.normal(size=1 << n), rng.normal(size=(3, 1 << n))):
+            got = op.flip_sum(psi, np.full_like(psi, np.nan))
+            assert got.tobytes() == axis_flip_sum(n, sites, psi).tobytes(), sites
+
+
+@pytest.mark.parametrize("w,h", [(5, 3), (4, 4)])
+def test_probe_flip_sum_and_complex_product_match_the_oracle_bitwise(w, h):
+    """The probe drive's sites at N = 15 (one block) and 16 (two blocks), and
+    ``op @ psi`` of a complex vector with a diagonal, against the oracle."""
+    lat = Lattice(w, h)
+    part = canonical_partition(lat)
+    rng = np.random.default_rng(w * h)
+    psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
+    probe = ham.op_probe_omega(part, lat, 0.4)
+    assert probe.flip_sum(psi, np.empty_like(psi)).tobytes() == axis_flip_sum(lat.n_sites, probe.sites, psi).tobytes()
+    op = ham.op_total(lat, part, sample_gaussian(lat, 1.0, 0.3, seed=2), 0.4)
+    want = axis_flip_sum(lat.n_sites, op.sites, psi)
+    want *= op.value
+    want += psi * op.diag
+    got = op @ psi
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "psi_shape,out_shape",
+    [((8,), (16,)), ((16,), (8,)), ((8,), (2, 8)), ((2, 8), (8,)), ((4,), (4,)), ((2, 4), (2, 4)), ((), ())],
+    ids=["longer-out", "shorter-out", "stacked-out", "stacked-psi", "short-vectors", "short-stacks", "scalars"],
+)
+def test_flip_sum_rejects_a_mismatched_output(psi_shape, out_shape):
+    """Each block is written apart, so an output longer than the input would be
+    left half written: every shape mismatch fails before any write."""
+    op = ham.TransverseFieldOperator(3, None, 0.2, (0, 1, 2))
+    out = np.zeros(out_shape)
+    with pytest.raises(EvolutionError, match="flip sum of shape"):
+        op.flip_sum(np.ones(psi_shape), out)
+    assert not out.any()
