@@ -18,7 +18,7 @@ import numpy as np
 from hsfsense import hamiltonian as ham
 from hsfsense.bound import verify_bound
 from hsfsense.couplings import sample_gaussian
-from hsfsense.fragments import adjacency_components, refinement_check
+from hsfsense.fragments import census, refinement_check
 from hsfsense.lattice import Lattice, canonical_partition
 
 
@@ -40,17 +40,15 @@ def main() -> int:
     ts = np.linspace(0.0, args.t_max, args.t_points)
 
     print("seed,j_g,delta_pr,max_ratio,satisfied,fragments_hom,fragments_inhom,refines")
-    h_hom = ham.build_h_eff_homogeneous(lat, args.jbar, args.omega_ratio * args.jbar)
-    rep_hom = adjacency_components(h_hom, lat)
+    masks_hom = list(ham.flip_masks_homogeneous(lat))
+    rep_hom = census(lat, masks_hom)
     failed = False
     for seed in range(args.seeds):
         c = sample_gaussian(lat, args.jbar, args.sigma_ratio * args.jbar, seed=seed)
         report = verify_bound(lat, part, c, omega=args.omega_ratio * args.jbar, t_grid=ts)
-        h_in = ham.build_h_eff_inhomogeneous(
-            lat, part, c, args.omega_ratio * args.jbar, args.delta_th
-        )
-        rep_in = adjacency_components(h_in, lat)
-        refines = refinement_check(rep_hom, rep_in, h_hom, h_in)
+        masks_in = list(ham.flip_masks_inhomogeneous(lat, part, c, args.delta_th))
+        rep_in = census(lat, masks_in)
+        refines = refinement_check(rep_hom, rep_in, masks_hom, masks_in)
         print(
             f"{seed},{report.j_g:.6g},{report.delta_pr:.6g},{report.max_ratio:.3g},"
             f"{report.satisfied},{rep_hom.total_fragments},{rep_in.total_fragments},{refines}"

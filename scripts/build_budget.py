@@ -9,11 +9,12 @@ set-up, ``peak_mb`` the peak after the stage.  Stages:
   ghz_x         ``ghz_x`` on every site (the full-register GHZ state)
   embed         the probe GHZ state embedded in the frozen background
   dw_diagonal   the domain-wall count of every basis state
-  h_eff_inhom   ``build_h_eff_inhomogeneous`` (the census operator, CSR)
+  census        ``census`` of the disordered model's flip masks (omega 0.4,
+                delta_th 0.1), the ``fragments`` command without its CSV
 
 Couplings are Gaussian (mean 1, spread 0.3) with seed ``SEED``.  Not part of
-the tests; at 4x6 (N = 24) ``h_eff_inhom`` peaks at about 1.55 GB.  A stage
-that fails is reported in its row, and the script then exits 1.
+the tests.  A stage that fails is reported in its row, and the script then
+exits 1.
 
 Usage:
     python scripts/build_budget.py --width 4 --height 6
@@ -29,6 +30,7 @@ import time
 from hsfsense import hamiltonian as ham
 from hsfsense import states
 from hsfsense.couplings import sample_gaussian
+from hsfsense.fragments import census
 from hsfsense.lattice import Lattice, canonical_partition
 
 SEED = 3
@@ -38,7 +40,7 @@ STAGES = {
     "ghz_x": lambda lat, part, c: states.ghz_x(lat.n_sites),
     "embed": lambda lat, part, c: states.embed(states.ghz_x(part.n_probe), part, lat),
     "dw_diagonal": lambda lat, part, c: ham.dw_diagonal(lat),
-    "h_eff_inhom": lambda lat, part, c: ham.build_h_eff_inhomogeneous(lat, part, c, 0.4, 0.1),
+    "census": lambda lat, part, c: census(lat, ham.flip_masks_inhomogeneous(lat, part, c, 0.1)),
 }
 
 

@@ -144,18 +144,20 @@ def _cmd_zeno(config: RunConfig) -> str:
 
 
 def _cmd_fragments(config: RunConfig) -> tuple[str, dict]:
+    import numpy as np
+
     from . import hamiltonian as ham
-    from .fragments import adjacency_components
+    from .fragments import census
 
     lattice = _lattice(config)
     if config.couplings_sigma > 0 or config.couplings_file:
         partition = _partition(config, lattice)
-        h_eff = ham.build_h_eff_inhomogeneous(
-            lattice, partition, _couplings(config, lattice), config.omega, config.delta_th
-        )
+        masks = ham.flip_masks_inhomogeneous(lattice, partition, _couplings(config, lattice), config.delta_th)
     else:
-        h_eff = ham.build_h_eff_homogeneous(lattice, _couplings(config, lattice).jbar, config.omega)
-    report = adjacency_components(h_eff, lattice)
+        masks = ham.flip_masks_homogeneous(lattice)
+    if config.omega / 2.0 == 0.0:  # a flip of zero amplitude joins nothing (the builders store none)
+        masks = [np.zeros(1, dtype=bool)] * lattice.n_sites
+    report = census(lattice, masks)
     return report.to_csv(), report.summary()
 
 

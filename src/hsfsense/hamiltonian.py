@@ -9,7 +9,10 @@ assembly (``_assemble``) makes it a real symmetric CSR matrix.  Diagonals
 and masks are built on the ``(2,)*(N-L) + (2^L,)`` view of a basis vector
 (``_view``; the low L bits share the last axis) from per-site bits that
 broadcast against it (``_bit``), so no table of every state's bits is
-stored.  The unmasked family (a diagonal plus one flip amplitude on a set of
+stored.  The constrained models' masks come from one generator per model
+(``flip_masks_homogeneous``, ``flip_masks_inhomogeneous``), which the
+``build_h_eff_*`` builders and the matrix-free fragment census both read.
+The unmasked family (a diagonal plus one flip amplitude on a set of
 sites) also has a matrix-free form, ``TransverseFieldOperator``, whose flip
 sum works on aligned blocks of 2^_BLOCK basis states; its ``tocsr()`` is the
 builders' CSR.
@@ -326,17 +329,27 @@ def _flip_mask(lattice: Lattice, site: int) -> np.ndarray:
     return ups == 2
 
 
+def _masked_flips(n_sites: int, value: float, masks):
+    """``_assemble`` flip terms of amplitude ``value``: site i flips where the i-th mask holds."""
+    return ((i, value, _expand(n_sites, mask)) for i, mask in enumerate(masks))
+
+
+def flip_masks_homogeneous(lattice: Lattice):
+    """Per site, in site order: where its flip is allowed (two-up/two-down), broadcastable to ``_view``."""
+    return (_flip_mask(lattice, i) for i in range(lattice.n_sites))
+
+
 def build_h_eff_homogeneous(lattice: Lattice, jbar: float, omega: float) -> sp.csr_matrix:
     """Constrained effective Hamiltonian for homogeneous couplings.
 
     Diagonal: uniform Ising energy.  Off-diagonal: (omega/2) sigma^x_i only
     between states where site i's four neighbor slots hold exactly two up
-    spins.  Commutes with the domain-wall number.
+    spins (``flip_masks_homogeneous``).  Commutes with the domain-wall number.
     """
     from .couplings import homogeneous
 
     n = lattice.n_sites
-    flips = ((i, omega / 2.0, _expand(n, _flip_mask(lattice, i))) for i in range(n))
+    flips = _masked_flips(n, omega / 2.0, flip_masks_homogeneous(lattice))
     return _assemble(n, ising_diagonal(homogeneous(lattice, jbar)), flips)
 
 
@@ -357,6 +370,24 @@ def _mismatch_vector(
     return np.abs(acc)
 
 
+def flip_masks_inhomogeneous(
+    lattice: Lattice, partition: SitePartition, couplings: CouplingMap, delta_th: float
+):
+    """Per site, in site order: where its flip is allowed, broadcastable to ``_view``.
+
+    A flip of site i is allowed only if the two-up/two-down pattern holds and
+    the disorder energy mismatch (shift field included on probe sites) does
+    not exceed ``delta_th``.
+    """
+    if delta_th <= 0:
+        raise PartitionError(f"delta_th must be positive, got {delta_th}")
+    shift = shift_fields(partition, couplings)
+    return (
+        _flip_mask(lattice, i) & (_mismatch_vector(lattice, i, couplings, shift) <= delta_th)
+        for i in range(lattice.n_sites)
+    )
+
+
 def build_h_eff_inhomogeneous(
     lattice: Lattice,
     partition: SitePartition,
@@ -366,18 +397,10 @@ def build_h_eff_inhomogeneous(
 ) -> sp.csr_matrix:
     """Constrained effective Hamiltonian with inhomogeneity-induced suppression.
 
-    A flip of site i survives only if the two-up/two-down pattern holds and
-    the disorder energy mismatch (shift field included on probe sites) does
-    not exceed ``delta_th``.  Diagonal: full Ising energy plus shift fields.
+    Off-diagonal: (omega/2) sigma^x_i where ``flip_masks_inhomogeneous``
+    allows it.  Diagonal: full Ising energy plus shift fields.
     """
-    if delta_th <= 0:
-        raise PartitionError(f"delta_th must be positive, got {delta_th}")
-    shift = shift_fields(partition, couplings)
-    allowed = (
-        _flip_mask(lattice, i) & (_mismatch_vector(lattice, i, couplings, shift) <= delta_th)
-        for i in range(lattice.n_sites)
-    )
-    flips = ((i, omega / 2.0, _expand(lattice.n_sites, mask)) for i, mask in enumerate(allowed))
+    masks = flip_masks_inhomogeneous(lattice, partition, couplings, delta_th)
     diag = ising_diagonal(couplings)
     diag += shift_diagonal(partition, couplings)
-    return _assemble(lattice.n_sites, diag, flips)
+    return _assemble(lattice.n_sites, diag, _masked_flips(lattice.n_sites, omega / 2.0, masks))

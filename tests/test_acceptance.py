@@ -220,7 +220,8 @@ def test_acceptance_8_fragmentation_structure():
             comm = h_in @ dw - dw @ h_in
             assert comm.nnz == 0 or abs(comm).max() == 0.0
             rep_in = adjacency_components(h_in, lat)
-            assert refinement_check(rep_hom, rep_in, h_hom, h_in), (
+            masks_in = ham.flip_masks_inhomogeneous(lat, part, c, dth)
+            assert refinement_check(rep_hom, rep_in, ham.flip_masks_homogeneous(lat), masks_in), (
                 f"seed {seed}, delta_th {dth}: not a refinement"
             )
             psi = states.embed(states.ghz_x(part.n_probe), part, lat)

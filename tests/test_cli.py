@@ -114,22 +114,26 @@ from pathlib import Path
 from hsfsense import cli
 
 out = Path(sys.argv[1])
-for command, keys in (
-    ("bound", "couplings.sigma = 0.3\\nomega = 0.05\\nt_points = 4\\n"),
-    ("sweep", "sweep.scheme = all\\nomega = 0.4\\nt_int = 0.1\\n"),
-    ("fidelity", "couplings.sigma = 0.3\\nt_max = 0.5\\nt_points = 4\\n"),
+for name, command, keys in (
+    ("bound", "bound", "couplings.sigma = 0.3\\nomega = 0.05\\nt_points = 4\\n"),
+    ("sweep", "sweep", "sweep.scheme = all\\nomega = 0.4\\nt_int = 0.1\\n"),
+    ("fidelity", "fidelity", "couplings.sigma = 0.3\\nt_max = 0.5\\nt_points = 4\\n"),
+    ("fragments_hom", "fragments", "omega = 0.4\\n"),
+    ("fragments_inhom", "fragments", "couplings.sigma = 0.3\\nomega = 0.4\\ndelta_th = 0.1\\n"),
 ):
-    cfg = out / f"{command}.cfg"
+    cfg = out / f"{name}.cfg"
     cfg.write_text(f"command = {command}\\nlattice.width = 3\\nlattice.height = 3\\n{keys}")
-    if cli.main(["--config", str(cfg), "--out", str(out / f"{command}.csv")]) != 0:
-        sys.exit(f"{command} failed")
+    if cli.main(["--config", str(cfg), "--out", str(out / f"{name}.csv")]) != 0:
+        sys.exit(f"{name} failed")
 print(",".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
-def test_bound_sweep_and_fidelity_never_import_scipy(tmp_path):
-    """scipy costs a quarter of a second at start-up; only the census and the
-    CSR builders use it, so a stray top-level import would bring that back."""
+def test_no_cli_command_with_work_on_the_basis_imports_scipy(tmp_path):
+    """scipy costs a quarter of a second at start-up; only the ``build_h_*`` /
+    ``tocsr`` CSR oracles and the tests use it, so a stray top-level import
+    would bring that back.  The probe runs ``bound``, ``sweep``, ``fidelity``
+    and ``fragments`` (homogeneous and disordered) in one process."""
     src = str(Path(hsfsense.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_PROBE, str(tmp_path)],
@@ -137,7 +141,9 @@ def test_bound_sweep_and_fidelity_never_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
-    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["bound.csv", "fidelity.csv", "sweep.csv"]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "bound.csv", "fidelity.csv", "fragments_hom.csv", "fragments_inhom.csv", "sweep.csv",
+    ]
 
 
 def test_zeno_command(tmp_path):
@@ -159,6 +165,17 @@ def test_fragments_command_prints_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["total_fragments"] == 66
     assert out.read_text().startswith("dw_sector,fragment_id,size,is_frozen")
+
+
+@pytest.mark.parametrize("keys", ["", "couplings.sigma = 0.3\ndelta_th = 0.1\n"], ids=["homogeneous", "disordered"])
+def test_fragments_with_zero_omega_freezes_every_state(tmp_path, capsys, keys):
+    """A flip of zero amplitude joins no two states, as the builders store no zero entry."""
+    out = tmp_path / "f.csv"
+    text = f"command = fragments\nlattice.width = 3\nlattice.height = 3\nomega = 0\n{keys}out = {out}\n"
+    assert run_cli(tmp_path, text) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == {"frozen_states": 512, "max_fragment_size": 1, "total_fragments": 512}
+    assert len(out.read_text().splitlines()) == 1 + 512
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
@@ -7,8 +9,8 @@ from hsfsense import hamiltonian as ham
 from hsfsense import states
 from hsfsense.couplings import sample_gaussian
 from hsfsense.errors import FragmentError
-from hsfsense.fragments import adjacency_components, refinement_check
-from hsfsense.lattice import Lattice
+from hsfsense.fragments import adjacency_components, census, refinement_check
+from hsfsense.lattice import Boundary, Lattice
 
 from test_hamiltonian import flip_oracle
 
@@ -114,53 +116,49 @@ def test_sector_mixing_matrix_rejected(lat33):
 
 
 def test_inhomogeneous_refines_homogeneous(lat33, part33):
-    h_hom = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
-    rep_hom = adjacency_components(h_hom, lat33)
+    masks_hom = list(ham.flip_masks_homogeneous(lat33))
+    rep_hom = census(lat33, masks_hom)
     for seed in (1, 5, 9):
         for dth in (0.03, 0.1):
             c = sample_gaussian(lat33, 1.0, 0.3, seed=seed)
-            h_in = ham.build_h_eff_inhomogeneous(lat33, part33, c, 0.1, dth)
-            rep_in = adjacency_components(h_in, lat33)
-            assert refinement_check(rep_hom, rep_in, h_hom, h_in)
+            masks_in = list(ham.flip_masks_inhomogeneous(lat33, part33, c, dth))
+            rep_in = census(lat33, masks_in)
+            assert refinement_check(rep_hom, rep_in, masks_hom, masks_in)
             assert rep_in.total_fragments >= rep_hom.total_fragments
 
 
 def test_refinement_check_rejects_swapped_arguments(lat33, part33):
-    h_hom = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
+    masks_hom = list(ham.flip_masks_homogeneous(lat33))
     c = sample_gaussian(lat33, 1.0, 0.3, seed=1)
-    h_in = ham.build_h_eff_inhomogeneous(lat33, part33, c, 0.1, 0.03)
-    rep_hom = adjacency_components(h_hom, lat33)
-    rep_in = adjacency_components(h_in, lat33)
+    masks_in = list(ham.flip_masks_inhomogeneous(lat33, part33, c, 0.03))
+    rep_hom, rep_in = census(lat33, masks_hom), census(lat33, masks_in)
     assert rep_in.total_fragments > rep_hom.total_fragments  # strict refinement here
-    assert not refinement_check(rep_in, rep_hom, h_in, h_hom)
-    # reports swapped, operators not: only the partition test can fail
-    assert not refinement_check(rep_in, rep_hom, h_hom, h_in)
+    assert not refinement_check(rep_in, rep_hom, masks_in, masks_hom)
+    # reports swapped, masks not: only the partition test can fail
+    assert not refinement_check(rep_in, rep_hom, masks_hom, masks_in)
 
 
 def test_refinement_check_rejects_an_edge_missing_from_the_homogeneous_graph(lat33):
-    """Same partition, one extra edge inside a fragment: only the edge-subset test can fail."""
-    h_hom = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
-    rep_hom = adjacency_components(h_hom, lat33)
-    members = np.flatnonzero(rep_hom.labels == np.bincount(rep_hom.labels).argmax())
-    a = members[0]
-    b = next(m for m in members[1:] if h_hom[a, m] == 0)
-    extra = sp.coo_matrix(([0.05, 0.05], ([a, b], [b, a])), shape=h_hom.shape)
-    h_more = (h_hom + extra).tocsr()
-    rep_more = adjacency_components(h_more, lat33)
-    np.testing.assert_array_equal(rep_more.labels, rep_hom.labels)
-    assert not refinement_check(rep_hom, rep_more, h_hom, h_more)
-    assert refinement_check(rep_more, rep_hom, h_more, h_hom)
+    """Same reports, one extra allowed flip: only the per-site mask containment can fail."""
+    masks_hom = list(ham.flip_masks_homogeneous(lat33))
+    rep_hom = census(lat33, masks_hom)
+    site = 4  # the centre, whose flip the homogeneous mask allows on some states only
+    more = np.broadcast_to(masks_hom[site], ham._view(9)).copy().reshape(-1)
+    state = int(np.flatnonzero(~more)[0])
+    more[[state, state ^ (1 << site)]] = True  # a mask must not depend on the bit it flips
+    masks_more = masks_hom[:site] + [more.reshape(ham._view(9))] + masks_hom[site + 1:]
+    assert not refinement_check(rep_hom, rep_hom, masks_hom, masks_more)
+    assert refinement_check(rep_hom, rep_hom, masks_more, masks_hom)
 
 
 def test_refinement_check_rejects_reports_on_different_lattices(lat33):
-    h33 = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
     lat44 = Lattice(4, 4)
-    h44 = ham.build_h_eff_homogeneous(lat44, 1.0, 0.1)
-    rep33, rep44 = adjacency_components(h33, lat33), adjacency_components(h44, lat44)
+    masks33, masks44 = list(ham.flip_masks_homogeneous(lat33)), list(ham.flip_masks_homogeneous(lat44))
+    rep33, rep44 = census(lat33, masks33), census(lat44, masks44)
     with pytest.raises(FragmentError):
-        refinement_check(rep44, rep33, h44, h33)
+        refinement_check(rep44, rep33, masks44, masks33)
     with pytest.raises(FragmentError):
-        refinement_check(rep33, rep33, h33, h44)
+        refinement_check(rep33, rep33, masks33, masks44)
 
 
 def test_fragment_of_preserves_ancilla_pattern(lat33, part33, dis33):
@@ -204,3 +202,69 @@ def test_csv_chunks_join_to_one_table(monkeypatch):
     rows = whole.splitlines()
     assert rows[0] == "dw_sector,fragment_id,size,is_frozen"
     assert len(rows) == 1 + report.total_fragments > 7
+
+
+def csgraph_min_member_labels(graph):
+    """Per state: the minimum member of its ``scipy.sparse.csgraph`` component."""
+    from scipy.sparse.csgraph import connected_components
+
+    n_components, component = connected_components(graph, directed=False)
+    minimum = np.full(n_components, graph.shape[0], dtype=np.int64)
+    np.minimum.at(minimum, component, np.arange(graph.shape[0]))
+    return minimum[component]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 5), st.sampled_from(list(Boundary)),
+    st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+)
+def test_census_of_random_masks_equals_csgraph(width, height, boundary, seed, density):
+    """Random single-flip masks (each the same on both values of the bit it flips, and
+    kept to flips inside one domain-wall sector) on up to 10 sites."""
+    assume(width * height <= 10)
+    lat = Lattice(width, height, boundary)
+    n = lat.n_sites
+    rng = np.random.default_rng(seed)
+    dw = ham.dw_diagonal(lat)
+    masks = []
+    for i in range(n):
+        drawn = rng.random((1 << (n - 1 - i), 1, 1 << i)) < density
+        keeps_sector = dw == dw[np.arange(1 << n) ^ (1 << i)]
+        masks.append(np.broadcast_to(drawn, (1 << (n - 1 - i), 2, 1 << i)).reshape(-1) & keeps_sector)
+    report = census(lat, (mask.reshape(ham._view(n)) for mask in masks))
+    want = csgraph_min_member_labels(ham._assemble(n, None, [(i, 1.0, m) for i, m in enumerate(masks)]))
+    np.testing.assert_array_equal(report.labels, want)
+    roots, sizes = np.unique(want, return_counts=True)
+    np.testing.assert_array_equal(report.fragments, np.column_stack((dw[roots], roots, sizes)))
+
+
+def test_adjacency_components_equals_census_on_both_builders(lat33, lat34, part33, part34):
+    for lat, part in ((lat33, part33), (lat34, part34), (Lattice(4, 3, Boundary.OPEN), part34)):
+        c = sample_gaussian(lat, 1.0, 0.3, seed=11)
+        for h, masks in (
+            (ham.build_h_eff_homogeneous(lat, 1.0, 0.4), ham.flip_masks_homogeneous(lat)),
+            (
+                ham.build_h_eff_inhomogeneous(lat, part, c, 0.4, 0.1),
+                ham.flip_masks_inhomogeneous(lat, part, c, 0.1),
+            ),
+        ):
+            got, want = adjacency_components(h, lat), census(lat, masks)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            np.testing.assert_array_equal(got.fragments, want.fragments)
+
+
+def test_adjacency_components_rejects_a_multi_bit_entry(lat33):
+    h = ham.build_h_eff_homogeneous(lat33, 1.0, 0.1)
+    a, b = 0b000000011, 0b000000000  # two bits apart; symmetric, so only the one-flip test can fail
+    extra = sp.coo_matrix(([0.05, 0.05], ([a, b], [b, a])), shape=h.shape)
+    with pytest.raises(FragmentError, match="more than one bit"):
+        adjacency_components((h + extra).tocsr(), lat33)
+
+
+def test_census_rejects_masks_that_do_not_fit(lat33):
+    with pytest.raises(FragmentError, match="8 flip masks for 9 sites"):
+        census(lat33, list(ham.flip_masks_homogeneous(lat33))[:-1])
+    # every flip allowed: the transverse field, which mixes domain-wall sectors
+    with pytest.raises(FragmentError, match="domain-wall"):
+        census(lat33, [np.ones(1, dtype=bool)] * 9)
