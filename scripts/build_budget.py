@@ -11,6 +11,8 @@ set-up, ``peak_mb`` the peak after the stage.  Stages:
   dw_diagonal   the domain-wall count of every basis state
   census        ``census`` of the disordered model's flip masks (omega 0.4,
                 delta_th 0.1), the ``fragments`` command without its CSV
+  csv           the same ``census`` and its ``to_csv``: the whole ``fragments``
+                command but its file write
 
 Couplings are Gaussian (mean 1, spread 0.3) with seed ``SEED``.  Not part of
 the tests.  A stage that fails is reported in its row, and the script then
@@ -41,6 +43,7 @@ STAGES = {
     "embed": lambda lat, part, c: states.embed(states.ghz_x(part.n_probe), part, lat),
     "dw_diagonal": lambda lat, part, c: ham.dw_diagonal(lat),
     "census": lambda lat, part, c: census(lat, ham.flip_masks_inhomogeneous(lat, part, c, 0.1)),
+    "csv": lambda lat, part, c: census(lat, ham.flip_masks_inhomogeneous(lat, part, c, 0.1)).to_csv(),
 }
 
 

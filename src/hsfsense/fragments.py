@@ -57,12 +57,32 @@ class FragmentReport:
         }
 
     def to_csv(self) -> str:
+        """The table as CSV text, each row as ``"%d,%d,%d,%d\\n"`` prints it; every entry is nonnegative."""
+        table = self.fragments
+        maxima = table.max(axis=0, initial=0)
+        # each column is as wide as its maximum's digits; is_frozen has one
+        widths = [len(str(v)) for v in maxima.tolist()] + [1]
+        # uint32 divides faster, but only while every value fits
+        dtype = np.uint32 if maxima.max() < 1 << 32 else np.int64
         chunks = ["dw_sector,fragment_id,size,is_frozen\n"]
-        # one %-template per chunk over Python ints; chunks bound the lists' memory
-        for at in range(0, self.fragments.shape[0], _CSV_CHUNK_ROWS):
-            rows = self.fragments[at:at + _CSV_CHUNK_ROWS]
-            block = np.column_stack((rows, rows[:, 2] == 1))
-            chunks.append(("%d,%d,%d,%d\n" * block.shape[0]) % tuple(block.ravel().tolist()))
+        # one byte per digit or separator and a column per row; chunks bound the bytes' memory
+        for at in range(0, table.shape[0], _CSV_CHUNK_ROWS):
+            rows = table[at:at + _CSV_CHUNK_ROWS]
+            text = np.empty((sum(widths) + len(widths), rows.shape[0]), dtype=np.uint8)
+            start = 0
+            for column, width in zip((rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 2] == 1), widths):
+                value, last = column.astype(dtype), start + width - 1
+                for pos in range(last, start - 1, -1):
+                    quotient = value // 10
+                    text[pos] = value - 10 * quotient + ord("0")
+                    if pos < last:
+                        text[pos] *= value != 0  # a leading zero becomes a 0 byte
+                    value = quotient
+                text[last + 1] = ord(",")
+                start = last + 2
+            text[start - 1] = ord("\n")
+            flat = text.T.ravel()  # row after row
+            chunks.append(flat[flat != 0].tobytes().decode("ascii"))
         return "".join(chunks)
 
 

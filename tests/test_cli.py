@@ -195,8 +195,19 @@ def test_fragments_with_zero_omega_freezes_every_state(tmp_path, capsys, keys):
             "omega = 0.4\ndelta_th = 0.1\n",
             "8742b3b327f98ea1510793d5de42d9bf5c47008be16c3627988e1ae839a765f6",
         ),
+        # the census-5x4 benchmark config: six- and seven-digit ids, and more rows than one CSV chunk
+        (
+            "lattice.width = 5\nlattice.height = 4\ncouplings.jbar = 1\ncouplings.sigma = 0.3\n"
+            "couplings.seed = 3\nomega = 0.4\ndelta_th = 0.1\n",
+            "946c35895768e07010969a0691d9587116855e154e013058c81e79b13fbb2059",
+        ),
+        (
+            "lattice.width = 5\nlattice.height = 4\ncouplings.jbar = 1\ncouplings.sigma = 0.3\n"
+            "couplings.seed = 11\nomega = 0.4\ndelta_th = 0.1\n",
+            "573d709a40038d5aef7039f7893ca3c4e38dbb6c0a18d65f2c3cc445d6f08f38",
+        ),
     ],
-    ids=["disordered-4x3", "homogeneous-3x3", "disordered-4x4"],
+    ids=["disordered-4x3", "homogeneous-3x3", "disordered-4x4", "disordered-5x4-seed3", "disordered-5x4-seed11"],
 )
 def test_fragments_csv_is_pinned(tmp_path, keys, digest):
     """The census CSV is integers only, so its bytes are the same on every platform."""

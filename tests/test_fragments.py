@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from hsfsense import fragments
 from hsfsense import hamiltonian as ham
 from hsfsense import states
 from hsfsense.couplings import sample_gaussian
 from hsfsense.errors import FragmentError
-from hsfsense.fragments import adjacency_components, census, refinement_check
+from hsfsense.fragments import FragmentReport, adjacency_components, census, refinement_check
 from hsfsense.lattice import Boundary, Lattice
 
 from test_hamiltonian import flip_oracle
@@ -202,6 +203,27 @@ def test_csv_chunks_join_to_one_table(monkeypatch):
     rows = whole.splitlines()
     assert rows[0] == "dw_sector,fragment_id,size,is_frozen"
     assert len(rows) == 1 + report.total_fragments > 7
+
+
+# digit-count edges, int32 and uint32 limits, and values only int64 holds
+_CSV_EDGE_VALUES = [0, 1, 9, 10, 99, 100, 2**31 - 1, 2**32 - 1, 2**32, 2**40, 2**63 - 1]
+_CSV_VALUE = st.one_of(st.sampled_from(_CSV_EDGE_VALUES), st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_CSV_VALUE, _CSV_VALUE, _CSV_VALUE), min_size=1, max_size=20))
+@example([(0, 0, 1)])
+@example([(9, 10, 99), (100, 2**31 - 1, 1), (2**32, 2**40, 0)])
+def test_csv_matches_a_percent_d_oracle(rows):
+    """Every table of nonnegative int64 rows prints as %d would, however it is chunked."""
+    report = FragmentReport(labels=np.zeros(0, dtype=np.int64), fragments=np.array(rows, dtype=np.int64))
+    want = "dw_sector,fragment_id,size,is_frozen\n" + "".join(
+        "%d,%d,%d,%d\n" % (sector, root, size, size == 1) for sector, root, size in rows
+    )
+    for chunk_rows in (fragments._CSV_CHUNK_ROWS, 1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fragments, "_CSV_CHUNK_ROWS", chunk_rows)
+            assert report.to_csv() == want
 
 
 def csgraph_min_member_labels(graph):
