@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of the basis-wide builds on one lattice.
+"""Wall time and peak memory of the basis-wide builds and evolutions on one lattice.
 
 Each stage runs in its own fresh interpreter, one at a time, so its peak
 resident set size is its own: ``base_mb`` is the peak after imports and
@@ -13,6 +13,11 @@ set-up, ``peak_mb`` the peak after the stage.  Stages:
                 delta_th 0.1), the ``fragments`` command without its CSV
   csv           the same ``census`` and its ``to_csv``: the whole ``fragments``
                 command but its file write
+  bound         ``verify_bound`` at omega 0.005 on 20 points up to t = 2 (the
+                keys of the benchmark's bound-4x4 workload)
+  sweep         ``numeric_sensitivity`` of the ``hsf`` scheme at omega 0.05,
+                t_int 0.1, t_all 10 (the keys of its sweep-3x6 workload)
+  fidelity      ``dynamical_fidelity_grid`` at omega 0.4 on 20 points up to t = 1
 
 Couplings are Gaussian (mean 1, spread 0.3) with seed ``SEED``.  Not part of
 the tests.  A stage that fails is reported in its row, and the script then
@@ -29,11 +34,16 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 from hsfsense import hamiltonian as ham
 from hsfsense import states
+from hsfsense.bound import verify_bound
 from hsfsense.couplings import sample_gaussian
+from hsfsense.evolve import dynamical_fidelity_grid
 from hsfsense.fragments import census
 from hsfsense.lattice import Lattice, canonical_partition
+from hsfsense.sensing import RamseyConfig, numeric_sensitivity
 
 SEED = 3
 
@@ -44,6 +54,9 @@ STAGES = {
     "dw_diagonal": lambda lat, part, c: ham.dw_diagonal(lat),
     "census": lambda lat, part, c: census(lat, ham.flip_masks_inhomogeneous(lat, part, c, 0.1)),
     "csv": lambda lat, part, c: census(lat, ham.flip_masks_inhomogeneous(lat, part, c, 0.1)).to_csv(),
+    "bound": lambda lat, part, c: verify_bound(lat, part, c, 0.005, np.linspace(0.0, 2.0, 20)),
+    "sweep": lambda lat, part, c: numeric_sensitivity("hsf", RamseyConfig(0.05, 0.1, 10.0), lat, part, c),
+    "fidelity": lambda lat, part, c: dynamical_fidelity_grid(ham.op_tfim(lat, c, 0.4), 0.4, np.linspace(0.0, 1.0, 20)),
 }
 
 

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from hsfsense import hamiltonian as ham
-from hsfsense import states
 from hsfsense.couplings import sample_gaussian
 from hsfsense.evolve import dynamical_fidelity_grid
 from hsfsense.lattice import Lattice
@@ -36,14 +35,12 @@ def main() -> int:
     args = ap.parse_args()
 
     lat = Lattice(args.width, args.height)
-    psi = states.ghz_x(lat.n_sites)
     ts = np.linspace(0.0, args.t_max, args.t_points)
-    h_ideal = ham.op_omega(lat, args.omega)
 
     lines = ["jbar,t,fidelity"]
     for jbar in args.jbars:
         c = sample_gaussian(lat, jbar, args.sigma_ratio * jbar, seed=args.seed)
-        curve = dynamical_fidelity_grid(psi, h_ideal, ham.op_tfim(lat, c, args.omega), ts)
+        curve = dynamical_fidelity_grid(ham.op_tfim(lat, c, args.omega), args.omega, ts)
         lines += [f"{jbar:.17g},{t:.17g},{f:.17g}" for t, f in zip(ts, curve)]
 
     text = "\n".join(lines) + "\n"

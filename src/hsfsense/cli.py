@@ -74,16 +74,12 @@ def _cmd_fidelity(config: RunConfig) -> str:
     import numpy as np
 
     from . import hamiltonian as ham
-    from . import states
     from .evolve import dynamical_fidelity_grid
 
     lattice = _lattice(config)
     couplings = _couplings(config, lattice)
-    psi0 = states.ghz_x(lattice.n_sites)
-    h_ideal = ham.op_omega(lattice, config.omega)
-    h_actual = ham.op_tfim(lattice, couplings, config.omega)
     ts = np.linspace(0.0, config.t_max, config.t_points)
-    fd = dynamical_fidelity_grid(psi0, h_ideal, h_actual, ts)
+    fd = dynamical_fidelity_grid(ham.op_tfim(lattice, couplings, config.omega), config.omega, ts)
     lines = ["t,fidelity"]
     lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, fd)]
     return "\n".join(lines) + "\n"

@@ -19,8 +19,17 @@ so one series from the start state gives every time of a grid, each time
 stopping at its own Bessel tail.  Each term is taken one cache-sized block of
 basis states at a time (``TransverseFieldOperator.blocks``): its flip sum,
 recurrence and every time's sums, with the arithmetic of a whole-vector step
-element by element, so the outputs do not depend on the block size.  hbar = 1;
-times are in inverse energy units.
+element by element, so the outputs do not depend on the block size.
+
+The series is linear in each term, so a linear readout R (a projector's
+amplitudes, ``states.Projector``, or overlaps with the two GHZ branches,
+``states.GhzOverlaps``) can take every term as it is made, as kernel
+polynomial methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006): each
+time then sums R p_k, a few entries per state, and no 2^N state is kept per
+time (``readout_grid``, ``readout_tangent``).  Without a state to check, the
+norm of every Chebyshev term of the start state is held to the output's
+budget instead.  ``bound``, ``sweep`` and ``fidelity`` read their states
+only this way.  hbar = 1; times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import math
 
 import numpy as np
 
+from . import states
 from .errors import EvolutionError
 from .hamiltonian import TransverseFieldOperator
 
@@ -126,6 +136,16 @@ class EvolutionEngine:
         the interval held fixed."""
         return self._series(state, [t], tangent=True)[0]
 
+    def readout_grid(self, state: np.ndarray, ts, readout) -> list[np.ndarray]:
+        """``readout.amplitudes`` of the state at each time in ``ts``, in the order
+        of ``ts``, with no state built: the readout (``states.Projector``,
+        ``states.GhzOverlaps``) takes every Chebyshev term as it is made."""
+        return [r for r, _ in self._series(state, ts, readout=readout)]
+
+    def readout_tangent(self, state: np.ndarray, t: float, readout) -> tuple[np.ndarray, np.ndarray]:
+        """``readout.amplitudes`` of both outputs of ``evolve_tangent``, with no state built."""
+        return self._series(state, [t], tangent=True, readout=readout)[0]
+
     def _coefficients(self, t: float, tangent: bool) -> tuple[complex, np.ndarray]:
         """(e^{-ict}, b) for the terms the series at time t keeps, where
         b_k = (2 - delta_k0) (-1)^floor(k/2) J_k(rt).
@@ -153,15 +173,17 @@ class EvolutionEngine:
         b[0] *= 0.5
         return np.exp(-1j * self._center * t), b
 
-    def _series(self, state: np.ndarray, ts, tangent: bool = False) -> list:
+    def _series(self, state: np.ndarray, ts, tangent: bool = False, readout=None) -> list:
         """One Chebyshev series from ``state`` for every time in ``ts``: a list of
-        (e^{-iHt} psi, its tangent or None), one pair per t.
+        (R e^{-iHt} psi, R of its tangent or None), one pair per t, where R is
+        ``readout`` or, for None, the identity.
 
         H is real, so e^{-iHt}(a + ib) = e^{-iHt} a + i e^{-iHt} b, and so is the
         tangent: the real part of the state, and its imaginary part if that is
         nonzero, are lanes of one real march, each followed by its derivative
-        lane with the tangent.  The norm of each output is held to its
-        truncation and rounding budget.
+        lane with the tangent.  The norm of each state is held to its
+        truncation and rounding budget; through a readout, which keeps no
+        state, the norm of every Chebyshev term is held to it instead.
         """
         if state.shape != (self.hamiltonian.shape[0],):
             raise EvolutionError("state/Hamiltonian dimension mismatch")
@@ -175,24 +197,26 @@ class EvolutionEngine:
         lanes[::width] = parts
         # a unitary step keeps the norm up to truncation and rounding
         norm = math.hypot(*(_norm(lane) for lane in lanes[::width]))
-        accs = self._march(lanes, rows, tangent)
+        accs = self._march(lanes, rows, tangent, readout, norm)
         out = []
         for j, (t, (phase, b)) in enumerate(zip(ts, rows)):
             acc, accs[j] = accs[j], None  # each row's sums are freed as its output is made
             psi = _output(acc[:, ::width], phase)
-            drift = abs(_norm(psi) - norm)
-            budget = (_TAIL_TOL + 8 * b.size * np.finfo(float).eps) * norm
-            if drift > budget:
-                raise EvolutionError(
-                    f"Chebyshev series at t={t:.6g} changed the norm by {drift:.3g} (budget {budget:.3g}); "
-                    f"the interval {self.interval} does not hold the spectrum"
-                )
+            if readout is None:
+                drift = abs(_norm(psi) - norm)
+                budget = (_TAIL_TOL + 8 * b.size * np.finfo(float).eps) * norm
+                if drift > budget:
+                    raise EvolutionError(
+                        f"Chebyshev series at t={t:.6g} changed the norm by {drift:.3g} (budget {budget:.3g}); "
+                        f"the interval {self.interval} does not hold the spectrum"
+                    )
             out.append((psi, _output(acc[:, 1::width], phase) if tangent else None))
         return out
 
-    def _march(self, lanes: np.ndarray, rows: list, tangent: bool) -> list:
-        """Each row's even and odd sums, an array of shape (2,) + lanes.shape, from
-        one recurrence that marches the real ``lanes`` in place.
+    def _march(self, lanes: np.ndarray, rows: list, tangent: bool, readout, norm: float) -> list:
+        """Each row's sums, an array (2, lanes, entries) of the real part and minus
+        the imaginary part of sum_k c_k R p_k, from one recurrence that marches
+        the real ``lanes`` in place.
 
         p_k = T_k(H_s) p_0 obeys p_{k+1} = 2 H_s p_k - p_{k-1}.  With the tangent
         every other lane is the derivative q_k of the lane before it in ``value``,
@@ -201,27 +225,60 @@ class EvolutionEngine:
         395, 1978).  From p_{-1} = q_{-1} = 0 the first term is half the
         recurrence.  The lanes do not depend on t, so one recurrence serves every
         row (e^{-ict}, b) of the coefficient matrix; row j stops at its own Bessel
-        tail.  H_s is real, so every lane stays real: each row sums its even and
-        odd terms apart with the real b_k.
+        tail.  The series coefficient c_k is b_k for even k and -i b_k for odd k,
+        so with the identity R, under which every lane stays real, a row's two
+        planes are its even and its odd sums.
 
         A term is taken one block of ``hamiltonian.blocks()`` at a time: the
         flip sum (``flip_block``, which reads the partner blocks of p_{k-1}),
-        the drive, the recurrence, the halving at k = 1 and every row's sum run
-        on that block while it is in cache, and the buffers rotate once the
-        term is done.  Each element gets the operations of a whole-vector step
-        in the same order, so the sums do not depend on the block size.
+        the drive, the recurrence, the halving at k = 1, the readout and every
+        row's sums run on that block while it is in cache, and the buffers
+        rotate once the term is done.  Each element gets the operations of a
+        whole-vector step in the same order, and each readout entry is added to
+        the rows once it is complete, so the sums do not depend on the block
+        size.  Through a readout, p_k of the state lanes keeps the start norm up
+        to rounding only if the interval holds the spectrum (|T_k| <= 1 on
+        [-1, 1]); a term beyond the output budget raises EvolutionError.
         """
         width = 2 if tangent else 1
-        accs = [np.zeros((2,) + lanes.shape) for _ in rows]
-        for (_, b), acc in zip(rows, accs):
-            np.multiply(lanes[::width], b[0], out=acc[0, ::width])  # the derivative lanes start at zero
         op = self.hamiltonian
         blocks = op.blocks()
+        planes, size = (1, lanes.shape[-1]) if readout is None else (readout.planes, readout.size)
+        accs = [np.zeros((2, len(lanes), size)) for _ in rows]
+        term = None if readout is None else readout.buffer(len(lanes), len(blocks))
+        scratch = np.empty((planes, len(lanes), min(size, blocks[0].stop)))
+
+        def read(x, block, k):
+            """The finished readout entries of x, as what they add to each row's
+            sums over b_k, and where: (Re, -Im) for even k and (Im, Re) for odd k,
+            or the one real plane into the even or the odd sum; None until a
+            block finishes entries.  The readout writes its entries afresh each
+            term, so the imaginary plane is negated in place."""
+            done = (x[None], block) if readout is None else readout.take(x, block, term)
+            if done is None:
+                return None
+            vals, where = done
+            if planes == 1:
+                return vals, (slice(k % 2, k % 2 + 1), slice(None), where)
+            if k % 2:
+                return vals[::-1], (slice(None), slice(None), where)
+            np.negative(vals[1], out=vals[1])
+            return vals, (slice(None), slice(None), where)
+
+        n_terms = max((b.size for _, b in rows), default=0)
+        for block in blocks if rows else ():  # b_0 R p_0; the derivative lanes start at zero
+            done = read(lanes[:, block], block, 0)
+            if done is not None:
+                vals, at = done
+                for (_, b), acc in zip(rows, accs):
+                    np.multiply(vals[:, ::width], b[0], out=acc[at][:, ::width])
+        budget = (_TAIL_TOL + 8 * n_terms * np.finfo(float).eps) * norm
         shift = np.broadcast_to(self._shift, lanes.shape[-1:])  # a scalar without a diagonal
         prev, cur, nxt = np.zeros_like(lanes), lanes, np.empty_like(lanes)
         drive = np.empty_like(lanes[::width, blocks[0]]) if tangent else None
-        for k in range(1, max((b.size for _, b in rows), default=0)):  # one flip sum over every lane per term
-            live = [(b[k], acc[k % 2]) for (_, b), acc in zip(rows, accs) if k < b.size]
+        for k in range(1, n_terms):  # one flip sum over every lane per term
+            live = [(b[k], acc) for (_, b), acc in zip(rows, accs) if k < b.size]
+            squares = []
             for block in blocks:
                 op.flip_block(cur, nxt, block)
                 n, p = nxt[:, block], prev[:, block]
@@ -235,21 +292,37 @@ class EvolutionEngine:
                     n[1::2] += drive
                 if k == 1:
                     n *= 0.5
+                if readout is not None:  # p is free: summed pairwise, not by BLAS
+                    np.multiply(n[::width], n[::width], out=p[::width])
+                    squares.extend(np.sum(p[::width], axis=-1).tolist())
+                done = read(n, block, k)
+                if done is None:
+                    continue
+                vals, at = done
+                tmp = scratch[..., : vals.shape[-1]]
                 for bk, acc in live:  # in-place numpy: BLAS's idle threads would spin
-                    np.multiply(n, bk, out=p)
-                    acc[:, block] += p
+                    np.multiply(vals, bk, out=tmp)
+                    acc[at] += tmp
+            if readout is not None:
+                length = math.sqrt(math.fsum(squares))
+                if not length - norm <= budget:
+                    raise EvolutionError(
+                        f"Chebyshev term {k} of {n_terms} has norm {length:.6g}, the start state {norm:.6g} "
+                        f"(budget {budget:.3g}); the interval {self.interval} does not hold the spectrum"
+                    )
             prev, cur, nxt = cur, nxt, prev
         return accs
 
 
 def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
-    """An output from the even and odd sums (2, parts, 2^N) of the real part and,
-    if it was marched, the imaginary part: the sum of i^part phase (even - i odd)."""
+    """An output from the sums (2, parts, entries), the real part and minus the
+    imaginary part, of the real part of the state and, if it was marched, its
+    imaginary part: the sum of i^part phase (acc[0] - i acc[1])."""
     out = None
-    for (even, odd), unit in zip(acc.swapaxes(0, 1), (1.0, 1j)):
-        part = np.empty(even.shape, dtype=complex)
-        part.real = even
-        np.negative(odd, out=part.imag)
+    for (re, minus_im), unit in zip(acc.swapaxes(0, 1), (1.0, 1j)):
+        part = np.empty(re.shape, dtype=complex)
+        part.real = re
+        np.negative(minus_im, out=part.imag)
         part *= unit * phase
         if out is None:
             out = part
@@ -258,15 +331,20 @@ def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
     return out
 
 
-def dynamical_fidelity_grid(
-    psi0: np.ndarray,
-    h_ideal: TransverseFieldOperator,
-    h_actual: TransverseFieldOperator,
-    ts,
-) -> np.ndarray:
-    """|<psi0| e^{+i h_ideal t} e^{-i h_actual t} |psi0>|^2 at each t in ``ts``."""
-    if h_ideal.shape != h_actual.shape or psi0.shape[0] != h_ideal.shape[0]:
-        raise EvolutionError("dimension mismatch between state and Hamiltonians")
-    ideal = EvolutionEngine(h_ideal).evolve_grid(psi0, ts)
-    actual = EvolutionEngine(h_actual).evolve_grid(psi0, ts)
-    return np.array([abs(np.sum(a.conj() * b)) ** 2 for a, b in zip(ideal, actual)])  # not BLAS's vdot
+def dynamical_fidelity_grid(h_actual: TransverseFieldOperator, omega: float, ts) -> np.ndarray:
+    """|<GHZ| e^{+i h_ideal t} e^{-i h_actual t} |GHZ>|^2 at each t in ``ts``, for
+    GHZ = ``states.ghz_x(n)`` = (|+...+> + |-...->)/sqrt(2) on the n sites of
+    ``h_actual`` and the ideal drive h_ideal = (omega/2) sum_i sigma^x_i.
+
+    h_ideal only phases the two branches:
+    e^{-i h_ideal t} |GHZ> = (e^{-i n omega t/2} |+...+> + e^{+i n omega t/2} |-...->)/sqrt(2),
+    so the overlap is (e^{+i n omega t/2} <+...+|psi> + e^{-i n omega t/2} <-...-|psi>)/sqrt(2)
+    with psi = e^{-i h_actual t} |GHZ>: one march and two overlaps per Chebyshev term.
+    """
+    if not np.isfinite(omega):
+        raise EvolutionError(f"omega must be finite, got {omega}")
+    n = h_actual.n_sites
+    ts = np.asarray(ts, dtype=float)
+    plus_minus = EvolutionEngine(h_actual).readout_grid(states.ghz_x(n), ts, states.GhzOverlaps(np.eye(2), n))
+    turn = np.exp(0.5j * n * omega * ts)
+    return np.array([abs(z * plus + z.conjugate() * minus) ** 2 / 2.0 for z, (plus, minus) in zip(turn, plus_minus)])

@@ -79,22 +79,25 @@ def ramsey_setup(
     partition: SitePartition | None,
     couplings: CouplingMap | None,
     ideal: bool,
-) -> tuple[np.ndarray, ham.TransverseFieldOperator, states.Projector]:
+) -> tuple[np.ndarray, ham.TransverseFieldOperator, states.Projector | states.GhzOverlaps]:
     """Initial state, generator at ``omega`` and readout projector of one scheme.
 
     Every generator is a diagonal plus (omega/2) sum sigma^x, so omega
-    enters only through the operator's flip amplitude ``value``.  The ``hsf``
-    scheme raises SensingError when the partition breaks a freezing rule.
+    enters only through the operator's flip amplitude ``value``.  The GHZ
+    schemes read the primed GHZ state through its two overlaps
+    (``states.primed_ghz_readout``), the ``hsf`` scheme through the probe
+    projector.  The ``hsf`` scheme raises SensingError when the partition
+    breaks a freezing rule.
     """
     n = lattice.n_sites
     if scheme == "ghz_free":
         psi0 = states.ghz_x(n)
         h = ham.op_omega(lattice, omega)
-        proj = states.rank1_projector(states.ghz_x(n, "primed"))
+        proj = states.primed_ghz_readout(n)
     elif scheme == "ghz_interacting":
         psi0 = states.ghz_x(n)
         h = ham.op_tfim(lattice, couplings, omega)
-        proj = states.rank1_projector(states.ghz_x(n, "primed"))
+        proj = states.primed_ghz_readout(n)
     elif scheme == "hsf":
         violations = validate_partition(lattice, partition)
         if violations:
@@ -135,14 +138,16 @@ def numeric_sensitivity(
     """Simulated delta-omega for one scheme from the exact slope dP/domega.
 
     One Chebyshev march of the matrix-free generator diag + (omega/2) S
-    carries the state and its derivative with respect to omega/2
-    (``EvolutionEngine.evolve_tangent``).  With u the projector amplitudes of
-    the state, P = ||u||^2 and dP/domega = Re<u, du/d(omega/2)>.
+    carries the state and its derivative with respect to omega/2, and reads
+    each term through the scheme's projector (``EvolutionEngine.readout_tangent``).
+    With u the projector amplitudes of the state, P = ||u||^2 and
+    dP/domega = Re<u, du/d(omega/2)>.
     """
     psi0, h, proj = ramsey_setup(scheme, config.omega, lattice, partition, couplings, ideal)
-    psi, dpsi = EvolutionEngine(h).evolve_tangent(psi0, config.t_int)
-    slope = float(np.sum(proj.amplitudes(psi).conj() * proj.amplitudes(dpsi)).real)
-    return ramsey_uncertainty(states.measurement_probability(psi, proj), slope, config.repetitions)
+    u, du = EvolutionEngine(h).readout_tangent(psi0, config.t_int, proj)
+    slope = float(np.sum(u.conj() * du).real)
+    p = states.clip_probability(float(np.sum(np.abs(u) ** 2)))
+    return ramsey_uncertainty(p, slope, config.repetitions)
 
 
 def bond_square_sum(couplings: CouplingMap) -> float:

@@ -1,6 +1,9 @@
 """Pure-state constructors and projective measurement operators.
 
-All vectors use the bit convention of :mod:`hsfsense.hamiltonian` and are
+A measurement reads a state through a linear readout (``Projector``,
+``GhzOverlaps``) that contracts one block of basis states at a time, so the
+Chebyshev march of :mod:`hsfsense.evolve` can apply it to every term and
+keep no state.  All vectors use the bit convention of :mod:`hsfsense.hamiltonian` and are
 normalized to 1e-12.  Global phase: the first nonzero amplitude in basis
 order is made real nonnegative, so vector comparisons in golden tests are
 exact.
@@ -8,6 +11,9 @@ exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,12 +106,57 @@ def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -
     return full
 
 
+def _read_whole(readout, state: np.ndarray) -> np.ndarray:
+    """``readout`` (a ``Projector`` or ``GhzOverlaps``) of a whole state: its real
+    and imaginary parts are two real vectors of one block for ``take``, the
+    contraction the Chebyshev march applies to every term a block at a time."""
+    if state.shape != (1 << readout.n_sites,):
+        raise EvolutionError("projector/state dimension mismatch")
+    term = readout.buffer(2, 1)
+    parts, _ = readout.take(np.stack([state.real, state.imag]), slice(0, state.shape[0]), term)
+    lanes = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
+    return lanes[0] + 1j * lanes[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(sites: tuple[int, ...], n: int, low: int):
+    """How ``Projector.take`` reads a block of 2^low states on n sites.
+
+    Returns (shape, configs, above, others, free): the block as axes
+    (d_0, 2, d_1, 2, ..., d_m'), one axis of 2 per site of ``sites`` below
+    ``low``, highest first, so fixing those axes leaves a strided view whose
+    order is that of the amplitudes; (index into phi without the bits above
+    the block, the index fixing those axes) per configuration, in order of
+    that index; (k, site) of ``sites`` at or above ``low``; (site, bit of the
+    amplitude index) of the other sites at or above ``low``; and the shape of
+    the free axes.
+    """
+    inside = sorted((s for s in sites if s < low), reverse=True)
+    shape, top = [], low
+    for s in inside:
+        shape += [1 << (top - 1 - s), 2]
+        top = s
+    shape.append(1 << top)
+    configs = []
+    for bits in itertools.product((0, 1), repeat=len(inside)):
+        p = sum(bit << sites.index(s) for bit, s in zip(bits, inside))
+        index = sum(((slice(None), bit) for bit in bits), ()) + (slice(None),)
+        configs.append((p, index))
+    configs.sort(key=lambda c: c[0])
+    above = [(k, s) for k, s in enumerate(sites) if s >= low]
+    others = [(s, s - sum(q < s for q in sites)) for s in range(low, n) if s not in sites]
+    return tuple(shape), configs, above, others, tuple(shape[0::2])
+
+
 @dataclass(frozen=True)
 class Projector:
     """Rank-1 projector |phi><phi| on some sites, tensored with the identity on the rest.
 
     ``vector`` is phi over the configurations of ``sites`` (bit k on site ``sites[k]``)
     out of ``n_sites``; with every site listed in order it acts on the full space.
+    Its amplitudes are <phi| contracted with a state over the axes of ``sites``,
+    one per configuration of the other sites in basis order; the expectation is
+    their squared norm.
     """
 
     vector: np.ndarray
@@ -121,23 +172,143 @@ class Projector:
                 f"expected ({1 << len(self.sites)},)"
             )
 
-    def amplitudes(self, state: np.ndarray) -> np.ndarray:
-        """<phi| contracted with ``state`` over the axes of ``sites`` in its (2,)*N view.
+    @functools.cached_property
+    def _bra(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real and imaginary parts of <phi|, each part of an entry zeroed
+        where it is below that entry's rounding (as in the phase-fixed primed
+        GHZ state): its products would not move a sum by more than their own
+        rounding, and a zero part is skipped."""
+        bra = np.conj(np.asarray(self.vector, dtype=complex))
+        floor = np.finfo(float).eps * np.abs(bra)
+        return tuple(np.where(np.abs(part) > floor, part, 0.0) for part in (bra.real, bra.imag))
 
-        One amplitude per configuration of the other sites; the expectation
-        is their squared norm.  The sum runs in numpy, not BLAS, whose idle
-        threads would spin.
+    @property
+    def planes(self) -> int:
+        """2 if the amplitudes of a real state are complex, else 1."""
+        return 2 if np.any(self._bra[1]) else 1
+
+    @property
+    def size(self) -> int:
+        return 1 << (self.n_sites - len(self.sites))
+
+    def buffer(self, lanes: int, blocks: int) -> np.ndarray:
+        """The array ``take`` fills over the blocks of one term: (planes, lanes, size)."""
+        return np.empty((self.planes, lanes, self.size))
+
+    def take(self, x: np.ndarray, block: slice, out: np.ndarray):
+        """Contract the real vectors ``x`` (lanes, 2^low), the states ``block``
+        of each vector, into the amplitudes ``out`` (planes, lanes, size).
+
+        A block holds the amplitudes of one slice of ``out`` in full or, when
+        sites lie at or above its bits, in part: the first block of a slice
+        writes it, later ones add to it, and the one with every such bit set
+        returns (that slice of ``out``, the slice); other blocks return None.
+        Each configuration of the sites inside the block is a strided view of
+        ``x``, weighted by its <phi| entry (``_bra``) and added in order of
+        phi's index, so the sums do not depend on the block size.  The adds
+        run in numpy, not BLAS, whose idle threads would spin.
         """
-        n, m = self.n_sites, len(self.sites)
-        if state.shape != (1 << n,):
-            raise EvolutionError("projector/state dimension mismatch")
-        # bit k of phi's index is bit sites[k] of the state's, axis n-1-sites[k] of its (2,)*N view
-        axes = [n - 1 - site for site in reversed(self.sites)]
-        cols = np.moveaxis(state.reshape((2,) * n), axes, range(m)).reshape(1 << m, -1)
-        return (cols * self.vector.conj()[:, None]).sum(axis=0)
+        low = (block.stop - block.start).bit_length() - 1
+        shape, configs, above, others, free = _contraction_plan(tuple(self.sites), self.n_sites, low)
+        high = sum(((block.start >> s) & 1) << k for k, s in above)
+        start = sum(((block.start >> s) & 1) << j for s, j in others)
+        where = slice(start, start + math.prod(free))
+        dst = out[..., where].reshape(out.shape[:2] + free)
+        view, tmp = x.reshape(x.shape[:-1] + shape), None
+        fresh = [high == 0] * len(dst)  # a plane the first block of the slice has not written yet
+        bra = self._bra
+        for p, index in configs:
+            for plane, part in enumerate(bra[: len(dst)]):
+                c = part[p | high]
+                if not c:
+                    continue
+                if fresh[plane]:
+                    np.multiply(view[(Ellipsis,) + index], c, out=dst[plane])
+                    fresh[plane] = False
+                else:
+                    tmp = np.multiply(view[(Ellipsis,) + index], c, out=tmp)
+                    dst[plane] += tmp
+        for plane in np.flatnonzero(fresh):
+            dst[plane] = 0.0
+        if high == sum(1 << k for k, _ in above):
+            return out[..., where], where
+        return None
+
+    def amplitudes(self, state: np.ndarray) -> np.ndarray:
+        return _read_whole(self, state)
 
     def expectation(self, state: np.ndarray) -> float:
         return float(np.sum(np.abs(self.amplitudes(state)) ** 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^(number of set bits) of every index below 2^n, as float64."""
+    return 1.0 - 2.0 * _parities(n)
+
+
+@dataclass(frozen=True)
+class GhzOverlaps:
+    """Overlaps of a state on ``n_sites`` with the bras c_+ <+...+| + c_- <-...-|,
+    one per row (c_+, c_-) of ``bras``.
+
+    <+...+|psi> and <-...-|psi> are 2^(-n/2) times the sum of the amplitudes
+    and their parity-signed sum, so no 2^n vector is built.  With orthonormal
+    rows the expectation is that of the projector onto their span.
+    """
+
+    bras: np.ndarray
+    n_sites: int
+
+    def __post_init__(self):
+        if self.n_sites < 1:
+            raise EvolutionError(f"need at least one spin, got n={self.n_sites}")
+        if np.ndim(self.bras) != 2 or np.shape(self.bras)[1] != 2:
+            raise EvolutionError(f"bras of shape {np.shape(self.bras)}; expected (rows, 2)")
+
+    @property
+    def planes(self) -> int:
+        return 2 if np.any(np.imag(self.bras)) else 1
+
+    @property
+    def size(self) -> int:
+        return len(self.bras)
+
+    def buffer(self, lanes: int, blocks: int) -> np.ndarray:
+        """The array ``take`` fills over the blocks of one term: each block's two
+        sums, (2, lanes, blocks)."""
+        return np.empty((2, lanes, blocks))
+
+    def take(self, x: np.ndarray, block: slice, sums: np.ndarray):
+        """Write the sum and the parity-signed sum of the real vectors ``x``
+        (lanes, 2^low), the states ``block`` of each vector, to the block's
+        column of ``sums`` (2, lanes, blocks).  The last block adds the columns
+        pairwise and returns (the overlaps (planes, lanes, rows), the slice of
+        every row); other blocks return None."""
+        size = block.stop - block.start
+        column = sums[:, :, block.start // size]
+        np.sum(x, axis=-1, out=column[0])
+        np.sum(x * _parity_signs(size.bit_length() - 1), axis=-1, out=column[1])
+        if bin(block.start).count("1") % 2:  # the parity of the block's high bits
+            column[1] *= -1.0
+        if block.stop != 1 << self.n_sites:
+            return None
+        plus, minus = np.sum(sums, axis=-1) * 2.0 ** (-self.n_sites / 2.0)
+        bras = np.asarray(self.bras, dtype=complex)
+        planes = [(part[:, :1] * plus + part[:, 1:] * minus).T for part in (bras.real, bras.imag)]
+        return np.stack(planes[: self.planes]), slice(0, self.size)
+
+    def amplitudes(self, state: np.ndarray) -> np.ndarray:
+        return _read_whole(self, state)
+
+    def expectation(self, state: np.ndarray) -> float:
+        return float(np.sum(np.abs(self.amplitudes(state)) ** 2))
+
+
+def primed_ghz_readout(n: int) -> GhzOverlaps:
+    """|GHZ'><GHZ'| on n sites, GHZ' = (|+...+> + i |-...->)/sqrt(2) as in
+    ``ghz_x(n, "primed")`` up to its global phase, read through two overlaps."""
+    return GhzOverlaps(np.array([[1.0, -1j]]) / np.sqrt(2.0), n)
 
 
 def rank1_projector(vector: np.ndarray) -> Projector:
@@ -153,7 +324,12 @@ def probe_projector(probe_vector: np.ndarray, partition: SitePartition, lattice:
 
 def measurement_probability(state: np.ndarray, projector: Projector) -> float:
     """Expectation of a projector on a normalized pure state, clipped to [0, 1]."""
-    p = projector.expectation(state)
+    return clip_probability(projector.expectation(state))
+
+
+def clip_probability(p: float) -> float:
+    """A projector's expectation clipped to [0, 1]; EvolutionError if it is
+    further outside than rounding allows."""
     if p < -NORM_TOL or p > 1.0 + 1e-9:
         raise EvolutionError(f"projector expectation {p} outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))

@@ -12,7 +12,7 @@ from hsfsense.errors import EvolutionError
 from hsfsense.bound import verify_bound
 from hsfsense.evolve import EvolutionEngine, dynamical_fidelity_grid
 from hsfsense.lattice import Lattice, canonical_partition
-from hsfsense.sensing import ideal_probability, ramsey_setup
+from hsfsense.sensing import RamseyConfig, ideal_probability, numeric_sensitivity, ramsey_setup
 
 
 def dynamical_fidelity(psi0, h_ideal, h_actual, t):
@@ -77,7 +77,7 @@ def test_gershgorin_interval_holds_the_spectrum(lat33, dis33):
     assert hi - lo < 2.0 * (eigs[-1] - eigs[0])  # not vacuously wide
 
 
-def test_too_narrow_interval_raises(lat33, dis33, monkeypatch):
+def test_too_narrow_interval_raises(lat33, part33, dis33, monkeypatch):
     gershgorin = evolve_module._gershgorin
     monkeypatch.setattr(evolve_module, "_gershgorin", lambda d, r: tuple(0.5 * x for x in gershgorin(d, r)))
     h = ham.op_tfim(lat33, dis33, 0.4)
@@ -87,6 +87,15 @@ def test_too_narrow_interval_raises(lat33, dis33, monkeypatch):
         EvolutionEngine(h).evolve_grid(states.ghz_x(9), [0.0, 0.5, 1.0])
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
         EvolutionEngine(h).evolve_tangent(states.ghz_x(9), 1.0)
+    # the readout paths keep no state: the norm of every Chebyshev term is checked instead
+    with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+        verify_bound(lat33, part33, dis33, 0.4, [0.0, 0.5, 1.0])
+    rc = RamseyConfig(omega=0.4, t_int=1.0, t_all=10.0)
+    for scheme in ("hsf", "ghz_free"):
+        with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+            numeric_sensitivity(scheme, rc, lat33, part33, dis33)
+    with pytest.raises(EvolutionError, match="does not hold the spectrum"):
+        dynamical_fidelity_grid(h, 0.4, [0.0, 0.5, 1.0])
 
 
 def van_loan_oracle(op, psi, t):
@@ -196,7 +205,7 @@ def test_fidelity_grid_matches_scalar(lat33, dis33):
     h_actual = ham.op_tfim(lat33, dis33, 0.4)
     psi = states.ghz_x(9)
     ts = np.linspace(0.0, 1.0, 6)
-    grid = dynamical_fidelity_grid(psi, h_ideal, h_actual, ts)
+    grid = dynamical_fidelity_grid(h_actual, 0.4, ts)
     assert grid[0] == pytest.approx(1.0, abs=1e-12)
     for k, t in enumerate(ts):
         assert grid[k] == pytest.approx(dynamical_fidelity(psi, h_ideal, h_actual, t), abs=1e-10)

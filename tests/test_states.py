@@ -253,6 +253,27 @@ def test_parity_after_rotation_equals_primed_projection(n):
         assert p_par == pytest.approx(p_pri, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_ghz_overlaps_match_cat_state_oracle(n):
+    """<+...+|psi> and <-...-|psi> from the two sums, against the Kronecker-built
+    cat components; the primed readout's expectation is the rank-1 projector's."""
+    plus, minus = cat_components(n)
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    got = states.GhzOverlaps(np.eye(2), n).amplitudes(psi)
+    np.testing.assert_allclose(got, [np.vdot(plus, psi), np.vdot(minus, psi)], rtol=0, atol=1e-15)
+    primed = states.primed_ghz_readout(n)
+    want = states.rank1_projector(states.ghz_x(n, "primed")).expectation(psi)
+    assert primed.expectation(psi) == pytest.approx(want, abs=1e-15)
+    assert states.measurement_probability(psi, primed) == pytest.approx(want, abs=1e-15)
+    for bad in (lambda: states.GhzOverlaps(np.eye(3), n), lambda: states.GhzOverlaps(np.eye(2), 0)):
+        with pytest.raises(EvolutionError):
+            bad()
+    with pytest.raises(EvolutionError, match="dimension mismatch"):
+        primed.amplitudes(psi[: 1 << (n - 1)])
+
+
 def test_single_spin_x_rotation_is_unitary():
     u = single_spin_x_rotation(3, 1, 0.7)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
