@@ -100,6 +100,8 @@ def _warn_phase(label: str, rc, n: int) -> None:
 def _cmd_sweep(config: RunConfig) -> str:
     from .sensing import SCHEMES, RamseyConfig, numeric_sensitivity
 
+    if config.sweep_ideal and config.sweep_scheme not in ("hsf", "all"):
+        raise ConfigError(f"sweep.ideal applies to the hsf scheme only, not sweep.scheme = {config.sweep_scheme}")
     schemes = SCHEMES if config.sweep_scheme == "all" else (config.sweep_scheme,)
     lattice = _lattice(config)
     partition = _partition(config, lattice) if "hsf" in schemes else None

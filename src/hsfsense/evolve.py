@@ -21,12 +21,11 @@ basis states at a time (``TransverseFieldOperator.blocks``): its flip sum,
 recurrence and every time's sums, with the arithmetic of a whole-vector step
 element by element, so the outputs do not depend on the block size.
 
-The series is linear in each term, so a linear readout R (a projector's
-amplitudes, ``states.Projector``, or overlaps with the two GHZ branches,
-``states.GhzOverlaps``) can take every term as it is made, as kernel
-polynomial methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006): each
-time then sums R p_k, a few entries per state, and no 2^N state is kept per
-time (``readout_grid``, ``readout_tangent``).  Without a state to check, the
+The series is linear in each term, so a linear readout R (the amplitudes of
+GHZ-branch bras, ``states.Projector``) can take every term as it is made, as
+kernel polynomial methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006):
+each time then sums R p_k, a few entries per state, and no 2^N state is kept
+per time (``readout_grid``, ``readout_tangent``).  Without a state to check, the
 norm of every Chebyshev term of the start state is held to the output's
 budget instead.  ``bound``, ``sweep`` and ``fidelity`` read their states
 only this way.  hbar = 1; times are in inverse energy units.
@@ -138,8 +137,8 @@ class EvolutionEngine:
 
     def readout_grid(self, state: np.ndarray, ts, readout) -> list[np.ndarray]:
         """``readout.amplitudes`` of the state at each time in ``ts``, in the order
-        of ``ts``, with no state built: the readout (``states.Projector``,
-        ``states.GhzOverlaps``) takes every Chebyshev term as it is made."""
+        of ``ts``, with no state built: the readout (``states.Projector``) takes
+        every Chebyshev term as it is made."""
         return [r for r, _ in self._series(state, ts, readout=readout)]
 
     def readout_tangent(self, state: np.ndarray, t: float, readout) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +245,8 @@ class EvolutionEngine:
         planes, size = (1, lanes.shape[-1]) if readout is None else (readout.planes, readout.size)
         accs = [np.zeros((2, len(lanes), size)) for _ in rows]
         term = None if readout is None else readout.buffer(len(lanes), len(blocks))
-        scratch = np.empty((planes, len(lanes), min(size, blocks[0].stop)))
+        # a readout finishes at most two entries per state of a block
+        scratch = np.empty((planes, len(lanes), min(size, 2 * blocks[0].stop)))
 
         def read(x, block, k):
             """The finished readout entries of x, as what they add to each row's
@@ -345,6 +345,7 @@ def dynamical_fidelity_grid(h_actual: TransverseFieldOperator, omega: float, ts)
         raise EvolutionError(f"omega must be finite, got {omega}")
     n = h_actual.n_sites
     ts = np.asarray(ts, dtype=float)
-    plus_minus = EvolutionEngine(h_actual).readout_grid(states.ghz_x(n), ts, states.GhzOverlaps(np.eye(2), n))
+    branches = states.Projector(np.eye(2), tuple(range(n)), n)
+    plus_minus = EvolutionEngine(h_actual).readout_grid(states.ghz_x(n), ts, branches)
     turn = np.exp(0.5j * n * omega * ts)
     return np.array([abs(z * plus + z.conjugate() * minus) ** 2 / 2.0 for z, (plus, minus) in zip(turn, plus_minus)])

@@ -79,31 +79,27 @@ def ramsey_setup(
     partition: SitePartition | None,
     couplings: CouplingMap | None,
     ideal: bool,
-) -> tuple[np.ndarray, ham.TransverseFieldOperator, states.Projector | states.GhzOverlaps]:
+) -> tuple[np.ndarray, ham.TransverseFieldOperator, states.Projector]:
     """Initial state, generator at ``omega`` and readout projector of one scheme.
 
     Every generator is a diagonal plus (omega/2) sum sigma^x, so omega
-    enters only through the operator's flip amplitude ``value``.  The GHZ
-    schemes read the primed GHZ state through its two overlaps
-    (``states.primed_ghz_readout``), the ``hsf`` scheme through the probe
-    projector.  The ``hsf`` scheme raises SensingError when the partition
-    breaks a freezing rule.
+    enters only through the operator's flip amplitude ``value``.  Every
+    scheme reads the primed GHZ bra ``states.PRIMED`` through one
+    ``states.Projector``: on every site for the GHZ schemes, on the probes
+    (``states.probe_projector``) for ``hsf``.  The ``hsf`` scheme raises
+    SensingError when the partition breaks a freezing rule.
     """
     n = lattice.n_sites
-    if scheme == "ghz_free":
+    if scheme in ("ghz_free", "ghz_interacting"):
         psi0 = states.ghz_x(n)
-        h = ham.op_omega(lattice, omega)
-        proj = states.primed_ghz_readout(n)
-    elif scheme == "ghz_interacting":
-        psi0 = states.ghz_x(n)
-        h = ham.op_tfim(lattice, couplings, omega)
-        proj = states.primed_ghz_readout(n)
+        h = ham.op_omega(lattice, omega) if scheme == "ghz_free" else ham.op_tfim(lattice, couplings, omega)
+        proj = states.Projector(states.PRIMED, tuple(range(n)), n)
     elif scheme == "hsf":
         violations = validate_partition(lattice, partition)
         if violations:
             raise SensingError(describe_violations(violations))
         psi0 = states.embed(states.ghz_x(partition.n_probe), partition, lattice)
-        proj = states.probe_projector(states.ghz_x(partition.n_probe, "primed"), partition, lattice)
+        proj = states.probe_projector(partition, lattice)
         if ideal:
             h = ham.op_probe_omega(partition, lattice, omega)
         else:

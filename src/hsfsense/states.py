@@ -1,19 +1,16 @@
-"""Pure-state constructors and projective measurement operators.
+"""Pure-state constructors and the GHZ-branch readout.
 
-A measurement reads a state through a linear readout (``Projector``,
-``GhzOverlaps``) that contracts one block of basis states at a time, so the
+A measurement reads a state through one linear readout, ``Projector``: bras
+c+ <+...+| + c- <-...-| on some sites, tensored with the identity on the
+rest, given by their two coefficients and read from a sum and a
+parity-signed sum.  It contracts one block of basis states at a time, so the
 Chebyshev march of :mod:`hsfsense.evolve` can apply it to every term and
-keep no state.  All vectors use the bit convention of :mod:`hsfsense.hamiltonian` and are
-normalized to 1e-12.  Global phase: the first nonzero amplitude in basis
-order is made real nonnegative, so vector comparisons in golden tests are
-exact.
+keep no state.  All vectors use the bit convention of
+:mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +19,6 @@ from .errors import EvolutionError
 from .lattice import Lattice, SitePartition
 
 NORM_TOL = 1e-12
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(np.abs(vec) > 1e-14)[0]
-    if nz.size:
-        first = vec[nz[0]]
-        vec = vec * (abs(first) / first)
-    return vec
 
 
 def _parities(n: int) -> np.ndarray:
@@ -44,21 +33,17 @@ def _parities(n: int) -> np.ndarray:
     return parity
 
 
-def ghz_x(n: int, phase: str = "plain") -> np.ndarray:
-    """GHZ state in the x basis: (|+...+> + c |-...->)/sqrt(2).
+def ghz_x(n: int) -> np.ndarray:
+    """GHZ state in the x basis: (|+...+> + |-...->)/sqrt(2).
 
-    ``phase`` selects the relative amplitude c: 1 for "plain", i for
-    "primed" (the measurement-basis partner used in the Ramsey readout).
-    Amplitude s takes one of two values, chosen by the parity of s, and the
-    vector is filled with them in place.
+    Amplitude s takes one of two values, 2^(-n/2) sqrt(2) for an even number
+    of set bits and 0 for an odd one, and the vector is filled with them in
+    place.
     """
     if n < 1:
         raise EvolutionError(f"need at least one spin, got n={n}")
-    if phase not in ("plain", "primed"):
-        raise EvolutionError(f"phase must be 'plain' or 'primed', got {phase!r}")
-    c = 1j if phase == "primed" else 1.0
     signs = np.array([1.0, -1.0])  # (-1)^parity
-    amps = _fix_phase(((1.0 + c * signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex))
+    amps = ((1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex)
     # the parity of s is that of its high bits (row) xor that of its low bits (column)
     low = n // 2
     rows = amps[_parities(low) ^ np.array([[0], [1]], dtype=np.uint8)]
@@ -106,220 +91,146 @@ def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -
     return full
 
 
-def _read_whole(readout, state: np.ndarray) -> np.ndarray:
-    """``readout`` (a ``Projector`` or ``GhzOverlaps``) of a whole state: its real
-    and imaginary parts are two real vectors of one block for ``take``, the
-    contraction the Chebyshev march applies to every term a block at a time."""
-    if state.shape != (1 << readout.n_sites,):
-        raise EvolutionError("projector/state dimension mismatch")
-    term = readout.buffer(2, 1)
-    parts, _ = readout.take(np.stack([state.real, state.imag]), slice(0, state.shape[0]), term)
-    lanes = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
-    return lanes[0] + 1j * lanes[1]
+def _pack(value: int, sites) -> int:
+    """The bits of ``value`` on ``sites``, bit k from site ``sites[k]``."""
+    return sum(((value >> s) & 1) << k for k, s in enumerate(sites))
 
 
-@functools.lru_cache(maxsize=None)
-def _contraction_plan(sites: tuple[int, ...], n: int, low: int):
-    """How ``Projector.take`` reads a block of 2^low states on n sites.
-
-    Returns (shape, configs, above, others, free): the block as axes
-    (d_0, 2, d_1, 2, ..., d_m'), one axis of 2 per site of ``sites`` below
-    ``low``, highest first, so fixing those axes leaves a strided view whose
-    order is that of the amplitudes; (index into phi without the bits above
-    the block, the index fixing those axes) per configuration, in order of
-    that index; (k, site) of ``sites`` at or above ``low``; (site, bit of the
-    amplitude index) of the other sites at or above ``low``; and the shape of
-    the free axes.
-    """
-    inside = sorted((s for s in sites if s < low), reverse=True)
-    shape, top = [], low
-    for s in inside:
-        shape += [1 << (top - 1 - s), 2]
-        top = s
-    shape.append(1 << top)
-    configs = []
-    for bits in itertools.product((0, 1), repeat=len(inside)):
-        p = sum(bit << sites.index(s) for bit, s in zip(bits, inside))
-        index = sum(((slice(None), bit) for bit in bits), ()) + (slice(None),)
-        configs.append((p, index))
-    configs.sort(key=lambda c: c[0])
-    above = [(k, s) for k, s in enumerate(sites) if s >= low]
-    others = [(s, s - sum(q < s for q in sites)) for s in range(low, n) if s not in sites]
-    return tuple(shape), configs, above, others, tuple(shape[0::2])
+# <GHZ'| = (<+...+| - i <-...-|)/sqrt(2), the bra of the primed GHZ state
+# (|+...+> + i |-...->)/sqrt(2) that the Ramsey readout projects on
+PRIMED = np.array([[1.0, -1j]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class Projector:
-    """Rank-1 projector |phi><phi| on some sites, tensored with the identity on the rest.
+    """The bras c+ <+...+| + c- <-...-| on ``sites``, one per row (c+, c-) of
+    ``bras``, tensored with the identity on the other sites of ``n_sites``.
 
-    ``vector`` is phi over the configurations of ``sites`` (bit k on site ``sites[k]``)
-    out of ``n_sites``; with every site listed in order it acts on the full space.
-    Its amplitudes are <phi| contracted with a state over the axes of ``sites``,
-    one per configuration of the other sites in basis order; the expectation is
-    their squared norm.
+    On m sites, <+...+| and <-...-| are 2^(-m/2) times the sum and the
+    parity-signed sum over the sites' configurations, so no vector is built.
+    The amplitudes of a state hold one entry per configuration of the other
+    sites, in basis order (bit k on the k-th smallest other site), each
+    holding every row; the expectation is their squared norm, that of the
+    projector onto the rows' span when they are orthonormal.
     """
 
-    vector: np.ndarray
+    bras: np.ndarray
     sites: tuple[int, ...]
     n_sites: int
 
     def __post_init__(self):
-        if len(set(self.sites)) != len(self.sites) or any(not 0 <= i < self.n_sites for i in self.sites):
-            raise EvolutionError(f"sites {self.sites} must be distinct and in range for {self.n_sites} sites")
-        if np.shape(self.vector) != (1 << len(self.sites),):
-            raise EvolutionError(
-                f"projector vector of shape {np.shape(self.vector)} on {len(self.sites)} sites; "
-                f"expected ({1 << len(self.sites)},)"
-            )
-
-    @functools.cached_property
-    def _bra(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real and imaginary parts of <phi|, each part of an entry zeroed
-        where it is below that entry's rounding (as in the phase-fixed primed
-        GHZ state): its products would not move a sum by more than their own
-        rounding, and a zero part is skipped."""
-        bra = np.conj(np.asarray(self.vector, dtype=complex))
-        floor = np.finfo(float).eps * np.abs(bra)
-        return tuple(np.where(np.abs(part) > floor, part, 0.0) for part in (bra.real, bra.imag))
+        if np.ndim(self.bras) != 2 or np.shape(self.bras)[1] != 2 or not 1 <= len(self.bras) <= 2:
+            raise EvolutionError(f"bras of shape {np.shape(self.bras)}; expected (rows, 2) with one or two rows")
+        sites = self.sites
+        if not sites or len(set(sites)) != len(sites) or any(not 0 <= i < self.n_sites for i in sites):
+            raise EvolutionError(f"sites {sites} must be at least one, distinct and in range for {self.n_sites} sites")
 
     @property
     def planes(self) -> int:
         """2 if the amplitudes of a real state are complex, else 1."""
-        return 2 if np.any(self._bra[1]) else 1
-
-    @property
-    def size(self) -> int:
-        return 1 << (self.n_sites - len(self.sites))
-
-    def buffer(self, lanes: int, blocks: int) -> np.ndarray:
-        """The array ``take`` fills over the blocks of one term: (planes, lanes, size)."""
-        return np.empty((self.planes, lanes, self.size))
-
-    def take(self, x: np.ndarray, block: slice, out: np.ndarray):
-        """Contract the real vectors ``x`` (lanes, 2^low), the states ``block``
-        of each vector, into the amplitudes ``out`` (planes, lanes, size).
-
-        A block holds the amplitudes of one slice of ``out`` in full or, when
-        sites lie at or above its bits, in part: the first block of a slice
-        writes it, later ones add to it, and the one with every such bit set
-        returns (that slice of ``out``, the slice); other blocks return None.
-        Each configuration of the sites inside the block is a strided view of
-        ``x``, weighted by its <phi| entry (``_bra``) and added in order of
-        phi's index, so the sums do not depend on the block size.  The adds
-        run in numpy, not BLAS, whose idle threads would spin.
-        """
-        low = (block.stop - block.start).bit_length() - 1
-        shape, configs, above, others, free = _contraction_plan(tuple(self.sites), self.n_sites, low)
-        high = sum(((block.start >> s) & 1) << k for k, s in above)
-        start = sum(((block.start >> s) & 1) << j for s, j in others)
-        where = slice(start, start + math.prod(free))
-        dst = out[..., where].reshape(out.shape[:2] + free)
-        view, tmp = x.reshape(x.shape[:-1] + shape), None
-        fresh = [high == 0] * len(dst)  # a plane the first block of the slice has not written yet
-        bra = self._bra
-        for p, index in configs:
-            for plane, part in enumerate(bra[: len(dst)]):
-                c = part[p | high]
-                if not c:
-                    continue
-                if fresh[plane]:
-                    np.multiply(view[(Ellipsis,) + index], c, out=dst[plane])
-                    fresh[plane] = False
-                else:
-                    tmp = np.multiply(view[(Ellipsis,) + index], c, out=tmp)
-                    dst[plane] += tmp
-        for plane in np.flatnonzero(fresh):
-            dst[plane] = 0.0
-        if high == sum(1 << k for k, _ in above):
-            return out[..., where], where
-        return None
-
-    def amplitudes(self, state: np.ndarray) -> np.ndarray:
-        return _read_whole(self, state)
-
-    def expectation(self, state: np.ndarray) -> float:
-        return float(np.sum(np.abs(self.amplitudes(state)) ** 2))
-
-
-@functools.lru_cache(maxsize=None)
-def _parity_signs(n: int) -> np.ndarray:
-    """(-1)^(number of set bits) of every index below 2^n, as float64."""
-    return 1.0 - 2.0 * _parities(n)
-
-
-@dataclass(frozen=True)
-class GhzOverlaps:
-    """Overlaps of a state on ``n_sites`` with the bras c_+ <+...+| + c_- <-...-|,
-    one per row (c_+, c_-) of ``bras``.
-
-    <+...+|psi> and <-...-|psi> are 2^(-n/2) times the sum of the amplitudes
-    and their parity-signed sum, so no 2^n vector is built.  With orthonormal
-    rows the expectation is that of the projector onto their span.
-    """
-
-    bras: np.ndarray
-    n_sites: int
-
-    def __post_init__(self):
-        if self.n_sites < 1:
-            raise EvolutionError(f"need at least one spin, got n={self.n_sites}")
-        if np.ndim(self.bras) != 2 or np.shape(self.bras)[1] != 2:
-            raise EvolutionError(f"bras of shape {np.shape(self.bras)}; expected (rows, 2)")
-
-    @property
-    def planes(self) -> int:
         return 2 if np.any(np.imag(self.bras)) else 1
 
     @property
     def size(self) -> int:
-        return len(self.bras)
+        return len(self.bras) << (self.n_sites - len(self.sites))
 
-    def buffer(self, lanes: int, blocks: int) -> np.ndarray:
-        """The array ``take`` fills over the blocks of one term: each block's two
-        sums, (2, lanes, blocks)."""
-        return np.empty((2, lanes, blocks))
+    def buffer(self, lanes: int, blocks: int) -> tuple:
+        """What ``take`` reads and writes over the ``blocks`` aligned blocks of
+        one term of ``lanes`` lanes: the sites inside a block, highest first;
+        the sites at or above it; the other sites at or above it; each row's
+        real and imaginary weights of the two sums; and the arrays: the sums
+        and parity-signed sums of the slices in flight, one column per
+        configuration of the sites above the block (2, lanes, columns,
+        entries); a fold's two halves; the entries of a slice (planes, lanes,
+        entries, rows); and one more of a slice's size.  Blocks run in basis
+        order, so the slices in flight at once differ only in the other sites
+        below the highest site above the block."""
+        low = self.n_sites - (blocks.bit_length() - 1)
+        inside = sorted((s for s in self.sites if s < low), reverse=True)
+        above = sorted(s for s in self.sites if s >= low)
+        others = [s for s in range(low, self.n_sites) if s not in self.sites]
+        entries = 1 << (low - len(inside))  # configurations of the other sites inside a block
+        bras = np.asarray(self.bras, dtype=complex) * 2.0 ** (-len(self.sites) / 2.0)
+        weights = [part.tolist() for part in (bras.real, bras.imag)[: self.planes]]
+        top = max(above, default=low)
+        sums = np.empty((2, lanes, 1 << len(above), entries << sum(s < top for s in others)))
+        halves = np.empty((2, lanes, 1 << (low - 1))) if len(inside) > 1 else None
+        out = np.empty((self.planes, lanes, entries, len(self.bras)))
+        return inside, above, others, weights, sums, halves, out, np.empty((lanes, entries))
 
-    def take(self, x: np.ndarray, block: slice, sums: np.ndarray):
-        """Write the sum and the parity-signed sum of the real vectors ``x``
-        (lanes, 2^low), the states ``block`` of each vector, to the block's
-        column of ``sums`` (2, lanes, blocks).  The last block adds the columns
-        pairwise and returns (the overlaps (planes, lanes, rows), the slice of
-        every row); other blocks return None."""
-        size = block.stop - block.start
-        column = sums[:, :, block.start // size]
-        np.sum(x, axis=-1, out=column[0])
-        np.sum(x * _parity_signs(size.bit_length() - 1), axis=-1, out=column[1])
-        if bin(block.start).count("1") % 2:  # the parity of the block's high bits
-            column[1] *= -1.0
-        if block.stop != 1 << self.n_sites:
+    def take(self, x: np.ndarray, block: slice, term: tuple):
+        """Read the real vectors ``x`` (lanes, 2^low), the states ``block`` of
+        each vector, into ``term`` (``buffer``).
+
+        Each site inside the block is folded into the sum and the difference of
+        its two halves, highest first: the first fold writes to the halves
+        buffer, later ones in place, the last to the block's column of the
+        sums.  The sites at or above the block pick that column, and their
+        parity signs the difference.  The block with every such bit set is the
+        last of its slice of the amplitudes: it adds the columns pairwise and
+        weights the two sums by ``bras``, and returns (the slice's amplitudes
+        (planes, lanes, entries), the slice); other blocks return None.  The
+        adds run in numpy, not BLAS, whose idle threads would spin.
+        """
+        inside, above, others, weights, sums, halves, out, spare = term
+        column = _pack(block.start, above)
+        start = _pack(block.start, others) * out.shape[2]
+        at = slice(start % sums.shape[3], start % sums.shape[3] + out.shape[2])
+        dst = sums[:, :, column, at]
+        negate = bin(column).count("1") % 2
+        if not inside:
+            np.copyto(dst[0], x)
+            np.multiply(x, -1.0 if negate else 1.0, out=dst[1])
+        s = d = x
+        bits = x.shape[-1].bit_length() - 1  # of the last axis of s and d
+        for i, q in enumerate(inside):
+            split = s.shape[:-1] + (1 << (bits - 1 - q), 2, 1 << q)
+            s, d = s.reshape(split), d.reshape(split)
+            s0, s1, d0, d1 = s[..., 0, :], s[..., 1, :], d[..., 0, :], d[..., 1, :]
+            if i == len(inside) - 1:
+                s, d = dst[0].reshape(s0.shape), dst[1].reshape(s0.shape)
+                if negate:
+                    d0, d1 = d1, d0
+            elif i == 0:
+                s, d = halves[0].reshape(s0.shape), halves[1].reshape(s0.shape)
+            else:
+                s, d = s0, d0
+            np.subtract(d0, d1, out=d)
+            np.add(s0, s1, out=s)
+            bits = q
+        if column != (1 << len(above)) - 1:
             return None
-        plus, minus = np.sum(sums, axis=-1) * 2.0 ** (-self.n_sites / 2.0)
-        bras = np.asarray(self.bras, dtype=complex)
-        planes = [(part[:, :1] * plus + part[:, 1:] * minus).T for part in (bras.real, bras.imag)]
-        return np.stack(planes[: self.planes]), slice(0, self.size)
+        total = sums[:, :, :, at]
+        while total.shape[2] > 1:  # the columns added pairwise, in place
+            half = total.shape[2] // 2
+            np.add(total[:, :, :half], total[:, :, half:], out=total[:, :, :half])
+            total = total[:, :, :half]
+        total = total[:, :, 0]
+        for plane, part in enumerate(weights):
+            for row, (a, b) in enumerate(part):
+                o = out[plane, :, :, row]
+                np.multiply(total[0] if a else total[1], a or b, out=o)
+                if a and b:
+                    o += np.multiply(total[1], b, out=spare)
+        rows = len(self.bras)
+        return out.reshape(out.shape[:2] + (-1,)), slice(start * rows, (start + out.shape[2]) * rows)
 
     def amplitudes(self, state: np.ndarray) -> np.ndarray:
-        return _read_whole(self, state)
+        """The amplitudes of a whole state: its real and imaginary parts are two
+        real vectors of one block for ``take``."""
+        if state.shape != (1 << self.n_sites,):
+            raise EvolutionError("projector/state dimension mismatch")
+        parts, _ = self.take(np.stack([state.real, state.imag]), slice(0, state.shape[0]), self.buffer(2, 1))
+        lanes = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
+        return lanes[0] + 1j * lanes[1]
 
     def expectation(self, state: np.ndarray) -> float:
         return float(np.sum(np.abs(self.amplitudes(state)) ** 2))
 
 
-def primed_ghz_readout(n: int) -> GhzOverlaps:
-    """|GHZ'><GHZ'| on n sites, GHZ' = (|+...+> + i |-...->)/sqrt(2) as in
-    ``ghz_x(n, "primed")`` up to its global phase, read through two overlaps."""
-    return GhzOverlaps(np.array([[1.0, -1j]]) / np.sqrt(2.0), n)
-
-
-def rank1_projector(vector: np.ndarray) -> Projector:
-    """|phi><phi| on the full space."""
-    n = len(vector).bit_length() - 1
-    return Projector(np.asarray(vector, dtype=complex), tuple(range(n)), n)
-
-
-def probe_projector(probe_vector: np.ndarray, partition: SitePartition, lattice: Lattice) -> Projector:
-    """|phi^P><phi^P| on the probe factor, identity on ancillas."""
-    return Projector(np.asarray(probe_vector, dtype=complex), tuple(partition.probe_order()), lattice.n_sites)
+def probe_projector(partition: SitePartition, lattice: Lattice) -> Projector:
+    """|GHZ'><GHZ'| on the probes (``PRIMED``), identity on the ancillas."""
+    return Projector(PRIMED, tuple(partition.probe_order()), lattice.n_sites)
 
 
 def measurement_probability(state: np.ndarray, projector: Projector) -> float:

@@ -24,6 +24,7 @@ from hsfsense.sensing import (
     estimator_mse_analytic,
     monte_carlo_estimator,
     numeric_sensitivity,
+    ramsey_setup,
     zeno_uncertainty,
 )
 
@@ -170,9 +171,8 @@ def test_acceptance_6_second_order_series():
 
     lat = Lattice(3, 3)
     c = sample_gaussian(lat, 1.0, 0.3, seed=7)
-    psi0 = states.ghz_x(9)
-    proj = states.rank1_projector(states.ghz_x(9, "primed"))
-    eng = EvolutionEngine(ham.op_tfim(lat, c, 0.4))
+    psi0, h, proj = ramsey_setup("ghz_interacting", 0.4, lat, None, c, ideal=False)
+    eng = EvolutionEngine(h)
     errs = []
     for t in (0.02, 0.01, 0.005):
         rc = RamseyConfig(omega=0.4, t_int=t, t_all=10.0)

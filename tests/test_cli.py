@@ -390,6 +390,21 @@ def test_sweep_ideal_typo_is_config_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme", ["ghz_free", "ghz_interacting"])
+def test_sweep_ideal_with_a_ghz_scheme_is_config_error(tmp_path, capsys, scheme):
+    """``sweep.ideal`` switches only the hsf generator: with a GHZ-only scheme it would do nothing."""
+    out = tmp_path / "s.csv"
+    text = (
+        f"command = sweep\nlattice.width = 3\nlattice.height = 3\n"
+        f"sweep.scheme = {scheme}\nsweep.ideal = true\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text) == 2
+    assert "sweep.ideal" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(tmp_path, text.replace("sweep.ideal = true\n", ""), "--ideal") == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line,key",
     [

@@ -215,7 +215,7 @@ def test_fidelity_grid_matches_scalar(lat33, dis33):
 def test_epsilon_zero_when_dynamics_match(lat33, part33):
     h = ham.op_probe_omega(part33, lat33, 0.4)
     psi = states.embed(states.ghz_x(part33.n_probe), part33, lat33)
-    proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
+    proj = states.probe_projector(part33, lat33)
     assert abs(epsilon_deviation(psi, h, h, proj, 1.3)) < 1e-12
 
 
@@ -223,7 +223,7 @@ def test_epsilon_grid_matches_scalar(lat33, part33, dis33):
     h_total = ham.op_total(lat33, part33, dis33, 0.4)
     h_probe = ham.op_probe_omega(part33, lat33, 0.4)
     psi = states.embed(states.ghz_x(part33.n_probe), part33, lat33)
-    proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
+    proj = states.probe_projector(part33, lat33)
     ts = np.linspace(0.0, 1.0, 5)
     grid = verify_bound(lat33, part33, dis33, 0.4, ts).epsilon_values
     assert abs(grid[0]) < 1e-12
@@ -236,7 +236,7 @@ def test_epsilon_grid_on_operator_matches_csr(lat34, part34):
     against both dynamics evolved by expm_multiply on the CSR matrices."""
     c = sample_gaussian(lat34, 1.0, 0.3, seed=6)
     psi = states.embed(states.ghz_x(part34.n_probe), part34, lat34)
-    proj = states.probe_projector(states.ghz_x(part34.n_probe, "primed"), part34, lat34)
+    proj = states.probe_projector(part34, lat34)
     ts = np.linspace(0.0, 2.0, 7)
     h_total, h_probe = ham.op_total(lat34, part34, c, 0.05), ham.op_probe_omega(part34, lat34, 0.05)
     got = verify_bound(lat34, part34, c, 0.05, ts).epsilon_values

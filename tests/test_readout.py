@@ -1,5 +1,5 @@
 """The readout paths (``bound``, ``sweep`` and ``fidelity``, which read every
-Chebyshev term through a projector or two GHZ overlaps and keep no state)
+Chebyshev term through GHZ-branch bras and keep no state)
 against states evolved by the identity readout and contracted with explicit
 full-space vectors by np.vdot."""
 
@@ -12,7 +12,16 @@ from hsfsense.bound import verify_bound
 from hsfsense.couplings import sample_gaussian
 from hsfsense.evolve import EvolutionEngine, dynamical_fidelity_grid
 from hsfsense.lattice import Lattice, canonical_partition
-from hsfsense.sensing import RamseyConfig, ideal_probability, numeric_sensitivity, ramsey_setup, ramsey_uncertainty
+from hsfsense.sensing import (
+    SCHEMES,
+    RamseyConfig,
+    ideal_probability,
+    numeric_sensitivity,
+    ramsey_setup,
+    ramsey_uncertainty,
+)
+
+from conftest import ghz_x_oracle
 
 # (lattice, block bits): at 3x4 with 2^3-state blocks the probe (site 4) lies above the block
 CASES = [((3, 4), None), ((3, 4), 3), ((4, 4), None)]
@@ -43,7 +52,7 @@ def small_blocks(block, part, monkeypatch):
 def probe_projected(psi, part, lat):
     """(|phi><phi| on the probes) x (identity on the rest) applied to psi, with
     phi the primed probe GHZ state, as a full-space vector built from index maps."""
-    phi = states.ghz_x(part.n_probe, "primed")
+    phi = ghz_x_oracle(part.n_probe, 1j)
     basis = np.arange(1 << lat.n_sites)
     others = [s for s in range(lat.n_sites) if s not in part.probe_sites]
     p_idx = sum(((basis >> s) & 1) << k for k, s in enumerate(part.probe_order()))
@@ -79,7 +88,7 @@ def test_sensitivity_matches_vdot_oracle(shape, block, scheme, ideal, monkeypatc
         projected = probe_projected(psi, part, lat)
         p, slope = vdot(psi, projected).real, vdot(projected, dpsi).real
     else:
-        primed = states.ghz_x(lat.n_sites, "primed")
+        primed = ghz_x_oracle(lat.n_sites, 1j)
         u, du = vdot(primed, psi), vdot(primed, dpsi)
         p, slope = abs(u) ** 2, (u.conjugate() * du).real
     want = ramsey_uncertainty(p, slope, rc.repetitions)
@@ -112,10 +121,11 @@ def test_readouts_equal_the_amplitudes_of_the_evolved_states(lat34, part34):
     psi /= np.linalg.norm(psi)
     eng = EvolutionEngine(op)
     ts = [0.0, 0.3, 1.1]
+    every = tuple(range(lat34.n_sites))
     readouts = (
-        states.probe_projector(states.ghz_x(part34.n_probe, "primed"), part34, lat34),
-        states.primed_ghz_readout(lat34.n_sites),
-        states.GhzOverlaps(np.eye(2), lat34.n_sites),
+        states.probe_projector(part34, lat34),
+        states.Projector(states.PRIMED, every, lat34.n_sites),
+        states.Projector(np.eye(2), every, lat34.n_sites),
     )
     for readout in readouts:
         for got, state in zip(eng.readout_grid(psi, ts, readout), eng.evolve_grid(psi, ts)):
@@ -126,15 +136,16 @@ def test_readouts_equal_the_amplitudes_of_the_evolved_states(lat34, part34):
 
 
 def test_ghz_schemes_build_no_primed_state(lat34, part34, monkeypatch):
-    """The primed-GHZ readout is two overlaps: no 2^N primed vector is made."""
+    """Every scheme builds one GHZ vector, its start state: the primed-GHZ
+    readout is the two coefficients of its bra, not a 2^N vector."""
+    built = []
     ghz_x = states.ghz_x
-
-    def only_plain(n, phase="plain"):
-        assert phase == "plain" or n < lat34.n_sites, "a full-register primed GHZ vector was built"
-        return ghz_x(n, phase)
-
-    monkeypatch.setattr(states, "ghz_x", only_plain)
+    monkeypatch.setattr(states, "ghz_x", lambda n: built.append(n) or ghz_x(n))
     rc = RamseyConfig(omega=0.3, t_int=0.2, t_all=10.0)
     c = sample_gaussian(lat34, 1.0, 0.3, seed=3)
-    for scheme in ("ghz_free", "ghz_interacting", "hsf"):
+    for scheme in SCHEMES:
+        built.clear()
+        _, _, proj = ramsey_setup(scheme, rc.omega, lat34, part34, c, ideal=False)
+        assert built == [part34.n_probe if scheme == "hsf" else lat34.n_sites]
+        np.testing.assert_array_equal(proj.bras, states.PRIMED)
         assert numeric_sensitivity(scheme, rc, lat34, part34, c) > 0

@@ -150,10 +150,8 @@ def test_bond_square_sum_homogeneous(lat33):
 
 def test_second_order_series_has_third_order_error(lat33, dis33):
     """|P_exact - P_series| must fall as t^3 when t halves."""
-    n = lat33.n_sites
-    psi0 = states.ghz_x(n)
-    proj = states.rank1_projector(states.ghz_x(n, "primed"))
-    eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
+    psi0, h, proj = ramsey_setup("ghz_interacting", 0.4, lat33, None, dis33, ideal=False)
+    eng = EvolutionEngine(h)
     errs = []
     for t in (0.02, 0.01, 0.005):
         rc = RamseyConfig(omega=0.4, t_int=t, t_all=10.0)

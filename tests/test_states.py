@@ -6,14 +6,15 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsfsense import hamiltonian as ham
 from hsfsense import states
 from hsfsense.errors import EvolutionError
 from hsfsense.lattice import Lattice, canonical_partition
 
+from conftest import cat_components, ghz_x_oracle
+
 I2 = np.eye(2, dtype=complex)
 Y = np.array([[0.0, -1j], [1j, 0.0]])
-PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
 
 def kron_chain(factors):
@@ -21,20 +22,6 @@ def kron_chain(factors):
     for f in factors:
         out = np.kron(f, out)  # site 0 = least significant bit
     return out
-
-
-def cat_components(n):
-    plus = np.eye(1)
-    minus = np.eye(1)
-    for _ in range(n):
-        plus = np.kron(PLUS, plus)
-        minus = np.kron(MINUS, minus)
-    return plus.ravel(), minus.ravel()
-
-
-def ghz_x_oracle(n, c):
-    plus, minus = cat_components(n)
-    return (plus + c * minus) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,23 +74,15 @@ def ancilla_projector(partition, lattice):
 
 @given(st.integers(1, 8))
 def test_ghz_x_norm_and_phase_convention(n):
-    for phase in ("plain", "primed"):
-        vec = states.ghz_x(n, phase)
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        first = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
-        assert abs(first.imag) < 1e-12 and first.real > 0
+    vec = states.ghz_x(n)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    first = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
+    assert abs(first.imag) < 1e-12 and first.real > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ghz_x_matches_kron_oracle(n):
-    for phase, c in (("plain", 1.0), ("primed", 1j)):
-        got = states.ghz_x(n, phase)
-        want = ghz_x_oracle(n, c)
-        # both fixed to the same global phase before comparing
-        want *= np.conj(want[np.flatnonzero(np.abs(want) > 1e-12)[0]]) / abs(
-            want[np.flatnonzero(np.abs(want) > 1e-12)[0]]
-        )
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    np.testing.assert_allclose(states.ghz_x(n), ghz_x_oracle(n, 1.0), atol=1e-12)
 
 
 def popcounts(n):
@@ -117,17 +96,16 @@ def popcounts(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 16])
 def test_ghz_x_matches_the_popcount_formula_bit_for_bit(n):
     """The in-place fill gives the bytes of the full-vector formula, signed zeros included."""
-    for phase, c in (("plain", 1.0), ("primed", 1j)):
-        signs = (-1.0) ** popcounts(n)
-        want = states._fix_phase(((1.0 + c * signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex))
-        got = states.ghz_x(n, phase)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    signs = (-1.0) ** popcounts(n)
+    want = ((1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex)
+    got = states.ghz_x(n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_ghz_plain_primed_overlap():
     # |<GHZ|GHZ'>|^2 = 1/2
     for n in (1, 3, 6):
-        ov = abs(np.vdot(states.ghz_x(n), states.ghz_x(n, "primed"))) ** 2
+        ov = abs(np.vdot(states.ghz_x(n), ghz_x_oracle(n, 1j))) ** 2
         assert ov == pytest.approx(0.5, abs=1e-12)
 
 
@@ -156,9 +134,9 @@ def test_embed_places_probe_state_on_frozen_background(lat33, part33):
 def test_embed_then_probe_projector_recovers_probabilities(lat33, part33):
     probe_state = states.ghz_x(part33.n_probe)
     full = states.embed(probe_state, part33, lat33)
-    proj = states.probe_projector(states.ghz_x(part33.n_probe, "primed"), part33, lat33)
+    proj = states.probe_projector(part33, lat33)
     got = states.measurement_probability(full, proj)
-    want = abs(np.vdot(states.ghz_x(part33.n_probe, "primed"), probe_state)) ** 2
+    want = abs(np.vdot(ghz_x_oracle(part33.n_probe, 1j), probe_state)) ** 2
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -188,25 +166,64 @@ def test_probe_amplitudes_with_two_probes():
 
 
 def check_probe_amplitudes(lat, part):
-    """Projector amplitudes and expectation of a random state against the index-map oracle."""
+    """Amplitudes and expectation of two random bras on the probes, and of the
+    primed probe readout, for a random state against the index-map oracle."""
     rng = np.random.default_rng(1)
-    n = lat.n_sites
+    n, m = lat.n_sites, part.n_probe
     full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     full /= np.linalg.norm(full)
-    phi = rng.normal(size=1 << part.n_probe) + 1j * rng.normal(size=1 << part.n_probe)
-    phi /= np.linalg.norm(phi)
-    proj = states.probe_projector(phi, part, lat)
-    p = states.measurement_probability(full, proj)
-    assert 0.0 <= p <= 1.0
+    bras = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    bras /= np.linalg.norm(bras)
+    proj = states.Projector(bras, tuple(part.probe_order()), n)
     # explicit sum over ancilla configurations, indexed in increasing site order
     p_idx, a_idx = probe_ancilla_index_maps(part, lat)
-    amp = np.zeros((1 << part.n_probe, (1 << n) >> part.n_probe), dtype=complex)
+    amp = np.zeros((1 << m, (1 << n) >> m), dtype=complex)
     amp[p_idx, a_idx] = full
-    want = phi.conj() @ amp
+    plus, minus = cat_components(m)
+    want = ((bras[:, :1] * plus + bras[:, 1:] * minus) @ amp).T.reshape(-1)  # entry (ancillas, row)
     np.testing.assert_allclose(proj.amplitudes(full), want, rtol=0, atol=1e-15)
-    assert p == pytest.approx(float(np.sum(np.abs(want) ** 2)), abs=1e-12)
+    assert proj.expectation(full) == pytest.approx(float(np.sum(np.abs(want) ** 2)), abs=1e-12)
+    p = states.measurement_probability(full, states.probe_projector(part, lat))
+    assert 0.0 <= p <= 1.0
+    assert p == pytest.approx(float(np.sum(np.abs(ghz_x_oracle(m, 1j).conj() @ amp) ** 2)), abs=1e-12)
     with pytest.raises(EvolutionError, match="dimension mismatch"):
         proj.amplitudes(full[: 1 << (n - 1)])
+
+
+def take_by_blocks(readout, state, blocks):
+    """The amplitudes of ``state`` from ``take`` run block by block, each
+    finished slice put where it says, as the Chebyshev march does."""
+    x = np.stack([state.real, state.imag])
+    term = readout.buffer(2, len(blocks))
+    planes = np.full((readout.planes, 2, readout.size), np.nan)
+    for block in blocks:
+        done = readout.take(x[:, block], block, term)
+        if done is not None:
+            vals, where = done
+            planes[..., where] = vals
+    lanes = planes[0] + 1j * planes[1] if readout.planes == 2 else planes[0]
+    return lanes[0] + 1j * lanes[1]
+
+
+@pytest.mark.parametrize("block", [8, 10])
+def test_take_by_blocks_equals_whole_amplitudes(block, monkeypatch):
+    """At 3x6 the probes are sites 4 and 13, so with 2^8 or 2^10-state blocks
+    one lies inside a block and one above it, as at 4x6 (probes 5 and 17) with
+    the default blocks; the two GHZ branches on every site take 2^10 or 2^8
+    blocks."""
+    lat = Lattice(3, 6)
+    part = canonical_partition(lat)
+    assert part.probe_order() == [4, 13]
+    monkeypatch.setattr(ham, "_BLOCK", block)
+    blocks = ham.op_omega(lat, 0.4).blocks()
+    assert len(blocks) >= 64
+    rng = np.random.default_rng(block)
+    psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
+    psi /= np.linalg.norm(psi)
+    n = lat.n_sites
+    for readout in (states.probe_projector(part, lat), states.Projector(np.eye(2), tuple(range(n)), n)):
+        got = take_by_blocks(readout, psi, blocks)
+        np.testing.assert_allclose(got, readout.amplitudes(psi), rtol=0, atol=1e-15)
 
 
 def test_ancilla_projector_detects_leakage(lat33, part33):
@@ -241,7 +258,7 @@ def test_parity_after_rotation_equals_primed_projection(n):
     """
     rot = single_spin_x_rotation(n, 0, parity_rotation_angle(n))
     parity = parity_projector(n)
-    primed = states.rank1_projector(states.ghz_x(n, "primed"))
+    primed = states.Projector(states.PRIMED, tuple(range(n)), n)
     plus, minus = cat_components(n)
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -256,20 +273,18 @@ def test_parity_after_rotation_equals_primed_projection(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_ghz_overlaps_match_cat_state_oracle(n):
     """<+...+|psi> and <-...-|psi> from the two sums, against the Kronecker-built
-    cat components; the primed readout's expectation is the rank-1 projector's."""
+    cat components; the primed readout's expectation is that of the primed
+    GHZ state's rank-1 projector."""
     plus, minus = cat_components(n)
     rng = np.random.default_rng(n)
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi /= np.linalg.norm(psi)
-    got = states.GhzOverlaps(np.eye(2), n).amplitudes(psi)
+    got = states.Projector(np.eye(2), tuple(range(n)), n).amplitudes(psi)
     np.testing.assert_allclose(got, [np.vdot(plus, psi), np.vdot(minus, psi)], rtol=0, atol=1e-15)
-    primed = states.primed_ghz_readout(n)
-    want = states.rank1_projector(states.ghz_x(n, "primed")).expectation(psi)
+    primed = states.Projector(states.PRIMED, tuple(range(n)), n)
+    want = abs(np.vdot(ghz_x_oracle(n, 1j), psi)) ** 2
     assert primed.expectation(psi) == pytest.approx(want, abs=1e-15)
     assert states.measurement_probability(psi, primed) == pytest.approx(want, abs=1e-15)
-    for bad in (lambda: states.GhzOverlaps(np.eye(3), n), lambda: states.GhzOverlaps(np.eye(2), 0)):
-        with pytest.raises(EvolutionError):
-            bad()
     with pytest.raises(EvolutionError, match="dimension mismatch"):
         primed.amplitudes(psi[: 1 << (n - 1)])
 
@@ -282,17 +297,20 @@ def test_single_spin_x_rotation_is_unitary():
 @given(st.integers(1, 6), st.floats(-np.pi, np.pi))
 def test_rank1_projection_bounded(n, angle):
     psi = single_spin_x_rotation(n, 0, angle) @ states.ghz_x(n)
-    p = states.measurement_probability(psi, states.rank1_projector(states.ghz_x(n, "primed")))
+    p = states.measurement_probability(psi, states.Projector(states.PRIMED, tuple(range(n)), n))
     assert -1e-12 <= p <= 1.0 + 1e-12
 
 
 def test_projector_rejects_bad_input_at_construction():
     bad = [
-        lambda: states.rank1_projector(np.ones(6)),  # not a power of two: two sites, four amplitudes
-        lambda: states.rank1_projector(np.ones(0)),
-        lambda: states.Projector(np.ones(4, dtype=complex), (0,), 3),
-        lambda: states.Projector(np.ones(4, dtype=complex), (0, 3), 3),
-        lambda: states.Projector(np.ones(4, dtype=complex), (1, 1), 3),
+        lambda: states.Projector(np.ones(2), (0,), 3),  # one bra, not shaped (rows, 2)
+        lambda: states.Projector(np.ones((1, 3)), (0,), 3),
+        lambda: states.Projector(np.ones((0, 2)), (0,), 3),
+        lambda: states.Projector(np.ones((3, 2)), (0,), 3),  # three rows in the span of two branches
+        lambda: states.Projector(states.PRIMED, (1, 1), 3),
+        lambda: states.Projector(states.PRIMED, (0, 3), 3),
+        lambda: states.Projector(states.PRIMED, (-1,), 3),
+        lambda: states.Projector(states.PRIMED, (), 3),
     ]
     for make in bad:
         with pytest.raises(EvolutionError):
