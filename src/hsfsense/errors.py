@@ -26,7 +26,7 @@ class BoundError(ValueError):
 
 
 class FragmentError(ValueError):
-    """Operator handed to the fragment census mixes domain-wall sectors."""
+    """Flip masks handed to the fragment census (or read off an operator) mix domain-wall sectors."""
 
 
 class ConfigError(ValueError):

@@ -21,14 +21,14 @@ basis states at a time (``TransverseFieldOperator.blocks``): its flip sum,
 recurrence and every time's sums, with the arithmetic of a whole-vector step
 element by element, so the outputs do not depend on the block size.
 
-The series is linear in each term, so a linear readout R (the amplitudes of
-GHZ-branch bras, ``states.Projector``) can take every term as it is made, as
-kernel polynomial methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006):
-each time then sums R p_k, a few entries per state, and no 2^N state is kept
-per time (``readout_grid``, ``readout_tangent``).  Without a state to check, the
-norm of every Chebyshev term of the start state is held to the output's
-budget instead.  ``bound``, ``sweep`` and ``fidelity`` read their states
-only this way.  hbar = 1; times are in inverse energy units.
+The series is linear in each term, so one march reads every term through one
+linear readout R, a ``states.Projector``, as it is made, as kernel polynomial
+methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006): each time sums
+R p_k.  On sites that keeps a few entries per state and no 2^N state per time
+(``readout_grid``, ``readout_tangent``; ``bound``, ``sweep`` and ``fidelity``);
+on no sites R is the identity (``evolve``, ``evolve_grid``, ``evolve_tangent``).
+Every march holds the norm of each term to the output's budget, and a whole
+state's norm too.  hbar = 1; times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ _TAIL_TOL = 1e-15  # truncation error of one output, relative to the norm of the
 # arrays grow with r t, so a longer series fails before they are built
 _MAX_TERMS = 1 << 20
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # (-1)^floor(k/2) by k mod 4
+_WHOLE = np.array([[1.0, 0.0]])  # one bra (c+, c-) on no sites: the identity, which reads the whole state
 
 
 def _gershgorin(diag, radius) -> tuple[float, float]:
@@ -116,10 +117,11 @@ class EvolutionEngine:
         self._radius = max(0.5 * (hi - lo), 1e-300)
         # 2 (H - c)/r is its flip part (2 value/r) S plus this diagonal
         self._shift = (2.0 / self._radius) * (diag - self._center)
+        self._whole = states.Projector(_WHOLE, (), hamiltonian.n_sites)
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} |state>."""
-        return self._series(state, [t])[0][0]
+        return self.evolve_grid(state, [t])[0]
 
     def evolve_grid(self, state: np.ndarray, ts) -> list[np.ndarray]:
         """States at each time in ``ts``, returned in the order of ``ts``.
@@ -128,22 +130,22 @@ class EvolutionEngine:
         exactly what ``evolve(state, t_j)`` returns.  No state is carried from one
         point to the next, so errors do not add up along the grid.
         """
-        return [psi for psi, _ in self._series(state, ts)]
+        return self.readout_grid(state, ts, self._whole)
 
     def evolve_tangent(self, state: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-iHt} psi, d/dvalue e^{-iHt} psi) for H = diag + value * S, with
         the interval held fixed."""
-        return self._series(state, [t], tangent=True)[0]
+        return self.readout_tangent(state, t, self._whole)
 
     def readout_grid(self, state: np.ndarray, ts, readout) -> list[np.ndarray]:
         """``readout.amplitudes`` of the state at each time in ``ts``, in the order
-        of ``ts``, with no state built: the readout (``states.Projector``) takes
-        every Chebyshev term as it is made."""
-        return [r for r, _ in self._series(state, ts, readout=readout)]
+        of ``ts``: the readout (``states.Projector``) takes every Chebyshev term
+        as it is made, so only the amplitudes are built."""
+        return [r for r, _ in self._series(state, ts, False, readout)]
 
     def readout_tangent(self, state: np.ndarray, t: float, readout) -> tuple[np.ndarray, np.ndarray]:
-        """``readout.amplitudes`` of both outputs of ``evolve_tangent``, with no state built."""
-        return self._series(state, [t], tangent=True, readout=readout)[0]
+        """``readout.amplitudes`` of both outputs of ``evolve_tangent``, made the same way."""
+        return self._series(state, [t], True, readout)[0]
 
     def _coefficients(self, t: float, tangent: bool) -> tuple[complex, np.ndarray]:
         """(e^{-ict}, b) for the terms the series at time t keeps, where
@@ -172,17 +174,17 @@ class EvolutionEngine:
         b[0] *= 0.5
         return np.exp(-1j * self._center * t), b
 
-    def _series(self, state: np.ndarray, ts, tangent: bool = False, readout=None) -> list:
+    def _series(self, state: np.ndarray, ts, tangent: bool, readout) -> list:
         """One Chebyshev series from ``state`` for every time in ``ts``: a list of
         (R e^{-iHt} psi, R of its tangent or None), one pair per t, where R is
-        ``readout`` or, for None, the identity.
+        ``readout`` (``states.Projector``; on no sites, the identity).
 
         H is real, so e^{-iHt}(a + ib) = e^{-iHt} a + i e^{-iHt} b, and so is the
         tangent: the real part of the state, and its imaginary part if that is
         nonzero, are lanes of one real march, each followed by its derivative
-        lane with the tangent.  The norm of each state is held to its
-        truncation and rounding budget; through a readout, which keeps no
-        state, the norm of every Chebyshev term is held to it instead.
+        lane with the tangent.  The march holds the norm of every Chebyshev
+        term to the output's truncation and rounding budget; a whole state's
+        norm is held to it too, which also catches wrong coefficients.
         """
         if state.shape != (self.hamiltonian.shape[0],):
             raise EvolutionError("state/Hamiltonian dimension mismatch")
@@ -201,13 +203,12 @@ class EvolutionEngine:
         for j, (t, (phase, b)) in enumerate(zip(ts, rows)):
             acc, accs[j] = accs[j], None  # each row's sums are freed as its output is made
             psi = _output(acc[:, ::width], phase)
-            if readout is None:
+            if not readout.sites:
                 drift = abs(_norm(psi) - norm)
                 budget = (_TAIL_TOL + 8 * b.size * np.finfo(float).eps) * norm
                 if drift > budget:
                     raise EvolutionError(
-                        f"Chebyshev series at t={t:.6g} changed the norm by {drift:.3g} (budget {budget:.3g}); "
-                        f"the interval {self.interval} does not hold the spectrum"
+                        f"Chebyshev series at t={t:.6g} changed the norm by {drift:.3g} (budget {budget:.3g})"
                     )
             out.append((psi, _output(acc[:, 1::width], phase) if tangent else None))
         return out
@@ -225,8 +226,8 @@ class EvolutionEngine:
         recurrence.  The lanes do not depend on t, so one recurrence serves every
         row (e^{-ict}, b) of the coefficient matrix; row j stops at its own Bessel
         tail.  The series coefficient c_k is b_k for even k and -i b_k for odd k,
-        so with the identity R, under which every lane stays real, a row's two
-        planes are its even and its odd sums.
+        so with a real R (the identity, or the two GHZ branches), under which
+        every lane stays real, a row's two planes are its even and its odd sums.
 
         A term is taken one block of ``hamiltonian.blocks()`` at a time: the
         flip sum (``flip_block``, which reads the partner blocks of p_{k-1}),
@@ -235,16 +236,16 @@ class EvolutionEngine:
         rotate once the term is done.  Each element gets the operations of a
         whole-vector step in the same order, and each readout entry is added to
         the rows once it is complete, so the sums do not depend on the block
-        size.  Through a readout, p_k of the state lanes keeps the start norm up
-        to rounding only if the interval holds the spectrum (|T_k| <= 1 on
-        [-1, 1]); a term beyond the output budget raises EvolutionError.
+        size.  p_k of the state lanes keeps the start norm up to rounding only
+        if the interval holds the spectrum (|T_k| <= 1 on [-1, 1]); a term
+        beyond the output budget raises EvolutionError.
         """
         width = 2 if tangent else 1
         op = self.hamiltonian
         blocks = op.blocks()
-        planes, size = (1, lanes.shape[-1]) if readout is None else (readout.planes, readout.size)
+        planes, size = readout.planes, readout.size
         accs = [np.zeros((2, len(lanes), size)) for _ in rows]
-        term = None if readout is None else readout.buffer(len(lanes), len(blocks))
+        term = readout.buffer(len(lanes), len(blocks))
         # a readout finishes at most two entries per state of a block
         scratch = np.empty((planes, len(lanes), min(size, 2 * blocks[0].stop)))
 
@@ -254,7 +255,7 @@ class EvolutionEngine:
             or the one real plane into the even or the odd sum; None until a
             block finishes entries.  The readout writes its entries afresh each
             term, so the imaginary plane is negated in place."""
-            done = (x[None], block) if readout is None else readout.take(x, block, term)
+            done = readout.take(x, block, term)
             if done is None:
                 return None
             vals, where = done
@@ -292,9 +293,9 @@ class EvolutionEngine:
                     n[1::2] += drive
                 if k == 1:
                     n *= 0.5
-                if readout is not None:  # p is free: summed pairwise, not by BLAS
-                    np.multiply(n[::width], n[::width], out=p[::width])
-                    squares.extend(np.sum(p[::width], axis=-1).tolist())
+                # p is free: summed pairwise, not by BLAS
+                np.multiply(n[::width], n[::width], out=p[::width])
+                squares.extend(np.sum(p[::width], axis=-1).tolist())
                 done = read(n, block, k)
                 if done is None:
                     continue
@@ -303,13 +304,12 @@ class EvolutionEngine:
                 for bk, acc in live:  # in-place numpy: BLAS's idle threads would spin
                     np.multiply(vals, bk, out=tmp)
                     acc[at] += tmp
-            if readout is not None:
-                length = math.sqrt(math.fsum(squares))
-                if not length - norm <= budget:
-                    raise EvolutionError(
-                        f"Chebyshev term {k} of {n_terms} has norm {length:.6g}, the start state {norm:.6g} "
-                        f"(budget {budget:.3g}); the interval {self.interval} does not hold the spectrum"
-                    )
+            length = math.sqrt(math.fsum(squares))
+            if not length - norm <= budget:
+                raise EvolutionError(
+                    f"Chebyshev term {k} of {n_terms} has norm {length:.6g}, the start state {norm:.6g} "
+                    f"(budget {budget:.3g}); the interval {self.interval} does not hold the spectrum"
+                )
             prev, cur, nxt = cur, nxt, prev
         return accs
 

@@ -1,4 +1,5 @@
-"""Sparse operator assembly over the 2^N computational basis.
+"""Operators over the 2^N computational basis: every command runs the
+matrix-free form, and the CSR builders serve tests and the benchmark's reference.
 
 Basis convention: basis state ``s`` is an integer whose bit i is the z spin
 of site i (bit 1 = up, z = +1).  Frame spins are fixed down (z = -1) and

@@ -87,7 +87,8 @@ def ramsey_setup(
     scheme reads the primed GHZ bra ``states.PRIMED`` through one
     ``states.Projector``: on every site for the GHZ schemes, on the probes
     (``states.probe_projector``) for ``hsf``.  The ``hsf`` scheme raises
-    SensingError when the partition breaks a freezing rule.
+    SensingError when the partition breaks a freezing rule, and
+    PartitionError before any state is built when it has no probe.
     """
     n = lattice.n_sites
     if scheme in ("ghz_free", "ghz_interacting"):
@@ -98,8 +99,8 @@ def ramsey_setup(
         violations = validate_partition(lattice, partition)
         if violations:
             raise SensingError(describe_violations(violations))
-        psi0 = states.embed(states.ghz_x(partition.n_probe), partition, lattice)
         proj = states.probe_projector(partition, lattice)
+        psi0 = states.embed(states.ghz_x(partition.n_probe), partition, lattice)
         if ideal:
             h = ham.op_probe_omega(partition, lattice, omega)
         else:

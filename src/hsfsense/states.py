@@ -3,10 +3,10 @@
 A measurement reads a state through one linear readout, ``Projector``: bras
 c+ <+...+| + c- <-...-| on some sites, tensored with the identity on the
 rest, given by their two coefficients and read from a sum and a
-parity-signed sum.  It contracts one block of basis states at a time, so the
-Chebyshev march of :mod:`hsfsense.evolve` can apply it to every term and
-keep no state.  All vectors use the bit convention of
-:mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
+parity-signed sum; on no sites, the bra (1, 0) is the identity.  It
+contracts one block of basis states at a time, so the Chebyshev march of
+:mod:`hsfsense.evolve` applies it to every term.  All vectors use the bit
+convention of :mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvolutionError
+from .errors import EvolutionError, PartitionError
 from .lattice import Lattice, SitePartition
 
 NORM_TOL = 1e-12
@@ -111,7 +111,8 @@ class Projector:
     The amplitudes of a state hold one entry per configuration of the other
     sites, in basis order (bit k on the k-th smallest other site), each
     holding every row; the expectation is their squared norm, that of the
-    projector onto the rows' span when they are orthonormal.
+    projector onto the rows' span when they are orthonormal.  On no sites
+    both sums are the state, so the bra (1, 0) is the identity.
     """
 
     bras: np.ndarray
@@ -122,8 +123,8 @@ class Projector:
         if np.ndim(self.bras) != 2 or np.shape(self.bras)[1] != 2 or not 1 <= len(self.bras) <= 2:
             raise EvolutionError(f"bras of shape {np.shape(self.bras)}; expected (rows, 2) with one or two rows")
         sites = self.sites
-        if not sites or len(set(sites)) != len(sites) or any(not 0 <= i < self.n_sites for i in sites):
-            raise EvolutionError(f"sites {sites} must be at least one, distinct and in range for {self.n_sites} sites")
+        if len(set(sites)) != len(sites) or any(not 0 <= i < self.n_sites for i in sites):
+            raise EvolutionError(f"sites {sites} must be distinct and in range for {self.n_sites} sites")
 
     @property
     def planes(self) -> int:
@@ -229,7 +230,10 @@ class Projector:
 
 
 def probe_projector(partition: SitePartition, lattice: Lattice) -> Projector:
-    """|GHZ'><GHZ'| on the probes (``PRIMED``), identity on the ancillas."""
+    """|GHZ'><GHZ'| on the probes (``PRIMED``), identity on the ancillas;
+    PartitionError for a partition with no probe."""
+    if not partition.probe_sites:
+        raise PartitionError("the partition has no probe site; the probe readout needs at least one")
     return Projector(PRIMED, tuple(partition.probe_order()), lattice.n_sites)
 
 
@@ -240,8 +244,8 @@ def measurement_probability(state: np.ndarray, projector: Projector) -> float:
 
 def clip_probability(p: float) -> float:
     """A projector's expectation clipped to [0, 1]; EvolutionError if it is
-    further outside than rounding allows."""
-    if p < -NORM_TOL or p > 1.0 + 1e-9:
+    further outside than rounding allows, or not a number."""
+    if not -NORM_TOL <= p <= 1.0 + 1e-9:
         raise EvolutionError(f"projector expectation {p} outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))
 

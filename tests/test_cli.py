@@ -293,6 +293,20 @@ def test_sweep_rejects_a_layout_that_breaks_the_freezing_rules(tmp_path, capsys)
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+def test_a_layout_with_no_probe_exits_3_naming_the_probes(tmp_path, capsys, command):
+    """Nine frozen ancillas break no freezing rule, but leave nothing to read."""
+    layout = tmp_path / "layout.txt"
+    layout.write_text("\n".join(f"{site} A down" for site in range(9)) + "\n")
+    text = (
+        f"command = {command}\nlattice.width = 3\nlattice.height = 3\nomega = 0.01\nt_int = 0.1\n"
+        f"t_max = 0.5\nt_points = 3\nsweep.scheme = hsf\npartition = explicit:{layout}\nout = {tmp_path / 'o.csv'}\n"
+    )
+    assert run_cli(tmp_path, text) == 3
+    assert "no probe" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "keys",
     ["command = fidelity\nt_max = 0.5\nt_points = 3\n", "command = fragments\n"],

@@ -87,7 +87,7 @@ def test_too_narrow_interval_raises(lat33, part33, dis33, monkeypatch):
         EvolutionEngine(h).evolve_grid(states.ghz_x(9), [0.0, 0.5, 1.0])
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
         EvolutionEngine(h).evolve_tangent(states.ghz_x(9), 1.0)
-    # the readout paths keep no state: the norm of every Chebyshev term is checked instead
+    # every march holds the norm of each Chebyshev term, whatever its readout
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
         verify_bound(lat33, part33, dis33, 0.4, [0.0, 0.5, 1.0])
     rc = RamseyConfig(omega=0.4, t_int=1.0, t_all=10.0)
@@ -96,6 +96,24 @@ def test_too_narrow_interval_raises(lat33, part33, dis33, monkeypatch):
             numeric_sensitivity(scheme, rc, lat33, part33, dis33)
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
         dynamical_fidelity_grid(h, 0.4, [0.0, 0.5, 1.0])
+
+
+def test_drift_check_catches_scaled_coefficients(lat33, dis33, monkeypatch):
+    """Coefficients 1e-9 too large leave every Chebyshev term's norm alone, so
+    no term guard fires; a whole state's norm drifts, and names no cause."""
+    bessel_j = evolve_module._bessel_j
+    monkeypatch.setattr(evolve_module, "_bessel_j", lambda x, n: bessel_j(x, n) * (1.0 + 1e-9))
+    eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
+    psi = states.ghz_x(9)
+    calls = (
+        lambda: eng.evolve(psi, 1.0),
+        lambda: eng.evolve_grid(psi, [0.0, 0.5, 1.0]),
+        lambda: eng.evolve_tangent(psi, 1.0),
+    )
+    drift = r"^Chebyshev series at t=\S+ changed the norm by \S+ \(budget \S+\)$"
+    for call in calls:
+        with pytest.raises(EvolutionError, match=drift):
+            call()
 
 
 def van_loan_oracle(op, psi, t):

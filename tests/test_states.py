@@ -210,7 +210,8 @@ def test_take_by_blocks_equals_whole_amplitudes(block, monkeypatch):
     """At 3x6 the probes are sites 4 and 13, so with 2^8 or 2^10-state blocks
     one lies inside a block and one above it, as at 4x6 (probes 5 and 17) with
     the default blocks; the two GHZ branches on every site take 2^10 or 2^8
-    blocks."""
+    blocks.  On no sites the bra (1, 0) is the identity, and its take copies
+    every block bit for bit."""
     lat = Lattice(3, 6)
     part = canonical_partition(lat)
     assert part.probe_order() == [4, 13]
@@ -224,6 +225,7 @@ def test_take_by_blocks_equals_whole_amplitudes(block, monkeypatch):
     for readout in (states.probe_projector(part, lat), states.Projector(np.eye(2), tuple(range(n)), n)):
         got = take_by_blocks(readout, psi, blocks)
         np.testing.assert_allclose(got, readout.amplitudes(psi), rtol=0, atol=1e-15)
+    assert np.array_equal(take_by_blocks(states.Projector([[1.0, 0.0]], (), n), psi, blocks), psi)
 
 
 def test_ancilla_projector_detects_leakage(lat33, part33):
@@ -310,11 +312,30 @@ def test_projector_rejects_bad_input_at_construction():
         lambda: states.Projector(states.PRIMED, (1, 1), 3),
         lambda: states.Projector(states.PRIMED, (0, 3), 3),
         lambda: states.Projector(states.PRIMED, (-1,), 3),
-        lambda: states.Projector(states.PRIMED, (), 3),
     ]
     for make in bad:
         with pytest.raises(EvolutionError):
             make()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_projector_on_no_sites_is_the_identity(n):
+    """No sites is not bad input: both sums are the state itself."""
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    whole = states.Projector([[1.0, 0.0]], (), n)
+    assert np.array_equal(whole.amplitudes(psi), psi)
+    assert whole.expectation(psi) == pytest.approx(float(np.vdot(psi, psi).real), rel=1e-14)
+
+
+def test_a_non_finite_expectation_is_an_evolution_error():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(EvolutionError, match="outside"):
+            states.clip_probability(bad)
+    psi = states.ghz_x(3)
+    psi[0] = np.nan  # both bounds compare false on NaN
+    with pytest.raises(EvolutionError, match="outside"):
+        states.measurement_probability(psi, states.Projector(states.PRIMED, (0, 1, 2), 3))
 
 
 def test_frozen_subspace_lists_probe_configurations_in_probe_factor_order():
