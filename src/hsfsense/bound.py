@@ -102,7 +102,8 @@ def verify_bound(
 
     The premises are checked before anything evolves: a partition that breaks
     a freezing rule raises BoundError with its violations, and so do the
-    envelope's own inputs (``omega < 0``, a nonpositive gap).
+    envelope's own inputs (``omega < 0``, a nonpositive gap); a partition
+    with no probe raises PartitionError, at ``omega = 0`` too.
     """
     violations = validate_partition(lattice, partition)
     if violations:
@@ -112,12 +113,12 @@ def verify_bound(
     jg = j_gap(lattice, partition, couplings)
     dpr = delta_pr_numeric(lattice, partition, couplings)
 
-    if omega == 0.0:
+    rhs = error_bound_rhs(n, omega, jg, t_grid)
+    # set up at omega = 0 too, where nothing evolves: it checks the probes
+    psi, h_total, proj = ramsey_setup("hsf", omega, lattice, partition, couplings)
+    if omega == 0.0:  # no drive: eps is 0 exactly, where a march would read its rounding against rhs = 0
         eps = np.zeros_like(t_grid)
-        rhs = np.zeros_like(t_grid)
     else:
-        rhs = error_bound_rhs(n, omega, jg, t_grid)
-        psi, h_total, proj = ramsey_setup("hsf", omega, lattice, partition, couplings, ideal=False)
         amps = EvolutionEngine(h_total).readout_grid(psi, t_grid, proj)
         eps = np.array([np.sum(np.abs(u) ** 2) for u in amps]) - ideal_probability(partition.n_probe, omega, t_grid)
 

@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 
-from .config import COMMANDS, RunConfig, parse_config
+from .config import COMMANDS, SCHEMES, RunConfig, parse_config
 from .errors import ConfigError
 
 
@@ -98,23 +98,20 @@ def _warn_phase(label: str, rc, n: int) -> None:
 
 
 def _cmd_sweep(config: RunConfig) -> str:
-    from .sensing import SCHEMES, RamseyConfig, numeric_sensitivity
+    from .sensing import RamseyConfig, numeric_sensitivity
 
-    if config.sweep_ideal and config.sweep_scheme not in ("hsf", "all"):
-        raise ConfigError(f"sweep.ideal applies to the hsf scheme only, not sweep.scheme = {config.sweep_scheme}")
     schemes = SCHEMES if config.sweep_scheme == "all" else (config.sweep_scheme,)
+    probe_schemes = ("hsf", "hsf_ideal")
     lattice = _lattice(config)
-    partition = _partition(config, lattice) if "hsf" in schemes else None
+    partition = _partition(config, lattice) if any(s in probe_schemes for s in schemes) else None
     couplings = _couplings(config, lattice)
     rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_all)
     n = lattice.n_sites
     lines = ["scheme,N,jbar,omega,t_int,delta_omega"]
     for scheme in schemes:
-        n_sensing = partition.n_probe if scheme == "hsf" else n
+        n_sensing = partition.n_probe if scheme in probe_schemes else n
         _warn_phase(scheme, rc, n_sensing)
-        delta = numeric_sensitivity(
-            scheme, rc, lattice, partition, couplings, ideal=config.sweep_ideal
-        )
+        delta = numeric_sensitivity(scheme, rc, lattice, partition, couplings)
         lines.append(
             f"{scheme},{n},{_fmt(couplings.jbar)},{_fmt(config.omega)},"
             f"{_fmt(config.t_int)},{_fmt(delta)}"
@@ -220,8 +217,7 @@ def main(argv=None) -> int:
     parser.add_argument("--command", choices=COMMANDS)
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--scheme", choices=("ghz_free", "ghz_interacting", "hsf"))
-    parser.add_argument("--ideal", action="store_true", help="sweep: evolve under the decoupled probe field")
+    parser.add_argument("--scheme", choices=SCHEMES + ("all",))
     args = parser.parse_args(argv)
 
     try:
@@ -239,8 +235,6 @@ def main(argv=None) -> int:
             config.couplings_seed = args.seed
         if args.scheme:
             config.sweep_scheme = args.scheme
-        if args.ideal:
-            config.sweep_ideal = True
         return run(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,6 +8,9 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 COMMANDS = ("fidelity", "sweep", "zeno", "fragments", "bound", "montecarlo")
+# the Ramsey schemes of ``sensing.ramsey_setup``; kept here so the config and
+# the CLI check them without importing ``sensing`` (and numpy with it)
+SCHEMES = ("ghz_free", "ghz_interacting", "hsf", "hsf_ideal")
 
 
 def _positive(name):
@@ -49,9 +52,6 @@ def _each(name, rule):
     return validate
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}  # in any case
-
-
 def _int_list(text):
     return tuple(int(x) for x in str(text).split(";") if x.strip())
 
@@ -80,7 +80,6 @@ class RunConfig:
     t_points: int = 50
     delta_th: float = 0.1
     sweep_scheme: str = "hsf"
-    sweep_ideal: bool = False
     zeno_tau: float = 0.1
     zeno_omega0: float = 1.0
     zeno_beta_values: tuple = (0.0,)
@@ -110,8 +109,7 @@ KEYS = {
     "t_max": ("t_max", float, _positive("t_max")),
     "t_points": ("t_points", int, _positive("t_points")),
     "delta_th": ("delta_th", float, _positive("delta_th")),
-    "sweep.scheme": ("sweep_scheme", str, _choice("sweep.scheme", ("ghz_free", "ghz_interacting", "hsf", "all"))),
-    "sweep.ideal": ("sweep_ideal", lambda s: _BOOLS[s.lower()], None),
+    "sweep.scheme": ("sweep_scheme", str, _choice("sweep.scheme", SCHEMES + ("all",))),
     "zeno.tau": ("zeno_tau", float, _positive("zeno.tau")),
     "zeno.omega0": ("zeno_omega0", float, None),
     "zeno.beta_values": ("zeno_beta_values", _float_list, _each("zeno.beta_values", _nonnegative)),
@@ -157,7 +155,7 @@ def parse_config(text: str) -> RunConfig:
         except ConfigError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        except (TypeError, ValueError, KeyError):  # KeyError: not a boolean
+        except (TypeError, ValueError):
             problems.append(f"line {lineno}: cannot parse {value!r} for key {key!r}")
             continue
         setattr(config, attr, parsed)
@@ -175,8 +173,6 @@ def serialize_config(config: RunConfig) -> str:
         value = getattr(config, f.name)
         if isinstance(value, tuple):
             value = ";".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
         if value == "" or value is None:
             continue
         lines.append(f"{_ATTR_TO_KEY[f.name]} = {value}")

@@ -19,7 +19,10 @@ so one series from the start state gives every time of a grid, each time
 stopping at its own Bessel tail.  Each term is taken one cache-sized block of
 basis states at a time (``TransverseFieldOperator.blocks``): its flip sum,
 recurrence and every time's sums, with the arithmetic of a whole-vector step
-element by element, so the outputs do not depend on the block size.
+element by element, so whole states do not depend on the block size, bit for
+bit.  A readout folds the sites inside a block first and those at or above
+it afterwards, so on sites at or above the block its outputs agree with
+another block size's only to rounding.
 
 The series is linear in each term, so one march reads every term through one
 linear readout R, a ``states.Projector``, as it is made, as kernel polynomial
@@ -235,8 +238,10 @@ class EvolutionEngine:
         row's sums run on that block while it is in cache, and the buffers
         rotate once the term is done.  Each element gets the operations of a
         whole-vector step in the same order, and each readout entry is added to
-        the rows once it is complete, so the sums do not depend on the block
-        size.  p_k of the state lanes keeps the start norm up to rounding only
+        the rows once it is complete, so the sums of a whole state do not
+        depend on the block size; a readout on sites at or above the block
+        folds them in another order, so its sums agree only to rounding.
+        p_k of the state lanes keeps the start norm up to rounding only
         if the interval holds the spectrum (|T_k| <= 1 on [-1, 1]); a term
         beyond the output budget raises EvolutionError.
         """

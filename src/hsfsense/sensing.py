@@ -10,12 +10,11 @@ import numpy as np
 
 from . import hamiltonian as ham
 from . import states
+from .config import SCHEMES
 from .couplings import CouplingMap
 from .errors import SensingError
 from .evolve import EvolutionEngine
 from .lattice import Lattice, SitePartition, describe_violations, validate_partition
-
-SCHEMES = ("ghz_free", "ghz_interacting", "hsf")
 
 
 @dataclass(frozen=True)
@@ -78,16 +77,18 @@ def ramsey_setup(
     lattice: Lattice,
     partition: SitePartition | None,
     couplings: CouplingMap | None,
-    ideal: bool,
 ) -> tuple[np.ndarray, ham.TransverseFieldOperator, states.Projector]:
-    """Initial state, generator at ``omega`` and readout projector of one scheme.
+    """Initial state, generator at ``omega`` and readout projector of one of ``SCHEMES``.
 
     Every generator is a diagonal plus (omega/2) sum sigma^x, so omega
     enters only through the operator's flip amplitude ``value``.  Every
     scheme reads the primed GHZ bra ``states.PRIMED`` through one
     ``states.Projector``: on every site for the GHZ schemes, on the probes
-    (``states.probe_projector``) for ``hsf``.  The ``hsf`` scheme raises
-    SensingError when the partition breaks a freezing rule, and
+    (``states.probe_projector``) for the probe schemes.  The probe schemes
+    share their premises, start state and readout; ``hsf`` evolves under the
+    full shifted Hamiltonian (``hamiltonian.op_total``) and ``hsf_ideal``
+    under the decoupled probe drive alone (``hamiltonian.op_probe_omega``).
+    Both raise SensingError when the partition breaks a freezing rule, and
     PartitionError before any state is built when it has no probe.
     """
     n = lattice.n_sites
@@ -95,16 +96,16 @@ def ramsey_setup(
         psi0 = states.ghz_x(n)
         h = ham.op_omega(lattice, omega) if scheme == "ghz_free" else ham.op_tfim(lattice, couplings, omega)
         proj = states.Projector(states.PRIMED, tuple(range(n)), n)
-    elif scheme == "hsf":
+    elif scheme in ("hsf", "hsf_ideal"):
         violations = validate_partition(lattice, partition)
         if violations:
             raise SensingError(describe_violations(violations))
         proj = states.probe_projector(partition, lattice)
         psi0 = states.embed(states.ghz_x(partition.n_probe), partition, lattice)
-        if ideal:
-            h = ham.op_probe_omega(partition, lattice, omega)
-        else:
+        if scheme == "hsf":
             h = ham.op_total(lattice, partition, couplings, omega)
+        else:
+            h = ham.op_probe_omega(partition, lattice, omega)
     else:
         raise SensingError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     return psi0, h, proj
@@ -113,7 +114,7 @@ def ramsey_setup(
 def ideal_probability(n_probe: int, omega: float, t):
     """Primed-GHZ readout probability under the decoupled probe drive: (1 + sin(m omega t))/2.
 
-    The premise is the ``hsf`` scheme of ``ramsey_setup``: the m probes start
+    The premise is the ``hsf_ideal`` scheme of ``ramsey_setup``: the m probes start
     in ``ghz_x`` (|+...+> + |-...->)/sqrt(2) and are read out by the projector
     on its primed partner (|+...+> + i |-...->)/sqrt(2).  The drive
     (omega/2) sum_p sigma^x_p only phases the two branches,
@@ -130,7 +131,6 @@ def numeric_sensitivity(
     lattice: Lattice,
     partition: SitePartition | None = None,
     couplings: CouplingMap | None = None,
-    ideal: bool = False,
 ) -> float:
     """Simulated delta-omega for one scheme from the exact slope dP/domega.
 
@@ -140,7 +140,7 @@ def numeric_sensitivity(
     With u the projector amplitudes of the state, P = ||u||^2 and
     dP/domega = Re<u, du/d(omega/2)>.
     """
-    psi0, h, proj = ramsey_setup(scheme, config.omega, lattice, partition, couplings, ideal)
+    psi0, h, proj = ramsey_setup(scheme, config.omega, lattice, partition, couplings)
     u, du = EvolutionEngine(h).readout_tangent(psi0, config.t_int, proj)
     slope = float(np.sum(u.conj() * du).real)
     p = states.clip_probability(float(np.sum(np.abs(u) ** 2)))

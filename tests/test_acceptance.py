@@ -49,7 +49,7 @@ def test_acceptance_1_heisenberg_limit():
     for w, h in ((3, 3), (4, 3), (3, 6)):
         lat = Lattice(w, h)
         part = canonical_partition(lat)
-        got = numeric_sensitivity("hsf", rc, lat, part, None, ideal=True)
+        got = numeric_sensitivity("hsf_ideal", rc, lat, part)
         want = 1.0 / (part.n_probe * math.sqrt(rc.t_int * rc.t_int * rc.repetitions))
         assert abs(got - want) / want < 1e-12, f"{w}x{h}: {got} vs {want}"
     assert part.n_probe == 2
@@ -171,7 +171,7 @@ def test_acceptance_6_second_order_series():
 
     lat = Lattice(3, 3)
     c = sample_gaussian(lat, 1.0, 0.3, seed=7)
-    psi0, h, proj = ramsey_setup("ghz_interacting", 0.4, lat, None, c, ideal=False)
+    psi0, h, proj = ramsey_setup("ghz_interacting", 0.4, lat, None, c)
     eng = EvolutionEngine(h)
     errs = []
     for t in (0.02, 0.01, 0.005):

@@ -132,6 +132,6 @@ def test_verify_bound_rejects_negative_omega_before_evolving(lat33, part33, hom3
     def no_march(*args, **kwargs):
         pytest.fail("verify_bound evolved before checking omega")
 
-    monkeypatch.setattr("hsfsense.evolve.EvolutionEngine.evolve_grid", no_march)
+    monkeypatch.setattr("hsfsense.evolve.EvolutionEngine._series", no_march)
     with pytest.raises(BoundError, match="omega >= 0"):
         verify_bound(lat33, part33, hom33, omega=-0.005, t_grid=np.linspace(0.0, 2.0, 20))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -55,11 +56,35 @@ def test_sweep_all_schemes(tmp_path):
         "ghz_free",
         "ghz_interacting",
         "hsf",
+        "hsf_ideal",
     ]
 
 
+def test_scheme_flag_all_runs_every_scheme(tmp_path):
+    out = tmp_path / "sweep.csv"
+    text = "command = sweep\nlattice.width = 3\nlattice.height = 3\nomega = 0.4\nt_int = 0.1\nt_all = 10\n"
+    assert run_cli(tmp_path, text, "--scheme", "all", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 5
+    assert lines[-1].startswith("hsf_ideal,")
+
+
+def test_scheme_flag_hsf_ideal_attains_the_probe_heisenberg_limit(tmp_path):
+    """The decoupled probe drive on 3x6 (two probes) reaches 1/(m t_int sqrt(M))."""
+    out = tmp_path / "sweep.csv"
+    text = (
+        "command = sweep\nlattice.width = 3\nlattice.height = 6\ncouplings.sigma = 0.3\n"
+        "omega = 0.05\nt_int = 0.1\nt_all = 10\n"
+    )
+    assert run_cli(tmp_path, text, "--scheme", "hsf_ideal", "--out", str(out)) == 0
+    scheme, n, *_, delta = out.read_text().splitlines()[1].split(",")
+    assert (scheme, n) == ("hsf_ideal", "18")
+    want = 1.0 / (2 * 0.1 * math.sqrt(100))
+    assert abs(float(delta) - want) / want <= 1e-12
+
+
 def test_sweep_warns_when_accumulated_phase_is_large(tmp_path, capsys):
-    # omega * n * t_int: 0.4 * 9 * 0.2 = 0.72 for the GHZ schemes, 0.4 * 1 * 0.2 for hsf
+    # omega * n * t_int: 0.4 * 9 * 0.2 = 0.72 for the GHZ schemes, 0.4 * 1 * 0.2 for the probe schemes
     out = tmp_path / "sweep.csv"
     text = (
         "command = sweep\nlattice.width = 3\nlattice.height = 3\n"
@@ -71,7 +96,7 @@ def test_sweep_warns_when_accumulated_phase_is_large(tmp_path, capsys):
     assert [line.split(":")[1].strip() for line in warnings] == ["ghz_free", "ghz_interacting"]
     assert all(line.startswith("warning: ") for line in warnings)
     assert captured.out == ""
-    assert len(out.read_text().splitlines()) == 4
+    assert len(out.read_text().splitlines()) == 5
 
 
 _BLAS_THREADS_PROBE = """
@@ -293,14 +318,23 @@ def test_sweep_rejects_a_layout_that_breaks_the_freezing_rules(tmp_path, capsys)
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["bound", "sweep"])
-def test_a_layout_with_no_probe_exits_3_naming_the_probes(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command,omega,scheme",
+    [
+        pytest.param("bound", "0.01", "hsf", id="bound"),
+        pytest.param("bound", "0", "hsf", id="bound-omega0"),  # where nothing evolves
+        pytest.param("sweep", "0.01", "hsf", id="sweep"),
+        pytest.param("sweep", "0.01", "hsf_ideal", id="sweep-hsf_ideal"),
+    ],
+)
+def test_a_layout_with_no_probe_exits_3_naming_the_probes(tmp_path, capsys, command, omega, scheme):
     """Nine frozen ancillas break no freezing rule, but leave nothing to read."""
     layout = tmp_path / "layout.txt"
     layout.write_text("\n".join(f"{site} A down" for site in range(9)) + "\n")
     text = (
-        f"command = {command}\nlattice.width = 3\nlattice.height = 3\nomega = 0.01\nt_int = 0.1\n"
-        f"t_max = 0.5\nt_points = 3\nsweep.scheme = hsf\npartition = explicit:{layout}\nout = {tmp_path / 'o.csv'}\n"
+        f"command = {command}\nlattice.width = 3\nlattice.height = 3\nomega = {omega}\nt_int = 0.1\n"
+        f"t_max = 0.5\nt_points = 3\nsweep.scheme = {scheme}\npartition = explicit:{layout}\n"
+        f"out = {tmp_path / 'o.csv'}\n"
     )
     assert run_cli(tmp_path, text) == 3
     assert "no probe" in capsys.readouterr().err
@@ -395,27 +429,12 @@ def test_non_finite_number_is_config_error(tmp_path, command, line):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
-def test_sweep_ideal_typo_is_config_error(tmp_path, capsys, value):
+def test_sweep_ideal_is_an_unknown_key(tmp_path, capsys):
+    """The decoupled probe drive is the scheme ``hsf_ideal``, not a flag."""
     out = tmp_path / "s.csv"
-    text = f"command = sweep\nlattice.width = 3\nlattice.height = 3\nsweep.ideal = {value}\nout = {out}\n"
+    text = f"command = sweep\nlattice.width = 3\nlattice.height = 3\nsweep.ideal = true\nout = {out}\n"
     assert run_cli(tmp_path, text) == 2
-    assert "cannot parse" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("scheme", ["ghz_free", "ghz_interacting"])
-def test_sweep_ideal_with_a_ghz_scheme_is_config_error(tmp_path, capsys, scheme):
-    """``sweep.ideal`` switches only the hsf generator: with a GHZ-only scheme it would do nothing."""
-    out = tmp_path / "s.csv"
-    text = (
-        f"command = sweep\nlattice.width = 3\nlattice.height = 3\n"
-        f"sweep.scheme = {scheme}\nsweep.ideal = true\nout = {out}\n"
-    )
-    assert run_cli(tmp_path, text) == 2
-    assert "sweep.ideal" in capsys.readouterr().err
-    assert not out.exists()
-    assert run_cli(tmp_path, text.replace("sweep.ideal = true\n", ""), "--ideal") == 2
+    assert "unknown key 'sweep.ideal'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -60,19 +60,10 @@ def test_serialize_roundtrip_nondefaults():
     text = (
         "command = montecarlo\nlattice.width = 3\nlattice.height = 3\n"
         "couplings.sigma = 0.3\ncouplings.seed = 42\nomega = 0.25\n"
-        "mc.trials = 77\nseed = 9\nout = x.csv\nsweep.ideal = true\n"
+        "mc.trials = 77\nseed = 9\nout = x.csv\nsweep.scheme = hsf_ideal\n"
     )
     cfg = parse_config(text)
-    assert cfg.sweep_ideal is True
-    assert parse_config(serialize_config(cfg)) == cfg
-
-
-@pytest.mark.parametrize(
-    "value,ideal", [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False)]
-)
-def test_sweep_ideal_accepts_booleans_in_any_case(value, ideal):
-    cfg = parse_config(f"command = sweep\nsweep.ideal = {value}\n")
-    assert cfg.sweep_ideal is ideal
+    assert cfg.sweep_scheme == "hsf_ideal"
     assert parse_config(serialize_config(cfg)) == cfg
 
 

@@ -198,13 +198,13 @@ def test_grid_rows_equal_single_evolutions(lat34, part34):
 
 
 def test_ideal_probability_matches_chebyshev(lat33):
-    """The closed form against the engine's march of the hsf scheme under the
-    decoupled probe drive, with one probe and with two."""
+    """The closed form against the engine's march of the hsf_ideal scheme (the
+    decoupled probe drive), with one probe and with two."""
     ts = np.linspace(0.0, 3.0, 23)
     for lat, n_probe in ((lat33, 1), (Lattice(3, 6), 2)):
         part = canonical_partition(lat)
         assert part.n_probe == n_probe
-        psi, h, proj = ramsey_setup("hsf", 0.7, lat, part, None, ideal=True)
+        psi, h, proj = ramsey_setup("hsf_ideal", 0.7, lat, part, None)
         got = [proj.expectation(state) for state in EvolutionEngine(h).evolve_grid(psi, ts)]
         want = ideal_probability(n_probe, 0.7, ts)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

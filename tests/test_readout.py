@@ -66,7 +66,7 @@ def probe_projected(psi, part, lat):
 def test_bound_eps_matches_vdot_oracle(shape, block, monkeypatch):
     lat, part, c = setup(shape)
     ts = np.linspace(0.0, 0.4, 3)
-    psi, h, _ = ramsey_setup("hsf", 0.4, lat, part, c, ideal=False)
+    psi, h, _ = ramsey_setup("hsf", 0.4, lat, part, c)
     full = [vdot(s, probe_projected(s, part, lat)).real for s in EvolutionEngine(h).evolve_grid(psi, ts)]
     want = np.array(full) - ideal_probability(part.n_probe, 0.4, ts)
     small_blocks(block, part, monkeypatch)
@@ -76,15 +76,19 @@ def test_bound_eps_matches_vdot_oracle(shape, block, monkeypatch):
 
 
 @pytest.mark.parametrize("shape,block", CASES, ids=IDS)
+# ids read "<layout>-<under the decoupled probe drive alone>", as they did
+# before hsf_ideal became a scheme, so test histories line up
 @pytest.mark.parametrize(
-    "scheme,ideal", [("hsf", False), ("hsf", True), ("ghz_free", False), ("ghz_interacting", False)]
+    "scheme",
+    ["hsf", "hsf_ideal", "ghz_free", "ghz_interacting"],
+    ids=["hsf-False", "hsf-True", "ghz_free-False", "ghz_interacting-False"],
 )
-def test_sensitivity_matches_vdot_oracle(shape, block, scheme, ideal, monkeypatch):
+def test_sensitivity_matches_vdot_oracle(shape, block, scheme, monkeypatch):
     lat, part, c = setup(shape)
     rc = RamseyConfig(omega=0.3, t_int=0.2, t_all=10.0)
-    psi0, h, _ = ramsey_setup(scheme, rc.omega, lat, part, c, ideal)
+    psi0, h, _ = ramsey_setup(scheme, rc.omega, lat, part, c)
     psi, dpsi = EvolutionEngine(h).evolve_tangent(psi0, rc.t_int)
-    if scheme == "hsf":
+    if scheme in ("hsf", "hsf_ideal"):
         projected = probe_projected(psi, part, lat)
         p, slope = vdot(psi, projected).real, vdot(projected, dpsi).real
     else:
@@ -93,7 +97,7 @@ def test_sensitivity_matches_vdot_oracle(shape, block, scheme, ideal, monkeypatc
         p, slope = abs(u) ** 2, (u.conjugate() * du).real
     want = ramsey_uncertainty(p, slope, rc.repetitions)
     small_blocks(block, part, monkeypatch)
-    assert abs(numeric_sensitivity(scheme, rc, lat, part, c, ideal) - want) <= TOL
+    assert abs(numeric_sensitivity(scheme, rc, lat, part, c) - want) <= TOL
 
 
 @pytest.mark.parametrize("shape,block", CASES, ids=IDS)
@@ -145,7 +149,7 @@ def test_ghz_schemes_build_no_primed_state(lat34, part34, monkeypatch):
     c = sample_gaussian(lat34, 1.0, 0.3, seed=3)
     for scheme in SCHEMES:
         built.clear()
-        _, _, proj = ramsey_setup(scheme, rc.omega, lat34, part34, c, ideal=False)
-        assert built == [part34.n_probe if scheme == "hsf" else lat34.n_sites]
+        _, _, proj = ramsey_setup(scheme, rc.omega, lat34, part34, c)
+        assert built == [part34.n_probe if scheme in ("hsf", "hsf_ideal") else lat34.n_sites]
         np.testing.assert_array_equal(proj.bras, states.PRIMED)
         assert numeric_sensitivity(scheme, rc, lat34, part34, c) > 0

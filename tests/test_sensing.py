@@ -54,10 +54,10 @@ def test_repetitions_floor():
         assert RamseyConfig(omega=0.1, t_int=t_int, t_all=t_all).repetitions == want, (t_int, t_all)
 
 
-def richardson_sensitivity(scheme, rc, lat, part, couplings, ideal=False):
+def richardson_sensitivity(scheme, rc, lat, part, couplings):
     """Test oracle: delta-omega from a central difference with one Richardson
     refinement at step max(1e-6, 1e-3 |omega|), each P(omega) one evolution."""
-    psi0, h, proj = ramsey_setup(scheme, rc.omega, lat, part, couplings, ideal)
+    psi0, h, proj = ramsey_setup(scheme, rc.omega, lat, part, couplings)
 
     def p_of(w):
         state = EvolutionEngine(replace(h, value=w / 2.0)).evolve(psi0, rc.t_int)
@@ -120,7 +120,7 @@ def test_ghz_free_attains_heisenberg_limit(lat33):
 
 def test_hsf_ideal_attains_probe_heisenberg_limit(lat33, part33):
     rc = RamseyConfig(omega=0.05, t_int=0.1, t_all=10.0)
-    got = numeric_sensitivity("hsf", rc, lat33, part33, None, ideal=True)
+    got = numeric_sensitivity("hsf_ideal", rc, lat33, part33)
     m = rc.repetitions
     want = 1.0 / (part33.n_probe * math.sqrt(rc.t_int * rc.t_int * m))
     assert got == pytest.approx(want, rel=1e-12)
@@ -150,7 +150,7 @@ def test_bond_square_sum_homogeneous(lat33):
 
 def test_second_order_series_has_third_order_error(lat33, dis33):
     """|P_exact - P_series| must fall as t^3 when t halves."""
-    psi0, h, proj = ramsey_setup("ghz_interacting", 0.4, lat33, None, dis33, ideal=False)
+    psi0, h, proj = ramsey_setup("ghz_interacting", 0.4, lat33, None, dis33)
     eng = EvolutionEngine(h)
     errs = []
     for t in (0.02, 0.01, 0.005):
