@@ -3,7 +3,8 @@
 
 Each stage runs in its own fresh interpreter, one at a time, so its peak
 resident set size is its own: ``base_mb`` is the peak after imports and
-set-up, ``peak_mb`` the peak after the stage.  Stages:
+set-up, ``peak_mb`` the peak after the stage, and ``vectors`` what the stage
+added, ``peak_mb - base_mb``, in units of one 2^N float64 vector.  Stages:
 
   op_total      ``op_total`` (Ising and shift diagonals, matrix-free drive)
   ghz_x         ``ghz_x`` on every site (the full-register GHZ state)
@@ -87,8 +88,9 @@ def main() -> int:
         return 0
 
     n = args.width * args.height
+    vector_mb = 8.0 * (1 << n) / 1024.0**2
     print(f"# {args.width}x{args.height}, N = {n}, seed {SEED}; one fresh process per stage")
-    print("stage,wall_s,base_mb,peak_mb")
+    print("stage,wall_s,base_mb,peak_mb,vectors")
     status = 0
     for stage in STAGES:
         cmd = [sys.executable, __file__, "--width", str(args.width), "--height", str(args.height), "--stage", stage]
@@ -98,7 +100,8 @@ def main() -> int:
             status = 1
             continue
         row = json.loads(done.stdout.strip().splitlines()[-1])
-        print(f"{stage},{row['wall_s']},{row['base_mb']},{row['peak_mb']}")
+        vectors = (row["peak_mb"] - row["base_mb"]) / vector_mb
+        print(f"{stage},{row['wall_s']},{row['base_mb']},{row['peak_mb']},{vectors:.2f}")
     return status
 
 

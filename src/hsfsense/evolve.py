@@ -14,15 +14,19 @@ bound on the Bessel tail falls below ``_TAIL_TOL``; a norm drift beyond an
 output's budget raises EvolutionError.  One real recurrence (H is real)
 marches a stack of lanes: the real part of the start state, its imaginary
 part if that is nonzero, and with the tangent each part's exact derivative in
-``value``; only the outputs are complex.  Only the coefficients depend on t,
-so one series from the start state gives every time of a grid, each time
-stopping at its own Bessel tail.  Each term is taken one cache-sized block of
-basis states at a time (``TransverseFieldOperator.blocks``): its flip sum,
-recurrence and every time's sums, with the arithmetic of a whole-vector step
-element by element, so whole states do not depend on the block size, bit for
-bit.  A readout folds the sites inside a block first and those at or above
-it afterwards, so on sites at or above the block its outputs agree with
-another block size's only to rounding.
+``value``; only the outputs are complex, and every start state the commands
+build is real.  Only the coefficients depend on t, so one series from the
+start state gives every time of a grid, each time stopping at its own Bessel
+tail.  The march keeps two stacks of lanes and writes each term over the one
+two before it; the engine keeps no basis-sized array of its own.  Each term is
+taken one cache-sized block of basis states at a time
+(``TransverseFieldOperator.blocks``): its flip sum into a block-sized scratch,
+the diagonal shift made for the block, the recurrence and every time's sums,
+with the arithmetic of a whole-vector step element by element, so whole
+states do not depend on the block size, bit for bit.  A readout folds the
+sites inside a block first and those at or above it afterwards, so on sites
+at or above the block its outputs agree with another block size's only to
+rounding.
 
 The series is linear in each term, so one march reads every term through one
 linear readout R, a ``states.Projector``, as it is made, as kernel polynomial
@@ -55,7 +59,7 @@ _WHOLE = np.array([[1.0, 0.0]])  # one bra (c+, c-) on no sites: the identity, w
 
 def _gershgorin(diag, radius) -> tuple[float, float]:
     """Spectral interval of a Hermitian operator from its diagonal and off-diagonal absolute row sums."""
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
+    return float(np.min(diag) - radius), float(np.max(diag) + radius)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -118,8 +122,6 @@ class EvolutionEngine:
         lo, hi = self.interval
         self._center = 0.5 * (lo + hi)
         self._radius = max(0.5 * (hi - lo), 1e-300)
-        # 2 (H - c)/r is its flip part (2 value/r) S plus this diagonal
-        self._shift = (2.0 / self._radius) * (diag - self._center)
         self._whole = states.Projector(_WHOLE, (), hamiltonian.n_sites)
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
@@ -195,7 +197,7 @@ class EvolutionEngine:
             if not np.isfinite(t):
                 raise EvolutionError(f"time must be finite, got {t}")
         rows = [self._coefficients(t, tangent) for t in ts]
-        parts = [np.real(state)] + ([np.imag(state)] if np.any(np.imag(state)) else [])
+        parts = [np.real(state)] + ([state.imag] if np.iscomplexobj(state) and np.any(state.imag) else [])
         width = 2 if tangent else 1
         lanes = np.zeros((len(parts) * width, state.shape[0]))
         lanes[::width] = parts
@@ -232,11 +234,16 @@ class EvolutionEngine:
         so with a real R (the identity, or the two GHZ branches), under which
         every lane stays real, a row's two planes are its even and its odd sums.
 
-        A term is taken one block of ``hamiltonian.blocks()`` at a time: the
-        flip sum (``flip_block``, which reads the partner blocks of p_{k-1}),
-        the drive, the recurrence, the halving at k = 1, the readout and every
-        row's sums run on that block while it is in cache, and the buffers
-        rotate once the term is done.  Each element gets the operations of a
+        The march holds two stacks of lanes, p_{k-1} and p_{k-2}, and writes
+        p_k over p_{k-2} (as kernel polynomial codes do).  A term is taken one
+        block of ``hamiltonian.blocks()`` at a time: the flip sum of the
+        block (``flip_block``, which reads the block and its partner blocks of
+        p_{k-1}) goes to a block-sized scratch, and the drive, the recurrence
+        with the diagonal 2 (diag - c)/r made for the block, the halving at
+        k = 1, the readout and every row's sums run on that block while it is
+        in cache.  A term never writes p_{k-1} and reads p_{k-2} only in its
+        own block, so the block overwrites it in place, and the two stacks
+        swap once the term is done.  Each element gets the operations of a
         whole-vector step in the same order, and each readout entry is added to
         the rows once it is complete, so the sums of a whole state do not
         depend on the block size; a readout on sites at or above the block
@@ -279,29 +286,35 @@ class EvolutionEngine:
                 for (_, b), acc in zip(rows, accs):
                     np.multiply(vals[:, ::width], b[0], out=acc[at][:, ::width])
         budget = (_TAIL_TOL + 8 * n_terms * np.finfo(float).eps) * norm
-        shift = np.broadcast_to(self._shift, lanes.shape[-1:])  # a scalar without a diagonal
-        prev, cur, nxt = np.zeros_like(lanes), lanes, np.empty_like(lanes)
-        drive = np.empty_like(lanes[::width, blocks[0]]) if tangent else None
+        # 2 (H - c)/r is its flip part (2 value/r) S plus the diagonal (2/r)(diag - c)
+        scale = 2.0 / self._radius
+        shift = scale * (0.0 - self._center) if op.diag is None else np.empty(blocks[0].stop)
+        prev, cur = np.zeros_like(lanes), lanes
+        work = np.empty((len(lanes), blocks[0].stop))  # a block's flip sum, then scratch
+        drive = np.empty_like(work[::width]) if tangent else None
         for k in range(1, n_terms):  # one flip sum over every lane per term
             live = [(b[k], acc) for (_, b), acc in zip(rows, accs) if k < b.size]
             squares = []
             for block in blocks:
-                op.flip_block(cur, nxt, block)
-                n, p = nxt[:, block], prev[:, block]
+                op.flip_block(cur, work, block)
+                p = prev[:, block]  # p_{k-2}, overwritten with p_k
                 if tangent:
-                    np.multiply(n[::2], 2.0 / self._radius, out=drive)  # (2/r) S p_{k-1}
-                n *= 2.0 * op.value / self._radius
-                n -= p
-                np.multiply(cur[:, block], shift[block], out=p)
-                n += p
+                    np.multiply(work[::2], scale, out=drive)  # (2/r) S p_{k-1}
+                work *= 2.0 * op.value / self._radius
+                np.subtract(work, p, out=p)
+                if op.diag is not None:
+                    np.subtract(op.diag[block], self._center, out=shift)
+                    shift *= scale
+                np.multiply(cur[:, block], shift, out=work)
+                p += work
                 if tangent:
-                    n[1::2] += drive
+                    p[1::2] += drive
                 if k == 1:
-                    n *= 0.5
-                # p is free: summed pairwise, not by BLAS
-                np.multiply(n[::width], n[::width], out=p[::width])
-                squares.extend(np.sum(p[::width], axis=-1).tolist())
-                done = read(n, block, k)
+                    p *= 0.5
+                # work is free: summed pairwise, not by BLAS
+                np.multiply(p[::width], p[::width], out=work[::width])
+                squares.extend(np.sum(work[::width], axis=-1).tolist())
+                done = read(p, block, k)
                 if done is None:
                     continue
                 vals, at = done
@@ -315,7 +328,7 @@ class EvolutionEngine:
                     f"Chebyshev term {k} of {n_terms} has norm {length:.6g}, the start state {norm:.6g} "
                     f"(budget {budget:.3g}); the interval {self.interval} does not hold the spectrum"
                 )
-            prev, cur, nxt = cur, nxt, prev
+            prev, cur = cur, prev
         return accs
 
 

@@ -102,8 +102,8 @@ class TransverseFieldOperator:
     ``diag`` is a real vector over the basis (None for no diagonal).  Real
     entries make the operator Hermitian by construction.  ``op @ psi``
     applies it to a vector, ``flip_sum`` applies ``sum_{i in sites} sigma^x_i``
-    in place, ``flip_block`` applies it to one block of ``blocks()``, and
-    ``tocsr()`` is its matrix.
+    in place, ``flip_block`` applies it to one block of ``blocks()`` into a
+    block-sized output, and ``tocsr()`` is its matrix.
     """
 
     n_sites: int
@@ -143,7 +143,7 @@ class TransverseFieldOperator:
         if out.shape != psi.shape or psi.shape[-1:] != (self.shape[0],):
             raise EvolutionError(f"flip sum of shape {psi.shape} into {out.shape} for {self.n_sites} sites")
         for block in self.blocks():
-            self.flip_block(psi, out, block)
+            self.flip_block(psi, out[..., block], block)
         return out
 
     def blocks(self) -> list[slice]:
@@ -152,7 +152,10 @@ class TransverseFieldOperator:
         return [slice(start, start + size) for start in range(0, self.shape[0], size)]
 
     def flip_block(self, psi: np.ndarray, out: np.ndarray, block: slice) -> None:
-        """``out[..., block]`` of ``flip_sum(psi, out)``, for a block of ``blocks()``.
+        """``flip_sum(psi, ...)[..., block]``, written to the block-sized ``out``
+        (``psi``'s leading axes by the block's states), for a block of
+        ``blocks()``.  ``psi`` is only read, so ``out`` may be any buffer that
+        does not overlap the block or its partner blocks in ``psi``.
 
         sigma^x_i maps basis state s to s ^ 2^i.  A site at or above the block's
         bits adds the partner block's slice of ``psi``.  A lower site flips
@@ -164,7 +167,7 @@ class TransverseFieldOperator:
         """
         size = block.stop - block.start
         lead, low = psi.shape[:-1], size.bit_length() - 1
-        x, acc = psi[..., block], out[..., block]
+        x, acc = psi[..., block], out
         if not self.sites:
             acc[...] = 0.0
         for n, i in enumerate(self.sites):

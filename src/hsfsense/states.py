@@ -37,17 +37,17 @@ def ghz_x(n: int) -> np.ndarray:
     """GHZ state in the x basis: (|+...+> + |-...->)/sqrt(2).
 
     Amplitude s takes one of two values, 2^(-n/2) sqrt(2) for an even number
-    of set bits and 0 for an odd one, and the vector is filled with them in
-    place.
+    of set bits and 0 for an odd one, and the real (float64) vector is filled
+    with them in place.
     """
     if n < 1:
         raise EvolutionError(f"need at least one spin, got n={n}")
     signs = np.array([1.0, -1.0])  # (-1)^parity
-    amps = ((1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex)
+    amps = (1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))
     # the parity of s is that of its high bits (row) xor that of its low bits (column)
     low = n // 2
     rows = amps[_parities(low) ^ np.array([[0], [1]], dtype=np.uint8)]
-    vec = np.empty((1 << (n - low), 1 << low), dtype=complex)
+    vec = np.empty((1 << (n - low), 1 << low))
     np.take(rows, _parities(n - low), axis=0, out=vec, mode="clip")  # "clip" writes out unbuffered
     return vec.reshape(-1)
 
@@ -79,6 +79,7 @@ def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -
     """Tensor the probe-factor state with the frozen ancilla configuration.
 
     Probe-factor bit k corresponds to the k-th smallest probe site index.
+    The result is real (float64) for a real probe state.
     """
     probe_order = partition.probe_order()
     if probe_state.shape != (1 << len(probe_order),):
@@ -86,7 +87,7 @@ def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -
             f"probe state has dimension {probe_state.shape[0]}, "
             f"expected {1 << len(probe_order)} for {len(probe_order)} probes"
         )
-    full = np.zeros(1 << lattice.n_sites, dtype=complex)
+    full = np.zeros(1 << lattice.n_sites, dtype=np.result_type(probe_state, float))
     full[frozen_subspace(partition)] = probe_state
     return full
 
@@ -112,7 +113,7 @@ class Projector:
     sites, in basis order (bit k on the k-th smallest other site), each
     holding every row; the expectation is their squared norm, that of the
     projector onto the rows' span when they are orthonormal.  On no sites
-    both sums are the state, so the bra (1, 0) is the identity.
+    both sums are the state, and the one bra allowed, (1, 0), is the identity.
     """
 
     bras: np.ndarray
@@ -125,6 +126,8 @@ class Projector:
         sites = self.sites
         if len(set(sites)) != len(sites) or any(not 0 <= i < self.n_sites for i in sites):
             raise EvolutionError(f"sites {sites} must be distinct and in range for {self.n_sites} sites")
+        if not sites and not np.array_equal(self.bras, [[1.0, 0.0]]):
+            raise EvolutionError("on no sites the only bra is (1, 0), the identity")
 
     @property
     def planes(self) -> int:
@@ -145,7 +148,10 @@ class Projector:
         entries); a fold's two halves; the entries of a slice (planes, lanes,
         entries, rows); and one more of a slice's size.  Blocks run in basis
         order, so the slices in flight at once differ only in the other sites
-        below the highest site above the block."""
+        below the highest site above the block.  On no sites ``take`` needs
+        none of it."""
+        if not self.sites:
+            return ()
         low = self.n_sites - (blocks.bit_length() - 1)
         inside = sorted((s for s in self.sites if s < low), reverse=True)
         above = sorted(s for s in self.sites if s >= low)
@@ -171,8 +177,12 @@ class Projector:
         last of its slice of the amplitudes: it adds the columns pairwise and
         weights the two sums by ``bras``, and returns (the slice's amplitudes
         (planes, lanes, entries), the slice); other blocks return None.  The
-        adds run in numpy, not BLAS, whose idle threads would spin.
+        adds run in numpy, not BLAS, whose idle threads would spin.  On no
+        sites the readout is the identity: ``x`` itself is the block's
+        amplitudes, returned at once.
         """
+        if not self.sites:
+            return x[None], block
         inside, above, others, weights, sums, halves, out, spare = term
         column = _pack(block.start, above)
         start = _pack(block.start, others) * out.shape[2]

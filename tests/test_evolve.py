@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -75,6 +77,19 @@ def test_gershgorin_interval_holds_the_spectrum(lat33, dis33):
     eigs = np.linalg.eigvalsh(h.tocsr().toarray())
     assert lo <= eigs[0] and eigs[-1] <= hi
     assert hi - lo < 2.0 * (eigs[-1] - eigs[0])  # not vacuously wide
+
+
+def test_gershgorin_interval_needs_no_shifted_copy_of_the_diagonal(lat34, part34):
+    """min(diag) - r and max(diag) + r are min(diag - r) and max(diag + r) bit
+    for bit: rounding a constant shift is monotone."""
+    for op in (
+        ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4),
+        ham.op_probe_omega(part34, lat34, 0.4),  # no diagonal
+    ):
+        radius = abs(op.value) * len(op.sites)
+        diag = 0.0 if op.diag is None else op.diag
+        want = float(np.min(diag - radius)), float(np.max(diag + radius))
+        assert np.array(EvolutionEngine(op).interval).tobytes() == np.array(want).tobytes()
 
 
 def test_too_narrow_interval_raises(lat33, part33, dis33, monkeypatch):
@@ -385,6 +400,36 @@ def test_a_series_too_long_to_build_is_an_evolution_error(lat33, dis33):
             eng.evolve(psi, t)
     with pytest.raises(EvolutionError, match="would need more than"):
         EvolutionEngine(ham.op_tfim(lat33, dis33, 1e300)).evolve_grid(psi, [0.0, 0.5])
+
+
+def test_march_memory_is_two_lane_stacks_and_the_readout_sums(lat34, part34, monkeypatch):
+    """The engine keeps no basis-sized array, and a march holds two stacks of
+    its lanes beside the readout sums: p_k is written over p_{k-2} block by
+    block.  With 2^6-state blocks every block-sized buffer is small; the one
+    vector of slack covers the readout's buffers and the output being made."""
+    monkeypatch.setattr(ham, "_BLOCK", 6)
+    psi, h, proj = ramsey_setup("hsf", 0.05, lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=3))
+    vector = psi.size * np.dtype(np.float64).itemsize
+    calls = (
+        (lambda eng: eng.readout_grid(psi, [0.1], proj), 1),
+        (lambda eng: eng.readout_tangent(psi, 0.1, proj), 2),
+    )
+    for call, _ in calls:  # numpy's first calls fill caches that stay
+        call(EvolutionEngine(h))
+    tracemalloc.start()
+    try:
+        eng = EvolutionEngine(h)
+        assert tracemalloc.get_traced_memory()[1] < 0.1 * vector
+        for call, lanes in calls:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = call(eng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            sums = 2 * lanes * proj.size * np.dtype(np.float64).itemsize  # one row: (Re, -Im) per lane
+            assert peak < 2 * lanes * vector + sums + vector, (lanes, peak / vector)
+            del out
+    finally:
+        tracemalloc.stop()
 
 
 def test_calls_leave_the_state_unchanged(lat34, part34):

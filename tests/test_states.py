@@ -97,7 +97,7 @@ def popcounts(n):
 def test_ghz_x_matches_the_popcount_formula_bit_for_bit(n):
     """The in-place fill gives the bytes of the full-vector formula, signed zeros included."""
     signs = (-1.0) ** popcounts(n)
-    want = ((1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))).astype(complex)
+    want = (1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))
     got = states.ghz_x(n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -312,6 +312,8 @@ def test_projector_rejects_bad_input_at_construction():
         lambda: states.Projector(states.PRIMED, (1, 1), 3),
         lambda: states.Projector(states.PRIMED, (0, 3), 3),
         lambda: states.Projector(states.PRIMED, (-1,), 3),
+        lambda: states.Projector(np.eye(2), (), 3),  # on no sites only the identity
+        lambda: states.Projector(states.PRIMED, (), 3),
     ]
     for make in bad:
         with pytest.raises(EvolutionError):
