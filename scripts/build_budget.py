@@ -4,7 +4,12 @@
 Each stage runs in its own fresh interpreter, one at a time, so its peak
 resident set size is its own: ``base_mb`` is the peak after imports and
 set-up, ``peak_mb`` the peak after the stage, and ``vectors`` what the stage
-added, ``peak_mb - base_mb``, in units of one 2^N float64 vector.  Stages:
+added, ``peak_mb - base_mb``, in units of one 2^N float64 vector.  The
+evolving stages (``bound``, ``sweep``, ``fidelity``) are called ``BEST_OF``
+times in their process and ``wall_s`` is the fastest call, so the column is
+comparable between runs; the others are called once.  ``peak_mb`` is read
+after the first call, so it and ``vectors`` still describe one call (freed
+blocks reused by the repeats could raise the high-water mark).  Stages:
 
   op_total      ``op_total`` (Ising and shift diagonals, matrix-free drive)
   ghz_x         ``ghz_x`` on every site (the full-register GHZ state)
@@ -47,6 +52,8 @@ from hsfsense.lattice import Lattice, canonical_partition
 from hsfsense.sensing import RamseyConfig, numeric_sensitivity
 
 SEED = 3
+BEST_OF = 3
+EVOLVING = ("bound", "sweep", "fidelity")
 
 STAGES = {
     "op_total": lambda lat, part, c: ham.op_total(lat, part, c, 0.4),
@@ -65,16 +72,24 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
+def timed_call(stage, lat, part, c) -> float:
+    start = time.perf_counter()
+    result = STAGES[stage](lat, part, c)
+    wall = time.perf_counter() - start
+    del result
+    return wall
+
+
 def run_stage(args) -> dict:
     lat = Lattice(args.width, args.height)
     part = canonical_partition(lat)
     c = sample_gaussian(lat, 1.0, 0.3, seed=SEED)
     base = peak_mb()
-    start = time.perf_counter()
-    result = STAGES[args.stage](lat, part, c)
-    wall = time.perf_counter() - start
-    del result
-    return {"stage": args.stage, "wall_s": round(wall, 3), "base_mb": round(base, 1), "peak_mb": round(peak_mb(), 1)}
+    wall = timed_call(args.stage, lat, part, c)
+    peak = peak_mb()
+    for _ in range(BEST_OF - 1 if args.stage in EVOLVING else 0):
+        wall = min(wall, timed_call(args.stage, lat, part, c))
+    return {"stage": args.stage, "wall_s": round(wall, 3), "base_mb": round(base, 1), "peak_mb": round(peak, 1)}
 
 
 def main() -> int:
@@ -89,7 +104,7 @@ def main() -> int:
 
     n = args.width * args.height
     vector_mb = 8.0 * (1 << n) / 1024.0**2
-    print(f"# {args.width}x{args.height}, N = {n}, seed {SEED}; one fresh process per stage")
+    print(f"# {args.width}x{args.height}, N = {n}, seed {SEED}; one fresh process per stage, best of {BEST_OF} for {', '.join(EVOLVING)}")
     print("stage,wall_s,base_mb,peak_mb,vectors")
     status = 0
     for stage in STAGES:

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Every command reads a ``key = value`` config file, runs one reproducible
-experiment, and writes a CSV (atomically: temp file + rename).  Exit codes:
-0 success, 2 config error, 3 numeric or invariant failure.
+experiment, and writes a CSV (atomically: temp file + rename).  Each flag
+sets one or two config keys and is checked as those keys are in a file.
+Exit codes: 0 success, 2 config error, 3 numeric or invariant failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 import tempfile
 
-from .config import COMMANDS, SCHEMES, RunConfig, parse_config
+from .config import COMMANDS, PROBE_SCHEMES, SCHEMES, RunConfig, parse_config, set_key
 from .errors import ConfigError
 
 
@@ -70,7 +71,7 @@ def _couplings(config: RunConfig, lattice):
     return cp.homogeneous(lattice, config.couplings_jbar)
 
 
-def _cmd_fidelity(config: RunConfig) -> str:
+def _cmd_fidelity(config: RunConfig) -> tuple[str, None]:
     import numpy as np
 
     from . import hamiltonian as ham
@@ -82,7 +83,7 @@ def _cmd_fidelity(config: RunConfig) -> str:
     fd = dynamical_fidelity_grid(ham.op_tfim(lattice, couplings, config.omega), config.omega, ts)
     lines = ["t,fidelity"]
     lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, fd)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
 def _warn_phase(label: str, rc, n: int) -> None:
@@ -97,29 +98,28 @@ def _warn_phase(label: str, rc, n: int) -> None:
         )
 
 
-def _cmd_sweep(config: RunConfig) -> str:
+def _cmd_sweep(config: RunConfig) -> tuple[str, None]:
     from .sensing import RamseyConfig, numeric_sensitivity
 
     schemes = SCHEMES if config.sweep_scheme == "all" else (config.sweep_scheme,)
-    probe_schemes = ("hsf", "hsf_ideal")
     lattice = _lattice(config)
-    partition = _partition(config, lattice) if any(s in probe_schemes for s in schemes) else None
+    partition = _partition(config, lattice) if any(s in PROBE_SCHEMES for s in schemes) else None
     couplings = _couplings(config, lattice)
     rc = RamseyConfig(omega=config.omega, t_int=config.t_int, t_all=config.t_all)
     n = lattice.n_sites
     lines = ["scheme,N,jbar,omega,t_int,delta_omega"]
     for scheme in schemes:
-        n_sensing = partition.n_probe if scheme in probe_schemes else n
+        n_sensing = partition.n_probe if scheme in PROBE_SCHEMES else n
         _warn_phase(scheme, rc, n_sensing)
         delta = numeric_sensitivity(scheme, rc, lattice, partition, couplings)
         lines.append(
             f"{scheme},{n},{_fmt(couplings.jbar)},{_fmt(config.omega)},"
             f"{_fmt(config.t_int)},{_fmt(delta)}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
-def _cmd_zeno(config: RunConfig) -> str:
+def _cmd_zeno(config: RunConfig) -> tuple[str, None]:
     from .sensing import ZenoParams, zeno_uncertainty
 
     lines = ["N,tau,beta,gamma,delta_omega"]
@@ -135,7 +135,7 @@ def _cmd_zeno(config: RunConfig) -> str:
                 )
                 delta = zeno_uncertainty(params, n, config.zeno_t_all)
                 lines.append(f"{n},{_fmt(config.zeno_tau)},{_fmt(beta)},{_fmt(gamma)},{_fmt(delta)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
 def _cmd_fragments(config: RunConfig) -> tuple[str, dict]:
@@ -168,7 +168,7 @@ def _cmd_bound(config: RunConfig) -> tuple[str, dict]:
     return report.to_csv(), report.summary()
 
 
-def _cmd_montecarlo(config: RunConfig) -> str:
+def _cmd_montecarlo(config: RunConfig) -> tuple[str, None]:
     from .sensing import RamseyConfig, ideal_probability, monte_carlo_estimator
 
     partition = _partition(config, _lattice(config))
@@ -183,58 +183,47 @@ def _cmd_montecarlo(config: RunConfig) -> str:
             rc, p_true, n_probe, config.mc_repetitions, seed=(config.seed, trial)
         )
         lines.append(f"{trial},{_fmt(est)},{_fmt((est - config.omega) ** 2)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+    """Execute one command, ``_cmd_<command>``; returns the process exit status."""
     if config.command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {config.command!r}")
     if not config.out:
         raise ConfigError("no output path: set 'out' in the config or pass --out")
-    summary = None
-    if config.command == "fidelity":
-        text = _cmd_fidelity(config)
-    elif config.command == "sweep":
-        text = _cmd_sweep(config)
-    elif config.command == "zeno":
-        text = _cmd_zeno(config)
-    elif config.command == "fragments":
-        text, summary = _cmd_fragments(config)
-    elif config.command == "bound":
-        text, summary = _cmd_bound(config)
-    else:
-        text = _cmd_montecarlo(config)
+    text, summary = globals()[f"_cmd_{config.command}"](config)
     _write_atomic(config.out, text)
     if summary is not None:
         print(json.dumps(summary, sort_keys=True))
     return 0
 
 
+# flag -> the config keys it sets, each parsed and checked as in a config file
+FLAGS = {"command": ("command",), "out": ("out",), "seed": ("seed", "couplings.seed"), "scheme": ("sweep.scheme",)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hsfsense", description=__doc__)
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--command", choices=COMMANDS)
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--scheme", choices=SCHEMES + ("all",))
+    for flag, keys in FLAGS.items():
+        parser.add_argument(f"--{flag}", help=f"sets {' and '.join(keys)}, checked as in a config file")
     args = parser.parse_args(argv)
 
     try:
+        config = RunConfig()
         if args.config:
             with open(args.config) as fh:
                 config = parse_config(fh.read())
-        else:
-            config = RunConfig()
-        if args.command:
-            config.command = args.command
-        if args.out:
-            config.out = args.out
-        if args.seed is not None:
-            config.seed = args.seed
-            config.couplings_seed = args.seed
-        if args.scheme:
-            config.sweep_scheme = args.scheme
+        for flag, keys in FLAGS.items():
+            value = getattr(args, flag)
+            if value is None:
+                continue
+            try:
+                for key in keys:
+                    set_key(config, key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"--{flag}: {exc}") from None
         return run(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,128 +1,117 @@
-"""Line-oriented ``key = value`` run configuration with strict validation."""
+"""Line-oriented ``key = value`` run configuration with strict validation.
+
+Each key is declared once, as a ``RunConfig`` field that carries its file key,
+parser and check.  ``set_key`` parses, checks and sets one key: ``parse_config``
+calls it per line and the CLI per flag, so a bad value names its key either way.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
 COMMANDS = ("fidelity", "sweep", "zeno", "fragments", "bound", "montecarlo")
 # the Ramsey schemes of ``sensing.ramsey_setup``; kept here so the config and
-# the CLI check them without importing ``sensing`` (and numpy with it)
-SCHEMES = ("ghz_free", "ghz_interacting", "hsf", "hsf_ideal")
+# the CLI check them without importing ``sensing`` (and numpy with it).  The
+# probe schemes read the probes of a partition.
+PROBE_SCHEMES = ("hsf", "hsf_ideal")
+SCHEMES = ("ghz_free", "ghz_interacting") + PROBE_SCHEMES
 
 
-def _positive(name):
-    def check(v):
-        if v <= 0:
-            raise ConfigError(f"{name} must be positive, got {v}")
-        return v
-
-    return check
+def _positive(key, v):
+    if v <= 0:
+        raise ConfigError(f"{key} must be positive, got {v}")
+    return v
 
 
-def _nonnegative(name):
-    def check(v):
-        if v < 0:
-            raise ConfigError(f"{name} must be nonnegative, got {v}")
-        return v
-
-    return check
+def _nonnegative(key, v):
+    if v < 0:
+        raise ConfigError(f"{key} must be nonnegative, got {v}")
+    return v
 
 
-def _choice(name, options):
-    def check(v):
+def _choice(options):
+    def check(key, v):
         if v not in options:
-            raise ConfigError(f"{name} must be one of {options}, got {v!r}")
+            raise ConfigError(f"{key} must be one of {options}, got {v!r}")
         return v
 
     return check
 
 
-def _each(name, rule):
-    """Validate a list value: it must not be empty, and ``rule(name)`` holds for every entry."""
-    check = rule(name)
+def _each(rule):
+    """Check a list value: it must not be empty, and ``rule`` holds for every entry."""
 
-    def validate(values):
+    def check(key, values):
         if not values:
-            raise ConfigError(f"{name} must list at least one value")
-        return tuple(check(v) for v in values)
+            raise ConfigError(f"{key} must list at least one value")
+        return tuple(rule(key, v) for v in values)
 
-    return validate
-
-
-def _int_list(text):
-    return tuple(int(x) for x in str(text).split(";") if x.strip())
+    return check
 
 
-def _float_list(text):
-    return tuple(float(x) for x in str(text).split(";") if x.strip())
+def _list(parse):
+    """Parse ``;``-separated entries, each with ``parse``."""
+    return lambda text: tuple(parse(x) for x in text.split(";") if x.strip())
+
+
+def _key(key, default, parse=str, check=None):
+    """A ``RunConfig`` field read from ``key``: ``check(key, parse(text))`` is its value."""
+    return field(default=default, metadata={"key": key, "parse": parse, "check": check})
 
 
 @dataclass
 class RunConfig:
     """Typed, validated configuration for one CLI command."""
 
-    command: str = ""
-    lattice_width: int = 4
-    lattice_height: int = 3
-    lattice_boundary: str = "frame"
-    partition: str = "canonical"
-    couplings_jbar: float = 1.0
-    couplings_sigma: float = 0.0
-    couplings_seed: int = 1
-    couplings_file: str = ""
-    omega: float = 0.4
-    t_int: float = 0.1
-    t_all: float = 10.0
-    t_max: float = 2.0
-    t_points: int = 50
-    delta_th: float = 0.1
-    sweep_scheme: str = "hsf"
-    zeno_tau: float = 0.1
-    zeno_omega0: float = 1.0
-    zeno_beta_values: tuple = (0.0,)
-    zeno_gamma_values: tuple = (0.0,)
-    zeno_n_values: tuple = (64, 128, 256, 512, 1024, 2048, 4096)
-    zeno_t_all: float = 1.0
-    mc_repetitions: int = 100
-    mc_trials: int = 1000
-    seed: int = 1
-    out: str = ""
+    command: str = _key("command", "", check=_choice(COMMANDS))
+    lattice_width: int = _key("lattice.width", 4, int, _positive)
+    lattice_height: int = _key("lattice.height", 3, int, _positive)
+    lattice_boundary: str = _key("lattice.boundary", "frame", check=_choice(("frame", "open")))
+    partition: str = _key("partition", "canonical")
+    couplings_jbar: float = _key("couplings.jbar", 1.0, float, _positive)
+    couplings_sigma: float = _key("couplings.sigma", 0.0, float, _nonnegative)
+    couplings_seed: int = _key("couplings.seed", 1, int, _nonnegative)
+    couplings_file: str = _key("couplings.file", "")
+    omega: float = _key("omega", 0.4, float)
+    t_int: float = _key("t_int", 0.1, float, _positive)
+    t_all: float = _key("t_all", 10.0, float, _positive)
+    t_max: float = _key("t_max", 2.0, float, _positive)
+    t_points: int = _key("t_points", 50, int, _positive)
+    delta_th: float = _key("delta_th", 0.1, float, _positive)
+    sweep_scheme: str = _key("sweep.scheme", "hsf", check=_choice(SCHEMES + ("all",)))
+    zeno_tau: float = _key("zeno.tau", 0.1, float, _positive)
+    zeno_omega0: float = _key("zeno.omega0", 1.0, float)
+    zeno_beta_values: tuple = _key("zeno.beta_values", (0.0,), _list(float), _each(_nonnegative))
+    zeno_gamma_values: tuple = _key("zeno.gamma_values", (0.0,), _list(float), _each(_nonnegative))
+    zeno_n_values: tuple = _key("zeno.n_values", (64, 128, 256, 512, 1024, 2048, 4096), _list(int), _each(_positive))
+    zeno_t_all: float = _key("zeno.t_all", 1.0, float, _positive)
+    mc_repetitions: int = _key("mc.repetitions", 100, int, _positive)
+    mc_trials: int = _key("mc.trials", 1000, int, _positive)
+    seed: int = _key("seed", 1, int, _nonnegative)
+    out: str = _key("out", "")
 
 
-# config-file key -> (attribute, parser, validator)
-KEYS = {
-    "command": ("command", str, _choice("command", COMMANDS)),
-    "lattice.width": ("lattice_width", int, _positive("lattice.width")),
-    "lattice.height": ("lattice_height", int, _positive("lattice.height")),
-    "lattice.boundary": ("lattice_boundary", str, _choice("lattice.boundary", ("frame", "open"))),
-    "partition": ("partition", str, None),
-    "couplings.jbar": ("couplings_jbar", float, _positive("couplings.jbar")),
-    "couplings.sigma": ("couplings_sigma", float, _nonnegative("couplings.sigma")),
-    "couplings.seed": ("couplings_seed", int, None),
-    "couplings.file": ("couplings_file", str, None),
-    "omega": ("omega", float, None),
-    "t_int": ("t_int", float, _positive("t_int")),
-    "t_all": ("t_all", float, _positive("t_all")),
-    "t_max": ("t_max", float, _positive("t_max")),
-    "t_points": ("t_points", int, _positive("t_points")),
-    "delta_th": ("delta_th", float, _positive("delta_th")),
-    "sweep.scheme": ("sweep_scheme", str, _choice("sweep.scheme", SCHEMES + ("all",))),
-    "zeno.tau": ("zeno_tau", float, _positive("zeno.tau")),
-    "zeno.omega0": ("zeno_omega0", float, None),
-    "zeno.beta_values": ("zeno_beta_values", _float_list, _each("zeno.beta_values", _nonnegative)),
-    "zeno.gamma_values": ("zeno_gamma_values", _float_list, _each("zeno.gamma_values", _nonnegative)),
-    "zeno.n_values": ("zeno_n_values", _int_list, _each("zeno.n_values", _positive)),
-    "zeno.t_all": ("zeno_t_all", float, _positive("zeno.t_all")),
-    "mc.repetitions": ("mc_repetitions", int, _positive("mc.repetitions")),
-    "mc.trials": ("mc_trials", int, _positive("mc.trials")),
-    "seed": ("seed", int, None),
-    "out": ("out", str, None),
-}
+# config-file key -> its RunConfig field
+KEYS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in KEYS.items()}
+
+def set_key(config: RunConfig, key: str, text: str) -> None:
+    """Parse ``text`` as ``key``, check it and set it on ``config``; a ConfigError names the key."""
+    if key not in KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    f = KEYS[key]
+    try:
+        value = f.metadata["parse"](text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse {text!r} for key {key!r}") from None
+    items = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    check = f.metadata["check"]
+    setattr(config, f.name, check(key, value) if check else value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -140,25 +129,10 @@ def parse_config(text: str) -> RunConfig:
             problems.append(f"line {lineno}: expected 'key = value', got {raw!r}")
             continue
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KEYS:
-            problems.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        attr, parser, validator = KEYS[key]
         try:
-            parsed = parser(value)
-            items = parsed if isinstance(parsed, tuple) else (parsed,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
-            if validator:
-                parsed = validator(parsed)
+            set_key(config, key.strip(), value.strip())
         except ConfigError as exc:
             problems.append(f"line {lineno}: {exc}")
-            continue
-        except (TypeError, ValueError):
-            problems.append(f"line {lineno}: cannot parse {value!r} for key {key!r}")
-            continue
-        setattr(config, attr, parsed)
     if problems:
         raise ConfigError("; ".join(problems))
     return config
@@ -167,13 +141,11 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(config: RunConfig) -> str:
     """Render a config to text that parses back to an equal config."""
     lines = []
-    for f in fields(RunConfig):
-        if f.name not in _ATTR_TO_KEY:
-            continue
+    for key, f in KEYS.items():
         value = getattr(config, f.name)
         if isinstance(value, tuple):
             value = ";".join(str(v) for v in value)
         if value == "" or value is None:
             continue
-        lines.append(f"{_ATTR_TO_KEY[f.name]} = {value}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

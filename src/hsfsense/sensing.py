@@ -10,7 +10,7 @@ import numpy as np
 
 from . import hamiltonian as ham
 from . import states
-from .config import SCHEMES
+from .config import PROBE_SCHEMES, SCHEMES
 from .couplings import CouplingMap
 from .errors import SensingError
 from .evolve import EvolutionEngine
@@ -96,7 +96,7 @@ def ramsey_setup(
         psi0 = states.ghz_x(n)
         h = ham.op_omega(lattice, omega) if scheme == "ghz_free" else ham.op_tfim(lattice, couplings, omega)
         proj = states.Projector(states.PRIMED, tuple(range(n)), n)
-    elif scheme in ("hsf", "hsf_ideal"):
+    elif scheme in PROBE_SCHEMES:
         violations = validate_partition(lattice, partition)
         if violations:
             raise SensingError(describe_violations(violations))

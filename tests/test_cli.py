@@ -411,6 +411,27 @@ def test_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command,lines,flags,message",
+    [
+        ("montecarlo", "seed = -4\n", (), ": seed must be nonnegative, got -4"),
+        ("bound", "couplings.sigma = 0.3\ncouplings.seed = -1\n", (), ": couplings.seed must be nonnegative, got -1"),
+        ("bound", "", ("--seed", "-2"), "--seed: seed must be nonnegative, got -2"),
+        ("sweep", "", ("--scheme", "nope"), "--scheme: sweep.scheme must be one of"),
+        ("bound", "", ("--command", "warp"), "--command: command must be one of"),
+    ],
+    ids=["seed", "couplings.seed", "--seed", "--scheme", "--command"],
+)
+def test_a_bad_key_from_a_file_or_a_flag_exits_2_naming_it(tmp_path, capsys, command, lines, flags, message):
+    """A flag is checked as the key it sets, so a negative seed fails before numpy sees it."""
+    out = tmp_path / "o.csv"
+    text = f"command = {command}\nlattice.width = 3\nlattice.height = 3\n{lines}out = {out}\n"
+    assert run_cli(tmp_path, text, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,line",
     [
         ("sweep", "omega = nan"),

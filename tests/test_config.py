@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hsfsense.config import RunConfig, parse_config, serialize_config
+from hsfsense.config import KEYS, RunConfig, parse_config, serialize_config
 from hsfsense.errors import ConfigError
 
 
@@ -65,6 +67,42 @@ def test_serialize_roundtrip_nondefaults():
     cfg = parse_config(text)
     assert cfg.sweep_scheme == "hsf_ideal"
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_every_key_is_declared_once_and_round_trips():
+    """A valid value other than the default in every field parses back from its text."""
+    cfg = RunConfig(
+        command="montecarlo",
+        lattice_width=3,
+        lattice_height=6,
+        lattice_boundary="open",
+        partition="explicit:layout.txt",
+        couplings_jbar=2.5,
+        couplings_sigma=0.3,
+        couplings_seed=42,
+        couplings_file="bonds.csv",
+        omega=0.25,
+        t_int=0.05,
+        t_all=20.0,
+        t_max=1.5,
+        t_points=7,
+        delta_th=0.2,
+        sweep_scheme="hsf_ideal",
+        zeno_tau=0.2,
+        zeno_omega0=0.5,
+        zeno_beta_values=(0.25, 0.5),
+        zeno_gamma_values=(0.1,),
+        zeno_n_values=(8, 16),
+        zeno_t_all=2.0,
+        mc_repetitions=30,
+        mc_trials=7,
+        seed=9,
+        out="x.csv",
+    )
+    default = RunConfig()
+    assert [f.name for f in fields(RunConfig) if getattr(cfg, f.name) == getattr(default, f.name)] == []
+    assert parse_config(serialize_config(cfg)) == cfg
+    assert [f.name for f in KEYS.values()] == [f.name for f in fields(RunConfig)]
 
 
 @given(
