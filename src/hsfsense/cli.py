@@ -14,8 +14,8 @@ import os
 import sys
 import tempfile
 
-from .config import COMMANDS, PROBE_SCHEMES, SCHEMES, RunConfig, parse_config, set_key
-from .errors import ConfigError
+from .config import KEYS, PROBE_SCHEMES, SCHEMES, RunConfig, check_value, parse_config, set_key
+from .errors import ConfigError, CouplingError, PartitionError
 
 
 def _fmt(x: float) -> str:
@@ -44,20 +44,16 @@ def _lattice(config: RunConfig):
 
 def _partition(config: RunConfig, lattice):
     """The probe/ancilla partition; built only by the commands that read it."""
-    from .errors import PartitionError
     from .lattice import canonical_partition, parse_layout
 
     if config.partition == "canonical":
         return canonical_partition(lattice)
-    if config.partition.startswith("explicit:"):
-        path = config.partition.split(":", 1)[1]
-        with open(path) as fh:
-            text = fh.read()
+    path = config.partition.removeprefix("explicit:")
+    with open(path) as fh:
         try:
-            return parse_layout(text, lattice)
+            return parse_layout(fh.read(), lattice)
         except PartitionError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"partition must be 'canonical' or 'explicit:<file>', got {config.partition!r}")
 
 
 def _couplings(config: RunConfig, lattice):
@@ -65,7 +61,10 @@ def _couplings(config: RunConfig, lattice):
 
     if config.couplings_file:
         with open(config.couplings_file) as fh:
-            return cp.from_csv(lattice, config.couplings_jbar, fh.read())
+            try:
+                return cp.from_csv(lattice, config.couplings_jbar, fh.read())
+            except CouplingError as exc:
+                raise ConfigError(f"{config.couplings_file}: {exc}") from None
     if config.couplings_sigma > 0:
         return cp.sample_gaussian(lattice, config.couplings_jbar, config.couplings_sigma, config.couplings_seed)
     return cp.homogeneous(lattice, config.couplings_jbar)
@@ -101,6 +100,8 @@ def _warn_phase(label: str, rc, n: int) -> None:
 def _cmd_sweep(config: RunConfig) -> tuple[str, None]:
     from .sensing import RamseyConfig, numeric_sensitivity
 
+    if config.t_all < config.t_int:
+        raise ConfigError(f"t_all ({config.t_all}) must be at least t_int ({config.t_int}): one repetition")
     schemes = SCHEMES if config.sweep_scheme == "all" else (config.sweep_scheme,)
     lattice = _lattice(config)
     partition = _partition(config, lattice) if any(s in PROBE_SCHEMES for s in schemes) else None
@@ -187,11 +188,9 @@ def _cmd_montecarlo(config: RunConfig) -> tuple[str, None]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command, ``_cmd_<command>``; returns the process exit status."""
-    if config.command not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {config.command!r}")
-    if not config.out:
-        raise ConfigError("no output path: set 'out' in the config or pass --out")
+    """Check every key of ``config``, then run ``_cmd_<command>``; returns the exit status."""
+    for key, f in KEYS.items():
+        check_value(key, getattr(config, f.name))
     text, summary = globals()[f"_cmd_{config.command}"](config)
     _write_atomic(config.out, text)
     if summary is not None:

@@ -3,6 +3,7 @@
 Each key is declared once, as a ``RunConfig`` field that carries its file key,
 parser and check.  ``set_key`` parses, checks and sets one key: ``parse_config``
 calls it per line and the CLI per flag, so a bad value names its key either way.
+``check_value`` is that check, which ``cli.run`` applies to every key.
 """
 
 from __future__ import annotations
@@ -41,6 +42,18 @@ def _choice(options):
     return check
 
 
+def _partition(key, v):
+    if v != "canonical" and not (v.startswith("explicit:") and v.removeprefix("explicit:")):
+        raise ConfigError(f"{key} must be 'canonical' or 'explicit:<file>', got {v!r}")
+    return v
+
+
+def _output(key, v):
+    if not v:
+        raise ConfigError(f"no output path: set '{key}' in the config or pass --{key}")
+    return v
+
+
 def _each(rule):
     """Check a list value: it must not be empty, and ``rule`` holds for every entry."""
 
@@ -70,7 +83,7 @@ class RunConfig:
     lattice_width: int = _key("lattice.width", 4, int, _positive)
     lattice_height: int = _key("lattice.height", 3, int, _positive)
     lattice_boundary: str = _key("lattice.boundary", "frame", check=_choice(("frame", "open")))
-    partition: str = _key("partition", "canonical")
+    partition: str = _key("partition", "canonical", check=_partition)
     couplings_jbar: float = _key("couplings.jbar", 1.0, float, _positive)
     couplings_sigma: float = _key("couplings.sigma", 0.0, float, _nonnegative)
     couplings_seed: int = _key("couplings.seed", 1, int, _nonnegative)
@@ -91,11 +104,20 @@ class RunConfig:
     mc_repetitions: int = _key("mc.repetitions", 100, int, _positive)
     mc_trials: int = _key("mc.trials", 1000, int, _positive)
     seed: int = _key("seed", 1, int, _nonnegative)
-    out: str = _key("out", "")
+    out: str = _key("out", "", check=_output)
 
 
 # config-file key -> its RunConfig field
 KEYS = {f.metadata["key"]: f for f in fields(RunConfig)}
+
+
+def check_value(key: str, value):
+    """``value`` of ``key`` once it is finite and passes the key's check; a ConfigError names the key."""
+    items = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    check = KEYS[key].metadata["check"]
+    return check(key, value) if check else value
 
 
 def set_key(config: RunConfig, key: str, text: str) -> None:
@@ -107,11 +129,7 @@ def set_key(config: RunConfig, key: str, text: str) -> None:
         value = f.metadata["parse"](text)
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {text!r} for key {key!r}") from None
-    items = value if isinstance(value, tuple) else (value,)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-        raise ConfigError(f"{key} must be finite, got {text!r}")
-    check = f.metadata["check"]
-    setattr(config, f.name, check(key, value) if check else value)
+    setattr(config, f.name, check_value(key, value))
 
 
 def parse_config(text: str) -> RunConfig:

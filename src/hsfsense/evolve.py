@@ -30,12 +30,15 @@ rounding.
 
 The series is linear in each term, so one march reads every term through one
 linear readout R, a ``states.Projector``, as it is made, as kernel polynomial
-methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006): each time sums
-R p_k.  On sites that keeps a few entries per state and no 2^N state per time
+methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006): the readout hands
+over the term's two unweighted GHZ-branch sums, and each time adds them to its
+R p_k sums weighed once by its bras and its coefficient.  On sites that keeps a
+few entries per state and no 2^N state per time
 (``readout_grid``, ``readout_tangent``; ``bound``, ``sweep`` and ``fidelity``);
 on no sites R is the identity (``evolve``, ``evolve_grid``, ``evolve_tangent``).
-Every march holds the norm of each term to the output's budget, and a whole
-state's norm too.  hbar = 1; times are in inverse energy units.
+Every march holds the norm of each term to the output's budget, its
+coefficients to the Jacobi-Anger sums, and a whole state's norm too.  hbar = 1;
+times are in inverse energy units.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ class EvolutionEngine:
         values: the FFT's absolute rounding (~1e-16) would keep a tail of its
         values above _TAIL_TOL once the tangent weight multiplies it.  For the tangent
         the bound is weighted by 1 + k^2 ||S||/r, which bounds ||dT_k(H_s)/dvalue||
-        (Markov: |T_k'| <= k^2 on [-1, 1]) with ||S|| <= len(sites).
+        (Markov: |T_k'| <= k^2 on [-1, 1]) with ||S|| <= len(sites).  By Jacobi-Anger
+        at theta = 0 the even b_k sum to cos(rt) and the odd ones to sin(rt), within the budget.
         """
         x = self._radius * t
         if not 1.5 * abs(x) + 40 <= _MAX_TERMS:
@@ -177,6 +181,10 @@ class EvolutionEngine:
         n_terms = int(np.argmax(tail < _TAIL_TOL))
         b = 2.0 * _SIGNS[k[:n_terms] % 4] * _bessel_j(x, n_terms)
         b[0] *= 0.5
+        tol = _TAIL_TOL + 8 * n_terms * np.finfo(float).eps
+        miss = max(abs(math.fsum(b[::2]) - math.cos(x)), abs(math.fsum(b[1::2]) - math.sin(x)))
+        if not miss <= tol:
+            raise EvolutionError(f"Chebyshev coefficients for t={t:.6g} miss cos and sin(rt) by {miss:.3g} > {tol:.3g}")
         return np.exp(-1j * self._center * t), b
 
     def _series(self, state: np.ndarray, ts, tangent: bool, readout) -> list:
@@ -219,9 +227,9 @@ class EvolutionEngine:
         return out
 
     def _march(self, lanes: np.ndarray, rows: list, tangent: bool, readout, norm: float) -> list:
-        """Each row's sums, an array (2, lanes, entries) of the real part and minus
-        the imaginary part of sum_k c_k R p_k, from one recurrence that marches
-        the real ``lanes`` in place.
+        """Each row's sums, an array (2, lanes, entries, bras) of the real part
+        and minus the imaginary part of sum_k c_k R p_k, from one recurrence
+        that marches the real ``lanes`` in place.
 
         p_k = T_k(H_s) p_0 obeys p_{k+1} = 2 H_s p_k - p_{k-1}.  With the tangent
         every other lane is the derivative q_k of the lane before it in ``value``,
@@ -230,9 +238,13 @@ class EvolutionEngine:
         395, 1978).  From p_{-1} = q_{-1} = 0 the first term is half the
         recurrence.  The lanes do not depend on t, so one recurrence serves every
         row (e^{-ict}, b) of the coefficient matrix; row j stops at its own Bessel
-        tail.  The series coefficient c_k is b_k for even k and -i b_k for odd k,
-        so with a real R (the identity, or the two GHZ branches), under which
-        every lane stays real, a row's two planes are its even and its odd sums.
+        tail.  The readout gives each term's real branch sums (on m sites the
+        sum and the parity-signed sum; on none the term itself), which a bra
+        weighs by w, its ``branch_weights``.  As c_k is b_k for even k and
+        -i b_k for odd k, a branch adds (Re w, -Im w) b_k branch to a row's
+        (Re, -Im) sums at even k and (Im w, Re w) b_k branch at odd k: one
+        table of (bra, plane, branch, weight) per parity, applied to every live
+        row.
 
         The march holds two stacks of lanes, p_{k-1} and p_{k-2}, and writes
         p_k over p_{k-2} (as kernel polynomial codes do).  A term is taken one
@@ -255,75 +267,54 @@ class EvolutionEngine:
         width = 2 if tangent else 1
         op = self.hamiltonian
         blocks = op.blocks()
-        planes, size = readout.planes, readout.size
-        accs = [np.zeros((2, len(lanes), size)) for _ in rows]
+        tables = ([], [])  # (bra, plane, branch, weight) for even k and for odd k
+        for (bra, branch), w in np.ndenumerate(readout.branch_weights):
+            for table, weights in zip(tables, ((w.real, -w.imag), (w.imag, w.real))):
+                table.extend((bra, plane, branch, v) for plane, v in enumerate(weights) if v)
+        accs = [np.zeros((2, len(lanes), readout.size // len(readout.bras), len(readout.bras))) for _ in rows]
         term = readout.buffer(len(lanes), len(blocks))
-        # a readout finishes at most two entries per state of a block
-        scratch = np.empty((planes, len(lanes), min(size, 2 * blocks[0].stop)))
-
-        def read(x, block, k):
-            """The finished readout entries of x, as what they add to each row's
-            sums over b_k, and where: (Re, -Im) for even k and (Im, Re) for odd k,
-            or the one real plane into the even or the odd sum; None until a
-            block finishes entries.  The readout writes its entries afresh each
-            term, so the imaginary plane is negated in place."""
-            done = readout.take(x, block, term)
-            if done is None:
-                return None
-            vals, where = done
-            if planes == 1:
-                return vals, (slice(k % 2, k % 2 + 1), slice(None), where)
-            if k % 2:
-                return vals[::-1], (slice(None), slice(None), where)
-            np.negative(vals[1], out=vals[1])
-            return vals, (slice(None), slice(None), where)
-
         n_terms = max((b.size for _, b in rows), default=0)
-        for block in blocks if rows else ():  # b_0 R p_0; the derivative lanes start at zero
-            done = read(lanes[:, block], block, 0)
-            if done is not None:
-                vals, at = done
-                for (_, b), acc in zip(rows, accs):
-                    np.multiply(vals[:, ::width], b[0], out=acc[at][:, ::width])
         budget = (_TAIL_TOL + 8 * n_terms * np.finfo(float).eps) * norm
         # 2 (H - c)/r is its flip part (2 value/r) S plus the diagonal (2/r)(diag - c)
         scale = 2.0 / self._radius
         shift = scale * (0.0 - self._center) if op.diag is None else np.empty(blocks[0].stop)
-        prev, cur = np.zeros_like(lanes), lanes
+        prev, cur = lanes, np.zeros_like(lanes)  # term 0 reads p_0, then the stacks swap
         work = np.empty((len(lanes), blocks[0].stop))  # a block's flip sum, then scratch
         drive = np.empty_like(work[::width]) if tangent else None
-        for k in range(1, n_terms):  # one flip sum over every lane per term
+        for k in range(n_terms):  # one flip sum over every lane per term after the first
             live = [(b[k], acc) for (_, b), acc in zip(rows, accs) if k < b.size]
             squares = []
             for block in blocks:
-                op.flip_block(cur, work, block)
-                p = prev[:, block]  # p_{k-2}, overwritten with p_k
-                if tangent:
-                    np.multiply(work[::2], scale, out=drive)  # (2/r) S p_{k-1}
-                work *= 2.0 * op.value / self._radius
-                np.subtract(work, p, out=p)
-                if op.diag is not None:
-                    np.subtract(op.diag[block], self._center, out=shift)
-                    shift *= scale
-                np.multiply(cur[:, block], shift, out=work)
-                p += work
-                if tangent:
-                    p[1::2] += drive
-                if k == 1:
-                    p *= 0.5
-                # work is free: summed pairwise, not by BLAS
-                np.multiply(p[::width], p[::width], out=work[::width])
-                squares.extend(np.sum(work[::width], axis=-1).tolist())
-                done = read(p, block, k)
+                p = prev[:, block]  # p_{k-2}, overwritten with p_k; p_0 itself at k = 0
+                if k:
+                    op.flip_block(cur, work, block)
+                    if tangent:
+                        np.multiply(work[::2], scale, out=drive)  # (2/r) S p_{k-1}
+                    work *= 2.0 * op.value / self._radius
+                    np.subtract(work, p, out=p)
+                    if op.diag is not None:
+                        np.subtract(op.diag[block], self._center, out=shift)
+                        shift *= scale
+                    np.multiply(cur[:, block], shift, out=work)
+                    p += work
+                    if tangent:
+                        p[1::2] += drive
+                    if k == 1:
+                        p *= 0.5
+                    # work is free: summed pairwise, not by BLAS
+                    np.multiply(p[::width], p[::width], out=work[::width])
+                    squares.extend(np.sum(work[::width], axis=-1).tolist())
+                done = readout.take(p, block, term)
                 if done is None:
                     continue
-                vals, at = done
-                tmp = scratch[..., : vals.shape[-1]]
+                sums, where = done
+                tmp = work[:, : where.stop - where.start]
                 for bk, acc in live:  # in-place numpy: BLAS's idle threads would spin
-                    np.multiply(vals, bk, out=tmp)
-                    acc[at] += tmp
+                    for bra, plane, branch, weight in tables[k % 2]:
+                        np.multiply(sums[branch], bk * weight, out=tmp)
+                        acc[plane, :, where, bra] += tmp
             length = math.sqrt(math.fsum(squares))
-            if not length - norm <= budget:
+            if k and not length - norm <= budget:  # term 0 is the start state
                 raise EvolutionError(
                     f"Chebyshev term {k} of {n_terms} has norm {length:.6g}, the start state {norm:.6g} "
                     f"(budget {budget:.3g}); the interval {self.interval} does not hold the spectrum"
@@ -333,9 +324,10 @@ class EvolutionEngine:
 
 
 def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
-    """An output from the sums (2, parts, entries), the real part and minus the
-    imaginary part, of the real part of the state and, if it was marched, its
-    imaginary part: the sum of i^part phase (acc[0] - i acc[1])."""
+    """An output from the sums (2, parts, entries, bras), the real part and
+    minus the imaginary part, of the real part of the state and, if it was
+    marched, its imaginary part: the sum of i^part phase (acc[0] - i acc[1]),
+    one entry per configuration of the other sites and bra."""
     out = None
     for (re, minus_im), unit in zip(acc.swapaxes(0, 1), (1.0, 1j)):
         part = np.empty(re.shape, dtype=complex)
@@ -346,7 +338,7 @@ def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
             out = part
         else:
             out += part
-    return out
+    return out.reshape(-1)
 
 
 def dynamical_fidelity_grid(h_actual: TransverseFieldOperator, omega: float, ts) -> np.ndarray:

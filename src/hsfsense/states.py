@@ -3,10 +3,12 @@
 A measurement reads a state through one linear readout, ``Projector``: bras
 c+ <+...+| + c- <-...-| on some sites, tensored with the identity on the
 rest, given by their two coefficients and read from a sum and a
-parity-signed sum; on no sites, the bra (1, 0) is the identity.  It
-contracts one block of basis states at a time, so the Chebyshev march of
-:mod:`hsfsense.evolve` applies it to every term.  All vectors use the bit
-convention of :mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
+parity-signed sum; on no sites, the bra (1, 0) is the identity.  It folds
+one block of basis states at a time into those two unweighted branch sums, so
+the Chebyshev march of :mod:`hsfsense.evolve` reads every term through it and
+weighs the sums by each bra's coefficients itself, as ``amplitudes`` does for
+a whole state.  All vectors use the bit convention of
+:mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
 """
 
 from __future__ import annotations
@@ -130,26 +132,24 @@ class Projector:
             raise EvolutionError("on no sites the only bra is (1, 0), the identity")
 
     @property
-    def planes(self) -> int:
-        """2 if the amplitudes of a real state are complex, else 1."""
-        return 2 if np.any(np.imag(self.bras)) else 1
-
-    @property
     def size(self) -> int:
         return len(self.bras) << (self.n_sites - len(self.sites))
+
+    @property
+    def branch_weights(self) -> np.ndarray:
+        """(rows, branches): what each row weighs the branch sums of ``take`` by, 2^(-m/2) (c+, c-); 1 on no sites."""
+        return np.asarray(self.bras, dtype=complex)[:, : 2 if self.sites else 1] * 2.0 ** (-len(self.sites) / 2.0)
 
     def buffer(self, lanes: int, blocks: int) -> tuple:
         """What ``take`` reads and writes over the ``blocks`` aligned blocks of
         one term of ``lanes`` lanes: the sites inside a block, highest first;
-        the sites at or above it; the other sites at or above it; each row's
-        real and imaginary weights of the two sums; and the arrays: the sums
-        and parity-signed sums of the slices in flight, one column per
-        configuration of the sites above the block (2, lanes, columns,
-        entries); a fold's two halves; the entries of a slice (planes, lanes,
-        entries, rows); and one more of a slice's size.  Blocks run in basis
-        order, so the slices in flight at once differ only in the other sites
-        below the highest site above the block.  On no sites ``take`` needs
-        none of it."""
+        the sites at or above it; the other sites at or above it; and the fold's
+        arrays: the sums and parity-signed sums of the slices in flight, one
+        column per configuration of the sites above the block (2, lanes,
+        columns, entries), and a fold's two halves.  Blocks run in basis order,
+        so the slices in flight at once differ only in the other sites below
+        the highest site above the block.  On no sites ``take`` needs none of
+        it."""
         if not self.sites:
             return ()
         low = self.n_sites - (blocks.bit_length() - 1)
@@ -157,13 +157,10 @@ class Projector:
         above = sorted(s for s in self.sites if s >= low)
         others = [s for s in range(low, self.n_sites) if s not in self.sites]
         entries = 1 << (low - len(inside))  # configurations of the other sites inside a block
-        bras = np.asarray(self.bras, dtype=complex) * 2.0 ** (-len(self.sites) / 2.0)
-        weights = [part.tolist() for part in (bras.real, bras.imag)[: self.planes]]
         top = max(above, default=low)
         sums = np.empty((2, lanes, 1 << len(above), entries << sum(s < top for s in others)))
         halves = np.empty((2, lanes, 1 << (low - 1))) if len(inside) > 1 else None
-        out = np.empty((self.planes, lanes, entries, len(self.bras)))
-        return inside, above, others, weights, sums, halves, out, np.empty((lanes, entries))
+        return inside, above, others, sums, halves
 
     def take(self, x: np.ndarray, block: slice, term: tuple):
         """Read the real vectors ``x`` (lanes, 2^low), the states ``block`` of
@@ -174,19 +171,20 @@ class Projector:
         buffer, later ones in place, the last to the block's column of the
         sums.  The sites at or above the block pick that column, and their
         parity signs the difference.  The block with every such bit set is the
-        last of its slice of the amplitudes: it adds the columns pairwise and
-        weights the two sums by ``bras``, and returns (the slice's amplitudes
-        (planes, lanes, entries), the slice); other blocks return None.  The
-        adds run in numpy, not BLAS, whose idle threads would spin.  On no
-        sites the readout is the identity: ``x`` itself is the block's
-        amplitudes, returned at once.
+        last of its slice of the other sites' configurations: it adds the
+        columns pairwise and returns (the slice's branch sums, the sum and the
+        parity-signed sum over the sites (2, lanes, entries), the slice);
+        other blocks return None.  The adds run in numpy, not BLAS, whose idle
+        threads would spin.  On no sites the readout is the identity: ``x``
+        itself is the block's one branch, returned at once.
         """
         if not self.sites:
             return x[None], block
-        inside, above, others, weights, sums, halves, out, spare = term
+        inside, above, others, sums, halves = term
+        entries = x.shape[-1] >> len(inside)
         column = _pack(block.start, above)
-        start = _pack(block.start, others) * out.shape[2]
-        at = slice(start % sums.shape[3], start % sums.shape[3] + out.shape[2])
+        start = _pack(block.start, others) * entries
+        at = slice(start % sums.shape[3], start % sums.shape[3] + entries)
         dst = sums[:, :, column, at]
         negate = bin(column).count("1") % 2
         if not inside:
@@ -216,24 +214,15 @@ class Projector:
             half = total.shape[2] // 2
             np.add(total[:, :, :half], total[:, :, half:], out=total[:, :, :half])
             total = total[:, :, :half]
-        total = total[:, :, 0]
-        for plane, part in enumerate(weights):
-            for row, (a, b) in enumerate(part):
-                o = out[plane, :, :, row]
-                np.multiply(total[0] if a else total[1], a or b, out=o)
-                if a and b:
-                    o += np.multiply(total[1], b, out=spare)
-        rows = len(self.bras)
-        return out.reshape(out.shape[:2] + (-1,)), slice(start * rows, (start + out.shape[2]) * rows)
+        return total[:, :, 0], slice(start, start + entries)
 
     def amplitudes(self, state: np.ndarray) -> np.ndarray:
         """The amplitudes of a whole state: its real and imaginary parts are two
-        real vectors of one block for ``take``."""
+        real vectors of one block for ``take``, whose sums each row weighs."""
         if state.shape != (1 << self.n_sites,):
             raise EvolutionError("projector/state dimension mismatch")
-        parts, _ = self.take(np.stack([state.real, state.imag]), slice(0, state.shape[0]), self.buffer(2, 1))
-        lanes = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
-        return lanes[0] + 1j * lanes[1]
+        sums, _ = self.take(np.stack([state.real, state.imag]), slice(0, state.shape[0]), self.buffer(2, 1))
+        return ((sums[:, 0] + 1j * sums[:, 1]).T @ self.branch_weights.T).reshape(-1)
 
     def expectation(self, state: np.ndarray) -> float:
         return float(np.sum(np.abs(self.amplitudes(state)) ** 2))

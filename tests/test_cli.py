@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import hsfsense
-from hsfsense.cli import main
+from hsfsense.cli import main, run
+from hsfsense.config import RunConfig
+from hsfsense.errors import ConfigError
 
 
 def run_cli(tmp_path, text, *args):
@@ -491,6 +493,64 @@ def test_montecarlo_warns_when_accumulated_phase_is_large(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 11
     assert run_cli(tmp_path, text.replace("omega = 5", "omega = 4.9")) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["fidelity", "zeno"])
+@pytest.mark.parametrize("value", ["bogus", "explicit:"])
+def test_a_bad_partition_exits_2_from_every_command(tmp_path, capsys, command, value):
+    """The partition is checked as a key, so commands that never read it reject it too."""
+    out = tmp_path / "o.csv"
+    text = f"command = {command}\nlattice.width = 3\nlattice.height = 3\npartition = {value}\nout = {out}\n"
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "partition must be 'canonical' or 'explicit:<file>'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields,key",
+    [({"command": "montecarlo", "seed": -1}, "seed"), ({"command": "zeno", "zeno_n_values": ()}, "zeno.n_values")],
+    ids=["seed", "zeno.n_values"],
+)
+def test_run_checks_a_config_built_in_code(tmp_path, fields, key):
+    """``run`` checks every field with the key's own check, before numpy sees a
+    negative seed or a command writes a CSV with only its header."""
+    out = tmp_path / "o.csv"
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        run(RunConfig(**fields, out=str(out)))
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="^command must be one of"):
+        run(RunConfig(out=str(out)))
+    with pytest.raises(ConfigError, match="^no output path"):
+        run(RunConfig(command="zeno"))
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [("0,1,abc", "couplings CSV line 2: '0,1,abc'"), ("0,5,0.1", "couplings CSV line 2: (0,5) is not a lattice bond")],
+    ids=["value", "bond"],
+)
+def test_a_malformed_couplings_file_exits_2_naming_the_line(tmp_path, capsys, row, message):
+    couplings = tmp_path / "c.csv"
+    couplings.write_text(f"i,j,delta\n{row}\n")
+    out = tmp_path / "b.csv"
+    text = (
+        f"command = bound\nlattice.width = 3\nlattice.height = 3\nt_max = 0.5\nt_points = 3\n"
+        f"couplings.file = {couplings}\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {couplings}: ") and message in err
+    assert not out.exists()
+
+
+def test_sweep_with_t_all_below_t_int_exits_2_naming_both(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    text = f"command = sweep\nlattice.width = 3\nlattice.height = 3\nt_int = 0.5\nt_all = 0.4\nout = {out}\n"
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "t_all (0.4) must be at least t_int (0.5)" in err
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_code():

@@ -113,11 +113,38 @@ def test_too_narrow_interval_raises(lat33, part33, dis33, monkeypatch):
         dynamical_fidelity_grid(h, 0.4, [0.0, 0.5, 1.0])
 
 
-def test_drift_check_catches_scaled_coefficients(lat33, dis33, monkeypatch):
-    """Coefficients 1e-9 too large leave every Chebyshev term's norm alone, so
-    no term guard fires; a whole state's norm drifts, and names no cause."""
+def test_coefficients_off_jacobi_anger_are_an_evolution_error(lat33, part33, monkeypatch):
+    """Coefficients 1e-9 too large move bound's eps by ~1e-9 through readouts
+    that hold no norm, and no Chebyshev term's norm.  Every march checks that
+    the even b_k sum to cos(rt) and the odd ones to sin(rt), at negative t too."""
+    c = sample_gaussian(lat33, 1.0, 0.3, seed=2)
+    h = ham.op_tfim(lat33, c, 0.4)
+    calls = (
+        lambda: verify_bound(lat33, part33, c, 0.4, [0.5, 1.0]),
+        lambda: dynamical_fidelity_grid(h, 0.4, [-0.8]),
+    )
+    for call in calls:
+        call()
     bessel_j = evolve_module._bessel_j
     monkeypatch.setattr(evolve_module, "_bessel_j", lambda x, n: bessel_j(x, n) * (1.0 + 1e-9))
+    for call in calls:
+        with pytest.raises(EvolutionError, match=r"^Chebyshev coefficients for t=\S+ miss cos and sin"):
+            call()
+
+
+def test_drift_check_catches_wrong_coefficients(lat33, dis33, monkeypatch):
+    """J_2 and J_4 1e-9 too large move b_2 and b_4 by -2e-9 and +2e-9, so the
+    coefficients still sum to cos(rt) and sin(rt), and every Chebyshev term's
+    norm is left alone, so no term guard fires; a whole state's norm drifts,
+    and names no cause."""
+    bessel_j = evolve_module._bessel_j
+
+    def shifted(x, n):
+        j = bessel_j(x, n)
+        j[2:5:2] += 1e-9
+        return j
+
+    monkeypatch.setattr(evolve_module, "_bessel_j", shifted)
     eng = EvolutionEngine(ham.op_tfim(lat33, dis33, 0.4))
     psi = states.ghz_x(9)
     calls = (

@@ -118,7 +118,9 @@ def test_fidelity_grid_matches_vdot_oracle(shape, block, monkeypatch):
 
 def test_readouts_equal_the_amplitudes_of_the_evolved_states(lat34, part34):
     """readout_grid and readout_tangent give what the readout's own ``amplitudes``
-    gives on evolve_grid's and evolve_tangent's states, from a complex start."""
+    gives on evolve_grid's and evolve_tangent's states, from a complex start:
+    with real and imaginary branch weights, and with a random complex pair of
+    bras on the probes, whose four weights are all nonzero in both planes."""
     op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4)
     rng = np.random.default_rng(6)
     psi = rng.normal(size=1 << lat34.n_sites) + 1j * rng.normal(size=1 << lat34.n_sites)
@@ -126,10 +128,12 @@ def test_readouts_equal_the_amplitudes_of_the_evolved_states(lat34, part34):
     eng = EvolutionEngine(op)
     ts = [0.0, 0.3, 1.1]
     every = tuple(range(lat34.n_sites))
+    bras = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))  # every row weighs both branches
     readouts = (
         states.probe_projector(part34, lat34),
         states.Projector(states.PRIMED, every, lat34.n_sites),
         states.Projector(np.eye(2), every, lat34.n_sites),
+        states.Projector(bras, tuple(part34.probe_order()), lat34.n_sites),
     )
     for readout in readouts:
         for got, state in zip(eng.readout_grid(psi, ts, readout), eng.evolve_grid(psi, ts)):

@@ -191,18 +191,19 @@ def check_probe_amplitudes(lat, part):
 
 
 def take_by_blocks(readout, state, blocks):
-    """The amplitudes of ``state`` from ``take`` run block by block, each
-    finished slice put where it says, as the Chebyshev march does."""
+    """The amplitudes of ``state`` from the branch sums ``take`` gives block by
+    block, each finished slice put where it says, as the Chebyshev march does,
+    and weighed by each row's ``branch_weights``."""
     x = np.stack([state.real, state.imag])
     term = readout.buffer(2, len(blocks))
-    planes = np.full((readout.planes, 2, readout.size), np.nan)
+    weights = readout.branch_weights
+    branches = np.full((weights.shape[1], 2, readout.size // len(weights)), np.nan)
     for block in blocks:
         done = readout.take(x[:, block], block, term)
         if done is not None:
-            vals, where = done
-            planes[..., where] = vals
-    lanes = planes[0] + 1j * planes[1] if readout.planes == 2 else planes[0]
-    return lanes[0] + 1j * lanes[1]
+            sums, where = done
+            branches[..., where] = sums
+    return ((branches[:, 0] + 1j * branches[:, 1]).T @ weights.T).reshape(-1)
 
 
 @pytest.mark.parametrize("block", [8, 10])
