@@ -11,7 +11,8 @@ comparable between runs; the others are called once.  ``peak_mb`` is read
 after the first call, so it and ``vectors`` still describe one call (freed
 blocks reused by the repeats could raise the high-water mark).  Stages:
 
-  op_total      ``op_total`` (Ising and shift diagonals, matrix-free drive)
+  op_total      ``op_total`` (the two tables of its Ising and shift diagonal,
+                matrix-free drive)
   ghz_x         ``ghz_x`` on every site (the full-register GHZ state)
   embed         the probe GHZ state embedded in the frozen background
   dw_diagonal   the domain-wall count of every basis state

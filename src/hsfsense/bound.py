@@ -68,15 +68,14 @@ def delta_pr_numeric(lattice: Lattice, partition: SitePartition, couplings: Coup
 
     Enumerates every probe configuration over the frozen ancilla pattern and
     every single ancilla flip, using the diagonal of the shifted Hamiltonian
-    without the transverse field.  Always >= j_gap.
+    without the transverse field at those 2^m (n_ancilla + 1) states only.
+    Always >= j_gap.
     """
-    diag = ham.ising_diagonal(couplings) + ham.shift_diagonal(partition, couplings)
     frozen = states.frozen_subspace(partition)
-    e0 = diag[frozen]
-    return float(min(
-        (np.min(np.abs(diag[frozen ^ (1 << a)] - e0)) for a in partition.ancilla_sites),
-        default=math.inf,
-    ))
+    flips = [frozen ^ (1 << a) for a in partition.ancilla_sites]
+    energies = ham.total_diagonal_at(partition, couplings, np.concatenate([frozen, *flips]))
+    e0, flipped = energies[: frozen.size], energies[frozen.size :].reshape(len(flips), frozen.size)
+    return float(min((np.min(np.abs(e - e0)) for e in flipped), default=math.inf))
 
 
 def error_bound_rhs(n: int, omega: float, j_g: float, t):

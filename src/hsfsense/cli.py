@@ -66,7 +66,10 @@ def _couplings(config: RunConfig, lattice):
             except CouplingError as exc:
                 raise ConfigError(f"{config.couplings_file}: {exc}") from None
     if config.couplings_sigma > 0:
-        return cp.sample_gaussian(lattice, config.couplings_jbar, config.couplings_sigma, config.couplings_seed)
+        try:
+            return cp.sample_gaussian(lattice, config.couplings_jbar, config.couplings_sigma, config.couplings_seed)
+        except CouplingError as exc:
+            raise ConfigError(f"couplings.sigma: {exc}") from None
     return cp.homogeneous(lattice, config.couplings_jbar)
 
 

@@ -8,6 +8,7 @@ across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,8 @@ def sample_gaussian(lattice: Lattice, jbar: float, sigma: float, seed: int) -> C
 
 
 def from_csv(lattice: Lattice, jbar: float, text: str) -> CouplingMap:
-    """Explicit deltas from CSV lines ``i,j,delta``; unlisted bonds get zero."""
+    """Explicit deltas from CSV lines ``i,j,delta``; unlisted bonds get zero, and a
+    delta that is not finite is rejected with its line."""
     delta = {b: 0.0 for b in lattice.bonds()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -90,6 +92,8 @@ def from_csv(lattice: Lattice, jbar: float, text: str) -> CouplingMap:
             i, j, d = int(si), int(sj), float(sd)
         except ValueError as exc:
             raise CouplingError(f"couplings CSV line {lineno}: {raw!r}") from exc
+        if not math.isfinite(d):
+            raise CouplingError(f"couplings CSV line {lineno}: delta {d} is not finite")
         key = (i, j) if (i, j) in delta else (j, i)
         if key not in delta:
             raise CouplingError(f"couplings CSV line {lineno}: ({i},{j}) is not a lattice bond")

@@ -14,14 +14,18 @@ bound on the Bessel tail falls below ``_TAIL_TOL``; a norm drift beyond an
 output's budget raises EvolutionError.  One real recurrence (H is real)
 marches a stack of lanes: the real part of the start state, its imaginary
 part if that is nonzero, and with the tangent each part's exact derivative in
-``value``; only the outputs are complex, and every start state the commands
-build is real.  Only the coefficients depend on t, so one series from the
+``value``; only the outputs are complex.  Every command starts from a real
+``states.GHZKet``, which the engine writes into its first stack of lanes one
+block at a time, as it reads a caller's array, so no 2^N start vector is held.
+Only the coefficients depend on t, so one series from the
 start state gives every time of a grid, each time stopping at its own Bessel
 tail.  The march keeps two stacks of lanes and writes each term over the one
 two before it; the engine keeps no basis-sized array of its own.  Each term is
 taken one cache-sized block of basis states at a time
 (``TransverseFieldOperator.blocks``): its flip sum into a block-sized scratch,
-the diagonal shift made for the block, the recurrence and every time's sums,
+the block's shifted diagonal made from the two small tables of the
+``hamiltonian.Diagonal`` (with the center folded into one table, one
+broadcast add and one scale), the recurrence and every time's sums,
 with the arithmetic of a whole-vector step element by element, so whole
 states do not depend on the block size, bit for bit.  A readout folds the
 sites inside a block first and those at or above it afterwards, so on sites
@@ -61,8 +65,10 @@ _WHOLE = np.array([[1.0, 0.0]])  # one bra (c+, c-) on no sites: the identity, w
 
 
 def _gershgorin(diag, radius) -> tuple[float, float]:
-    """Spectral interval of a Hermitian operator from its diagonal and off-diagonal absolute row sums."""
-    return float(np.min(diag) - radius), float(np.max(diag) + radius)
+    """Spectral interval of a Hermitian operator from its ``hamiltonian.Diagonal``
+    (None for none) and its off-diagonal absolute row sums."""
+    lo, hi = (0.0, 0.0) if diag is None else diag.bounds()
+    return lo - radius, hi + radius
 
 
 def _norm(v: np.ndarray) -> float:
@@ -111,27 +117,27 @@ class EvolutionEngine:
     """Propagator e^{-iHt} for a fixed ``TransverseFieldOperator`` H = diag + value * S.
 
     H is Hermitian by construction and applied matrix-free.  ``interval`` is its
-    Gershgorin interval [min diag - |value| |S|, max diag + |value| |S|].
-    ``evolve``, ``evolve_grid`` and ``evolve_tangent`` leave their input state
-    unchanged.
+    Gershgorin interval [min diag - |value| |S|, max diag + |value| |S|], with the
+    min and max taken from the diagonal's tables.  A start state is a real
+    ``states.GHZKet`` or an array over the basis; ``evolve``, ``evolve_grid`` and
+    ``evolve_tangent`` leave an array unchanged.
     """
 
     def __init__(self, hamiltonian: TransverseFieldOperator):
         if not isinstance(hamiltonian, TransverseFieldOperator):
             raise EvolutionError(f"generator must be a TransverseFieldOperator, got {type(hamiltonian).__name__}")
         self.hamiltonian = hamiltonian
-        diag = 0.0 if hamiltonian.diag is None else hamiltonian.diag
-        self.interval = _gershgorin(diag, abs(hamiltonian.value) * len(hamiltonian.sites))
+        self.interval = _gershgorin(hamiltonian.diag, abs(hamiltonian.value) * len(hamiltonian.sites))
         lo, hi = self.interval
         self._center = 0.5 * (lo + hi)
         self._radius = max(0.5 * (hi - lo), 1e-300)
         self._whole = states.Projector(_WHOLE, (), hamiltonian.n_sites)
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
+    def evolve(self, state: np.ndarray | states.GHZKet, t: float) -> np.ndarray:
         """e^{-iHt} |state>."""
         return self.evolve_grid(state, [t])[0]
 
-    def evolve_grid(self, state: np.ndarray, ts) -> list[np.ndarray]:
+    def evolve_grid(self, state: np.ndarray | states.GHZKet, ts) -> list[np.ndarray]:
         """States at each time in ``ts``, returned in the order of ``ts``.
 
         One series from ``state`` gives every point: entry j is e^{-iH t_j} state,
@@ -140,18 +146,18 @@ class EvolutionEngine:
         """
         return self.readout_grid(state, ts, self._whole)
 
-    def evolve_tangent(self, state: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def evolve_tangent(self, state: np.ndarray | states.GHZKet, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{-iHt} psi, d/dvalue e^{-iHt} psi) for H = diag + value * S, with
         the interval held fixed."""
         return self.readout_tangent(state, t, self._whole)
 
-    def readout_grid(self, state: np.ndarray, ts, readout) -> list[np.ndarray]:
+    def readout_grid(self, state: np.ndarray | states.GHZKet, ts, readout) -> list[np.ndarray]:
         """``readout.amplitudes`` of the state at each time in ``ts``, in the order
         of ``ts``: the readout (``states.Projector``) takes every Chebyshev term
         as it is made, so only the amplitudes are built."""
         return [r for r, _ in self._series(state, ts, False, readout)]
 
-    def readout_tangent(self, state: np.ndarray, t: float, readout) -> tuple[np.ndarray, np.ndarray]:
+    def readout_tangent(self, state: np.ndarray | states.GHZKet, t: float, readout) -> tuple[np.ndarray, np.ndarray]:
         """``readout.amplitudes`` of both outputs of ``evolve_tangent``, made the same way."""
         return self._series(state, [t], True, readout)[0]
 
@@ -187,7 +193,7 @@ class EvolutionEngine:
             raise EvolutionError(f"Chebyshev coefficients for t={t:.6g} miss cos and sin(rt) by {miss:.3g} > {tol:.3g}")
         return np.exp(-1j * self._center * t), b
 
-    def _series(self, state: np.ndarray, ts, tangent: bool, readout) -> list:
+    def _series(self, state: np.ndarray | states.GHZKet, ts, tangent: bool, readout) -> list:
         """One Chebyshev series from ``state`` for every time in ``ts``: a list of
         (R e^{-iHt} psi, R of its tangent or None), one pair per t, where R is
         ``readout`` (``states.Projector``; on no sites, the identity).
@@ -199,16 +205,27 @@ class EvolutionEngine:
         term to the output's truncation and rounding budget; a whole state's
         norm is held to it too, which also catches wrong coefficients.
         """
-        if state.shape != (self.hamiltonian.shape[0],):
-            raise EvolutionError("state/Hamiltonian dimension mismatch")
+        op = self.hamiltonian
+        if isinstance(state, states.GHZKet):
+            if state.n_sites != op.n_sites:
+                raise EvolutionError("state/Hamiltonian dimension mismatch")
+            parts = [state]
+        else:
+            if state.shape != (op.shape[0],):
+                raise EvolutionError("state/Hamiltonian dimension mismatch")
+            parts = [state.real] + ([state.imag] if np.iscomplexobj(state) and np.any(state.imag) else [])
         for t in ts:
             if not np.isfinite(t):
                 raise EvolutionError(f"time must be finite, got {t}")
         rows = [self._coefficients(t, tangent) for t in ts]
-        parts = [np.real(state)] + ([state.imag] if np.iscomplexobj(state) and np.any(state.imag) else [])
         width = 2 if tangent else 1
-        lanes = np.zeros((len(parts) * width, state.shape[0]))
-        lanes[::width] = parts
+        lanes = np.zeros((len(parts) * width, op.shape[0]))
+        for block in op.blocks():  # the start state, written a block at a time
+            for lane, part in zip(lanes[::width], parts):
+                if isinstance(part, states.GHZKet):
+                    part.block(block, lane[block])
+                else:
+                    np.copyto(lane[block], part[block])
         # a unitary step keeps the norm up to truncation and rounding
         norm = math.hypot(*(_norm(lane) for lane in lanes[::width]))
         accs = self._march(lanes, rows, tangent, readout, norm)
@@ -251,7 +268,8 @@ class EvolutionEngine:
         block of ``hamiltonian.blocks()`` at a time: the flip sum of the
         block (``flip_block``, which reads the block and its partner blocks of
         p_{k-1}) goes to a block-sized scratch, and the drive, the recurrence
-        with the diagonal 2 (diag - c)/r made for the block, the halving at
+        with the diagonal 2 (diag - c)/r made for the block from the tables
+        (``Diagonal.block`` of the diagonal shifted by -c), the halving at
         k = 1, the readout and every row's sums run on that block while it is
         in cache.  A term never writes p_{k-1} and reads p_{k-2} only in its
         own block, so the block overwrites it in place, and the two stacks
@@ -277,7 +295,10 @@ class EvolutionEngine:
         budget = (_TAIL_TOL + 8 * n_terms * np.finfo(float).eps) * norm
         # 2 (H - c)/r is its flip part (2 value/r) S plus the diagonal (2/r)(diag - c)
         scale = 2.0 / self._radius
-        shift = scale * (0.0 - self._center) if op.diag is None else np.empty(blocks[0].stop)
+        if op.diag is None:
+            shift = scale * (0.0 - self._center)
+        else:  # the center folded into the diagonal's small table once
+            diag, shift = op.diag.shifted(-self._center), np.empty(blocks[0].stop)
         prev, cur = lanes, np.zeros_like(lanes)  # term 0 reads p_0, then the stacks swap
         work = np.empty((len(lanes), blocks[0].stop))  # a block's flip sum, then scratch
         drive = np.empty_like(work[::width]) if tangent else None
@@ -293,7 +314,7 @@ class EvolutionEngine:
                     work *= 2.0 * op.value / self._radius
                     np.subtract(work, p, out=p)
                     if op.diag is not None:
-                        np.subtract(op.diag[block], self._center, out=shift)
+                        diag.block(block, shift)
                         shift *= scale
                     np.multiply(cur[:, block], shift, out=work)
                     p += work
@@ -343,8 +364,9 @@ def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
 
 def dynamical_fidelity_grid(h_actual: TransverseFieldOperator, omega: float, ts) -> np.ndarray:
     """|<GHZ| e^{+i h_ideal t} e^{-i h_actual t} |GHZ>|^2 at each t in ``ts``, for
-    GHZ = ``states.ghz_x(n)`` = (|+...+> + |-...->)/sqrt(2) on the n sites of
-    ``h_actual`` and the ideal drive h_ideal = (omega/2) sum_i sigma^x_i.
+    GHZ = (|+...+> + |-...->)/sqrt(2) on the n sites of ``h_actual`` (a
+    ``states.GHZKet``, which the march writes block by block) and the ideal
+    drive h_ideal = (omega/2) sum_i sigma^x_i.
 
     h_ideal only phases the two branches:
     e^{-i h_ideal t} |GHZ> = (e^{-i n omega t/2} |+...+> + e^{+i n omega t/2} |-...->)/sqrt(2),
@@ -356,6 +378,6 @@ def dynamical_fidelity_grid(h_actual: TransverseFieldOperator, omega: float, ts)
     n = h_actual.n_sites
     ts = np.asarray(ts, dtype=float)
     branches = states.Projector(np.eye(2), tuple(range(n)), n)
-    plus_minus = EvolutionEngine(h_actual).readout_grid(states.ghz_x(n), ts, branches)
+    plus_minus = EvolutionEngine(h_actual).readout_grid(states.GHZKet(range(n), 0, n), ts, branches)
     turn = np.exp(0.5j * n * omega * ts)
     return np.array([abs(z * plus + z.conjugate() * minus) ** 2 / 2.0 for z, (plus, minus) in zip(turn, plus_minus)])

@@ -16,12 +16,18 @@ stored.  The constrained models' masks come from one generator per model
 The unmasked family (a diagonal plus one flip amplitude on a set of
 sites) also has a matrix-free form, ``TransverseFieldOperator``, whose flip
 sum works on aligned blocks of 2^_BLOCK basis states; its ``tocsr()`` is the
-builders' CSR.
+builders' CSR.  Its diagonal is a ``Diagonal``: two small tables, one over
+the low _SPLIT bits and one over the bits from the lowest site bonded across
+them, whose sum is an entry (2^15 + 64 entries in place of 2^18 at 3x6), so
+``op_tfim`` and ``op_total`` build no basis-sized array.  The whole-vector
+diagonals (``ising_diagonal``, ``shift_diagonal``) serve the CSR builders, and
+``total_diagonal_at`` gives the entries of a few states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,6 +44,8 @@ _LOW = 8  # the low bits of a basis index, folded into the last axis of ``_view`
 # log2 of the aligned basis states one flip sum or Chebyshev step works on at a
 # time: 256 KB per float64 lane, so the march's buffers of a block stay in L2
 _BLOCK = 15
+# a ``Diagonal``'s low table spans the low _SPLIT bits of a basis index (256 KB)
+_SPLIT = 15
 # a flip of bit i as a reversed view runs inner loops of 2^i elements; below
 # this bit its 2^(i+1) strided (dst, src) pairs, each one loop over the block,
 # are faster
@@ -96,18 +104,96 @@ def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
 
 
 @dataclass(frozen=True, eq=False)
+class Diagonal:
+    """A real diagonal over 2^n_sites basis states, held as two small tables:
+    diag[s] = low[s & (2^split - 1)] + high[s >> cut], where ``low`` has 2^split
+    entries and ``high`` 2^(n_sites - cut), and the two share bits cut..split-1.
+
+    ``_diagonal`` builds it from terms on few sites: a term whose sites are all
+    below split goes to ``low``, any other to ``high``, so ``cut`` is the lowest
+    site a term joins across the split.  ``block`` writes any aligned block with
+    one add per state, ``bounds`` gives its min and max from the tables, and
+    ``expand`` writes out the whole diagonal.
+    """
+
+    low: np.ndarray
+    high: np.ndarray
+    cut: int
+
+    def __post_init__(self):
+        for name in ("low", "high"):
+            table = getattr(self, name)
+            if np.iscomplexobj(table):
+                raise EvolutionError("diagonal must be real")
+            table = np.asarray(table, dtype=float)
+            if table.ndim != 1 or table.size & (table.size - 1):
+                raise EvolutionError(f"diagonal table {name} of shape {table.shape}; expected 2^k entries")
+            if not np.all(np.isfinite(table)):
+                raise EvolutionError("diagonal must be finite")
+            object.__setattr__(self, name, table)
+        if not 0 <= self.cut <= self.split <= self.n_sites:
+            raise EvolutionError(f"diagonal tables of {self.low.size} and {self.high.size} entries cut at {self.cut}")
+
+    @property
+    def split(self) -> int:
+        return self.low.size.bit_length() - 1
+
+    @property
+    def n_sites(self) -> int:
+        return self.cut + self.high.size.bit_length() - 1
+
+    def block(self, block: slice, out: np.ndarray) -> np.ndarray:
+        """The entries of an aligned block of basis states, written to the 1-D
+        ``out`` with one broadcast add; returns ``out``.  The block's states are
+        laid out (outer, mid, inner): ``inner`` runs over the bits below cut (or
+        the block's), ``mid`` over the shared bits, ``outer`` over the bits above
+        split, and ``low`` varies over (mid, inner), ``high`` over (outer, mid)."""
+        size = block.stop - block.start
+        inner = min(size, 1 << self.cut)
+        mid = min(size, self.low.size) // inner
+        outer = size // (mid * inner)
+        lo, hi = block.start & (self.low.size - 1), block.start >> self.cut
+        np.add(
+            self.low[lo : lo + mid * inner].reshape(1, mid, inner),
+            self.high[hi : hi + outer * mid].reshape(outer, mid, 1),
+            out=out.reshape(outer, mid, inner),
+        )
+        return out
+
+    def bounds(self) -> tuple[float, float]:
+        """(min, max) of the diagonal: per value of the shared bits, the min (max)
+        of ``low`` plus that of ``high``.  Rounding is monotone, so each is the
+        expanded diagonal's bit for bit."""
+        low = self.low.reshape(1 << (self.split - self.cut), -1)
+        high = self.high.reshape(-1, 1 << (self.split - self.cut))
+        return (
+            float(np.min(low.min(axis=1) + high.min(axis=0))),
+            float(np.max(low.max(axis=1) + high.max(axis=0))),
+        )
+
+    def shifted(self, offset: float) -> Diagonal:
+        """The diagonal plus ``offset``, folded into ``high``."""
+        return Diagonal(self.low, self.high + offset, self.cut)
+
+    def expand(self) -> np.ndarray:
+        """The whole diagonal, one entry per basis state."""
+        return self.block(slice(0, 1 << self.n_sites), np.empty(1 << self.n_sites))
+
+
+@dataclass(frozen=True, eq=False)
 class TransverseFieldOperator:
     """``diag + value * sum_{i in sites} sigma^x_i`` on 2^n_sites states, without a matrix.
 
-    ``diag`` is a real vector over the basis (None for no diagonal).  Real
-    entries make the operator Hermitian by construction.  ``op @ psi``
-    applies it to a vector, ``flip_sum`` applies ``sum_{i in sites} sigma^x_i``
-    in place, ``flip_block`` applies it to one block of ``blocks()`` into a
-    block-sized output, and ``tocsr()`` is its matrix.
+    ``diag`` is a ``Diagonal``, None for no diagonal; a real vector over the
+    basis is taken whole as the low table.  Real entries make the operator
+    Hermitian by construction.  ``op @ psi`` applies it to a vector,
+    ``flip_sum`` applies ``sum_{i in sites} sigma^x_i`` in place, ``flip_block``
+    applies it to one block of ``blocks()`` into a block-sized output, and
+    ``tocsr()`` is its matrix; these two expand the diagonal.
     """
 
     n_sites: int
-    diag: np.ndarray | None
+    diag: Diagonal | None
     value: float
     sites: tuple[int, ...]
 
@@ -119,15 +205,14 @@ class TransverseFieldOperator:
         if any(not 0 <= i < self.n_sites for i in sites) or len(set(sites)) != len(sites):
             raise EvolutionError(f"sites {sites} must be distinct and in range for {self.n_sites} sites")
         object.__setattr__(self, "sites", sites)
-        if self.diag is not None:
-            if np.iscomplexobj(self.diag):
-                raise EvolutionError("diagonal must be real")
-            diag = np.asarray(self.diag, dtype=float)
-            if diag.shape != (1 << self.n_sites,):
-                raise EvolutionError(f"diagonal of shape {diag.shape} for {self.n_sites} sites")
-            if not np.all(np.isfinite(diag)):
-                raise EvolutionError("diagonal must be finite")
-            object.__setattr__(self, "diag", diag)
+        diag = self.diag
+        if diag is not None and not isinstance(diag, Diagonal):
+            if np.shape(diag) != (1 << self.n_sites,):
+                raise EvolutionError(f"diagonal of shape {np.shape(diag)} for {self.n_sites} sites")
+            diag = Diagonal(diag, np.zeros(1), self.n_sites)
+        if diag is not None and diag.n_sites != self.n_sites:
+            raise EvolutionError(f"diagonal over {diag.n_sites} sites for {self.n_sites} sites")
+        object.__setattr__(self, "diag", diag)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -195,11 +280,12 @@ class TransverseFieldOperator:
         out = self.flip_sum(psi, np.empty(psi.shape, dtype=np.result_type(psi, float)))
         out *= self.value
         if self.diag is not None:
-            out += psi * self.diag
+            out += psi * self.diag.expand()
         return out
 
     def tocsr(self) -> sp.csr_matrix:
-        return _assemble(self.n_sites, self.diag, [(i, self.value, None) for i in self.sites])
+        diag = None if self.diag is None else self.diag.expand()
+        return _assemble(self.n_sites, diag, [(i, self.value, None) for i in self.sites])
 
 
 def op_omega(lattice: Lattice, omega: float) -> TransverseFieldOperator:
@@ -212,15 +298,60 @@ def build_h_omega(lattice: Lattice, omega: float) -> sp.csr_matrix:
     return op_omega(lattice, omega).tocsr()
 
 
+def _energies(terms, bit, shape=(1,)) -> np.ndarray:
+    """-sum e z_i z_j over ``terms`` (i, j, e), each exactly +/-e and summed from
+    zero in their order, on the broadcast of ``shape`` and the bits ``bit(site)``.
+    j None is a frame spin (z = -1), so (i, None, -h) is the field term -h z_i."""
+    shape = np.broadcast_shapes(shape, *(bit(s).shape for term in terms for s in term[:2] if s is not None))
+    acc = np.zeros(shape)
+    for i, j, e in terms:
+        acc -= np.array([e, -e])[bit(i) if j is None else bit(i) ^ bit(j)]
+    return acc
+
+
+def _bond_terms(couplings: CouplingMap) -> list:
+    """-J_ij z_i z_j of every bond, in bond order, as ``_energies`` terms."""
+    lattice = couplings.lattice
+    return [(i, None if lattice.is_frame(j) else j, jij) for (i, j), jij in couplings.items()]
+
+
 def ising_diagonal(couplings: CouplingMap) -> np.ndarray:
     """Diagonal of -sum_bonds J_ij z_i z_j; frame bonds contribute with z = -1."""
-    lattice = couplings.lattice
-    n = lattice.n_sites
-    diag = np.zeros(_view(n))
-    for (i, j), jij in couplings.items():
-        anti = _bit(n, i) ^ (0 if lattice.is_frame(j) else _bit(n, j))
-        diag -= np.array([jij, -jij])[anti]  # J z_i z_j, exactly +/-J
-    return diag.reshape(-1)
+    n = couplings.lattice.n_sites
+    return _energies(_bond_terms(couplings), partial(_bit, n), _view(n)).reshape(-1)
+
+
+def _table(n_bits: int, groups) -> np.ndarray:
+    """Energies of 2^n_bits states: each group of ``_energies`` terms summed
+    from zero, and the groups' sums added in order."""
+    bit = partial(_bit, n_bits)
+    table = _energies(groups[0], bit, _view(n_bits))
+    for terms in groups[1:]:
+        table += _energies(terms, bit)
+    return table.reshape(-1)
+
+
+def _top(term) -> int:
+    """The highest site of an ``_energies`` term."""
+    return term[0] if term[1] is None else max(term[:2])
+
+
+def _diagonal(n_sites: int, *groups) -> Diagonal:
+    """The ``Diagonal`` of groups of ``_energies`` terms, split at _SPLIT bits.
+
+    Per state each table sums a group's terms in order and then the groups, as
+    ``ising_diagonal + shift_diagonal`` does; at n_sites <= _SPLIT ``low`` is
+    that whole diagonal and ``high`` is 0.
+    """
+    split = min(n_sites, _SPLIT)
+    crossing = [min(t[:2]) for terms in groups for t in terms if t[1] is not None and min(t[:2]) < split <= _top(t)]
+    cut = min(crossing, default=split)
+    low = _table(split, [[t for t in terms if _top(t) < split] for terms in groups])
+    high = _table(
+        n_sites - cut,
+        [[(i - cut, None if j is None else j - cut, e) for i, j, e in terms if _top((i, j)) >= split] for terms in groups],
+    )
+    return Diagonal(low, high, cut)
 
 
 def build_h_int(lattice: Lattice, couplings: CouplingMap) -> sp.csr_matrix:
@@ -257,12 +388,24 @@ def shift_fields(partition: SitePartition, couplings: CouplingMap) -> dict[int, 
     return {p: effective_field(p, partition, couplings) for p in partition.probe_sites}
 
 
+def _field_terms(partition: SitePartition, couplings: CouplingMap) -> list:
+    """The shift terms -h_i z_i of ``shift_fields``, in probe order, as ``_energies`` terms."""
+    return [(site, None, -h) for site, h in shift_fields(partition, couplings).items()]
+
+
 def shift_diagonal(partition: SitePartition, couplings: CouplingMap) -> np.ndarray:
     n = couplings.lattice.n_sites
-    diag = np.zeros(_view(n))
-    for site, h in shift_fields(partition, couplings).items():
-        diag -= np.array([-h, h])[_bit(n, site)]  # h z_site
-    return diag.reshape(-1)
+    return _energies(_field_terms(partition, couplings), partial(_bit, n), _view(n)).reshape(-1)
+
+
+def total_diagonal_at(partition: SitePartition, couplings: CouplingMap, basis_states: np.ndarray) -> np.ndarray:
+    """``ising_diagonal + shift_diagonal`` at the integer ``basis_states`` only,
+    each entry summed in the same order, so bit for bit."""
+
+    def bit(i):
+        return (basis_states >> i) & 1
+
+    return _energies(_bond_terms(couplings), bit) + _energies(_field_terms(partition, couplings), bit)
 
 
 def build_h_shift(partition: SitePartition, couplings: CouplingMap) -> sp.csr_matrix:
@@ -272,7 +415,7 @@ def build_h_shift(partition: SitePartition, couplings: CouplingMap) -> sp.csr_ma
 
 def op_tfim(lattice: Lattice, couplings: CouplingMap, omega: float) -> TransverseFieldOperator:
     """Transverse field plus Ising couplings."""
-    diag = ising_diagonal(couplings)
+    diag = _diagonal(lattice.n_sites, _bond_terms(couplings))
     return TransverseFieldOperator(lattice.n_sites, diag, omega / 2.0, range(lattice.n_sites))
 
 
@@ -285,8 +428,7 @@ def op_total(
     lattice: Lattice, partition: SitePartition, couplings: CouplingMap, omega: float
 ) -> TransverseFieldOperator:
     """TFIM plus the probe shift fields."""
-    diag = ising_diagonal(couplings)
-    diag += shift_diagonal(partition, couplings)
+    diag = _diagonal(lattice.n_sites, _bond_terms(couplings), _field_terms(partition, couplings))
     return TransverseFieldOperator(lattice.n_sites, diag, omega / 2.0, range(lattice.n_sites))
 
 

@@ -1,4 +1,9 @@
-"""Pure-state constructors and the GHZ-branch readout.
+"""Pure-state constructors, the GHZ-branch start ket and the GHZ-branch readout.
+
+Every command starts from a ``GHZKet``: the GHZ state on some sites tensored
+with a basis configuration of the rest, written one aligned block of basis
+states at a time, so the march of :mod:`hsfsense.evolve` holds no 2^N start
+vector.
 
 A measurement reads a state through one linear readout, ``Projector``: bras
 c+ <+...+| + c- <-...-| on some sites, tensored with the identity on the
@@ -21,6 +26,7 @@ from .errors import EvolutionError, PartitionError
 from .lattice import Lattice, SitePartition
 
 NORM_TOL = 1e-12
+_CHUNK = 15  # log2 of the states ``GHZKet.vector`` writes at a time: its parity table stays small
 
 
 def _parities(n: int) -> np.ndarray:
@@ -35,23 +41,68 @@ def _parities(n: int) -> np.ndarray:
     return parity
 
 
-def ghz_x(n: int) -> np.ndarray:
-    """GHZ state in the x basis: (|+...+> + |-...->)/sqrt(2).
+@dataclass(frozen=True)
+class GHZKet:
+    """(|+...+> + |-...->)/sqrt(2) on ``sites``, tensored with the basis
+    configuration ``rest`` (a bit mask, clear on ``sites``) of the other sites
+    of ``n_sites``: the ket form of a ``Projector``'s bras, and the start state
+    of every command.
 
-    Amplitude s takes one of two values, 2^(-n/2) sqrt(2) for an even number
-    of set bits and 0 for an odd one, and the real (float64) vector is filled
-    with them in place.
+    On m sites amplitude s is 2^(-m/2) sqrt(2) where the other sites' bits are
+    ``rest`` and the sites' bits have even parity, and 0 elsewhere.  ``block``
+    writes the real amplitudes of one aligned block of basis states, so no
+    whole vector need exist; ``vector`` writes them all.
     """
-    if n < 1:
-        raise EvolutionError(f"need at least one spin, got n={n}")
-    signs = np.array([1.0, -1.0])  # (-1)^parity
-    amps = (1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (n / 2.0))
-    # the parity of s is that of its high bits (row) xor that of its low bits (column)
-    low = n // 2
-    rows = amps[_parities(low) ^ np.array([[0], [1]], dtype=np.uint8)]
-    vec = np.empty((1 << (n - low), 1 << low))
-    np.take(rows, _parities(n - low), axis=0, out=vec, mode="clip")  # "clip" writes out unbuffered
-    return vec.reshape(-1)
+
+    sites: tuple[int, ...]
+    rest: int
+    n_sites: int
+
+    def __post_init__(self):
+        sites = tuple(int(i) for i in self.sites)
+        if not sites:
+            raise EvolutionError(f"need at least one spin, got n={len(sites)}")
+        if len(set(sites)) != len(sites) or any(not 0 <= i < self.n_sites for i in sites):
+            raise EvolutionError(f"sites {sites} must be distinct and in range for {self.n_sites} sites")
+        object.__setattr__(self, "sites", sites)
+        if self.rest & self.mask or not 0 <= self.rest < 1 << self.n_sites:
+            raise EvolutionError(f"configuration {self.rest:#x} of the other sites overlaps sites {sites}")
+
+    @property
+    def mask(self) -> int:
+        return sum(1 << i for i in self.sites)
+
+    def block(self, block: slice, out: np.ndarray) -> np.ndarray:
+        """The amplitudes of an aligned block of 2^b basis states, written to
+        the 1-D ``out``; returns ``out``.  On the block's (2,)*b view the other
+        sites' axes are fixed at their ``rest`` bits, and the sites' axes take
+        the amplitude of their parity, flipped by that of the sites above the block."""
+        size = block.stop - block.start
+        out.fill(0.0)
+        mask = self.mask
+        if (block.start ^ self.rest) & ~mask & -size:  # the other sites above the block are not ``rest``
+            return out
+        bits = range(size.bit_length() - 2, -1, -1)  # the view's axes, highest bit first
+        inside = sum(mask >> q & 1 for q in bits)
+        at = tuple(slice(None) if mask >> q & 1 else self.rest >> q & 1 for q in bits)
+        signs = np.array([1.0, -1.0])  # (-1)^parity
+        amps = (1.0 + signs) / (np.sqrt(2.0) * 2.0 ** (len(self.sites) / 2.0))
+        even, odd = amps[::-1] if bin(block.start & mask).count("1") % 2 else amps
+        out.reshape((2,) * len(bits))[at] = np.where(_parities(inside), odd, even).reshape((2,) * inside)
+        return out
+
+    def vector(self) -> np.ndarray:
+        """The whole state, a real (float64) vector, written 2^_CHUNK states at a time."""
+        vec = np.empty(1 << self.n_sites)
+        size = 1 << min(self.n_sites, _CHUNK)
+        for start in range(0, vec.size, size):
+            self.block(slice(start, start + size), vec[start : start + size])
+        return vec
+
+
+def ghz_x(n: int) -> np.ndarray:
+    """GHZ state in the x basis on n sites, (|+...+> + |-...->)/sqrt(2): ``GHZKet``'s vector."""
+    return GHZKet(range(n), 0, n).vector()
 
 
 def frozen_bits(partition: SitePartition) -> int:

@@ -544,6 +544,34 @@ def test_a_malformed_couplings_file_exits_2_naming_the_line(tmp_path, capsys, ro
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "sweep", "fidelity", "fragments"])
+def test_a_non_finite_delta_in_a_couplings_file_exits_2_naming_the_line(tmp_path, capsys, command):
+    """A NaN delta reached the operator's finite check (exit 3), or failed every
+    ``<= delta_th`` of the fragment census silently (exit 0)."""
+    couplings = tmp_path / "c.csv"
+    out = tmp_path / "o.csv"
+    for value in ("nan", "inf", "-inf"):
+        couplings.write_text(f"i,j,delta\n0,1,{value}\n")
+        text = (
+            f"command = {command}\nlattice.width = 3\nlattice.height = 3\nt_max = 0.5\nt_points = 3\n"
+            f"couplings.file = {couplings}\nout = {out}\n"
+        )
+        assert run_cli(tmp_path, text) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {couplings}: couplings CSV line 2: delta ") and "is not finite" in err
+        assert not out.exists()
+
+
+def test_a_sigma_too_large_for_jbar_exits_2_naming_the_key(tmp_path, capsys):
+    """The sampler gives up on a bond after 1000 rejected draws: a config value, not a numeric failure."""
+    out = tmp_path / "b.csv"
+    text = f"command = bound\nlattice.width = 3\nlattice.height = 3\ncouplings.sigma = 1000\nout = {out}\n"
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: couplings.sigma: rejection sampling failed for bond")
+    assert not out.exists()
+
+
 def test_sweep_with_t_all_below_t_int_exits_2_naming_both(tmp_path, capsys):
     out = tmp_path / "s.csv"
     text = f"command = sweep\nlattice.width = 3\nlattice.height = 3\nt_int = 0.5\nt_all = 0.4\nout = {out}\n"

@@ -81,13 +81,18 @@ def test_gershgorin_interval_holds_the_spectrum(lat33, dis33):
 
 def test_gershgorin_interval_needs_no_shifted_copy_of_the_diagonal(lat34, part34):
     """min(diag) - r and max(diag) + r are min(diag - r) and max(diag + r) bit
-    for bit: rounding a constant shift is monotone."""
+    for bit: rounding a constant shift is monotone.  So is rounding a sum, so
+    the min and max taken per value of the tables' shared bits are the expanded
+    diagonal's, at 4x4 and 3x6 too, where the diagonal has a ``high`` table."""
+    lat44, lat36 = Lattice(4, 4), Lattice(3, 6)
     for op in (
         ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4),
         ham.op_probe_omega(part34, lat34, 0.4),  # no diagonal
+        ham.op_total(lat44, canonical_partition(lat44), sample_gaussian(lat44, 1.0, 0.3, seed=5), 0.4),
+        ham.op_tfim(lat36, sample_gaussian(lat36, 1.0, 0.3, seed=6), 0.4),
     ):
         radius = abs(op.value) * len(op.sites)
-        diag = 0.0 if op.diag is None else op.diag
+        diag = 0.0 if op.diag is None else op.diag.expand()
         want = float(np.min(diag - radius)), float(np.max(diag + radius))
         assert np.array(EvolutionEngine(op).interval).tobytes() == np.array(want).tobytes()
 
@@ -436,7 +441,7 @@ def test_march_memory_is_two_lane_stacks_and_the_readout_sums(lat34, part34, mon
     vector of slack covers the readout's buffers and the output being made."""
     monkeypatch.setattr(ham, "_BLOCK", 6)
     psi, h, proj = ramsey_setup("hsf", 0.05, lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=3))
-    vector = psi.size * np.dtype(np.float64).itemsize
+    vector = (1 << lat34.n_sites) * np.dtype(np.float64).itemsize
     calls = (
         (lambda eng: eng.readout_grid(psi, [0.1], proj), 1),
         (lambda eng: eng.readout_tangent(psi, 0.1, proj), 2),
@@ -457,6 +462,23 @@ def test_march_memory_is_two_lane_stacks_and_the_readout_sums(lat34, part34, mon
             del out
     finally:
         tracemalloc.stop()
+
+
+def test_fidelity_holds_two_lane_stacks_and_no_start_vector():
+    """At 3x6 (N = 18) the fidelity grid, operator build included, holds its
+    two lane stacks, the 2^15 low table (1/8 of a vector) and block-sized
+    buffers: no diagonal and no GHZ start vector (4.4 vectors before)."""
+    lat = Lattice(3, 6)
+    c = sample_gaussian(lat, 1.0, 0.3, seed=3)
+    vector = (1 << lat.n_sites) * np.dtype(np.float64).itemsize
+    dynamical_fidelity_grid(ham.op_tfim(lat, c, 0.4), 0.4, [0.1])  # numpy's first calls fill caches that stay
+    tracemalloc.start()
+    try:
+        dynamical_fidelity_grid(ham.op_tfim(lat, c, 0.4), 0.4, [0.1, 0.2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * vector, peak / vector
 
 
 def test_calls_leave_the_state_unchanged(lat34, part34):

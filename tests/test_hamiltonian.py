@@ -5,6 +5,7 @@ sparse builders.  Bit i of a basis index is site i's z spin (1 = up), so
 site 0 is the least significant kron factor.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -417,6 +418,67 @@ def test_diagonals_and_constrained_builders_match_the_bit_table(w, h, boundary):
             assert a.dtype == b.dtype and np.array_equal(a, b), (name, attr)
 
 
+# N below, at and above the diagonal tables' split (ham._SPLIT = 15), with one probe and with two
+DIAGONAL_CASES = [(w, h, b) for w, h in ((3, 3), (5, 3), (4, 4), (3, 6), (5, 4)) for b in Boundary]
+
+
+@pytest.mark.parametrize("w,h,boundary", DIAGONAL_CASES, ids=[f"{w}x{h}-{b.value}" for w, h, b in DIAGONAL_CASES])
+def test_expanded_diagonal_matches_the_whole_vector_builders(w, h, boundary):
+    """op_total's and op_tfim's tables, expanded, against ``ising_diagonal +
+    shift_diagonal`` and ``ising_diagonal``: bit for bit while the low table
+    spans the basis, and within 1e-13 past it, where a state's terms are
+    summed in two tables and the tables added."""
+    lat = Lattice(w, h, boundary)
+    part, c = canonical_partition(Lattice(w, h)), sample_gaussian(lat, 1.0, 0.3, seed=3)
+    pairs = (
+        (ham.op_total(lat, part, c, 0.4), ham.ising_diagonal(c) + ham.shift_diagonal(part, c)),
+        (ham.op_tfim(lat, c, 0.4), ham.ising_diagonal(c)),
+    )
+    for op, want in pairs:
+        got = op.diag.expand()
+        assert op.diag.low.size == 1 << min(lat.n_sites, 15)
+        if lat.n_sites <= 15:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert op.diag.high.size < op.diag.low.size
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_operators_hold_no_basis_sized_array():
+    """At 4x4 (N = 16, past the split) op_total and op_tfim hold a 2^15 low
+    table and a 2^5 high one (site 15 is bonded to 11 and 14), and build no
+    basis-sized array: the low table is half a vector."""
+    lat = Lattice(4, 4)
+    part, c = canonical_partition(lat), sample_gaussian(lat, 1.0, 0.3, seed=3)
+    vector = (1 << lat.n_sites) * np.dtype(np.float64).itemsize
+    for build in (lambda: ham.op_total(lat, part, c, 0.4), lambda: ham.op_tfim(lat, c, 0.4)):
+        build()  # numpy's first calls fill caches that stay
+        tracemalloc.start()
+        try:
+            op = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [v for v in (*vars(op).values(), *vars(op.diag).values()) if isinstance(v, np.ndarray)]
+        assert [a.size for a in arrays] == [1 << 15, 1 << 5] and op.diag.cut == 11
+        assert peak < 0.75 * vector, peak / vector
+
+
+def test_any_aligned_block_reads_the_expanded_diagonal():
+    """Blocks below the cut, between the cut and the split, at the split and
+    above it, read with one add per state, are the expanded diagonal's slices
+    bit for bit; at 5x4 the high table has 2^10 entries."""
+    lat = Lattice(5, 4)
+    diag = ham.op_total(lat, canonical_partition(lat), sample_gaussian(lat, 1.0, 0.3, seed=4), 0.4).diag
+    whole = diag.expand()
+    assert diag.cut == 10
+    for bits in (3, 10, 12, 15, 17, 20):
+        size = 1 << bits
+        for start in range(0, whole.size, max(size, whole.size // 4)):
+            got = diag.block(slice(start, start + size), np.full(size, np.nan))
+            assert got.tobytes() == whole[start : start + size].tobytes(), (bits, start)
+
+
 @pytest.mark.parametrize(
     "kwargs,match",
     [
@@ -507,7 +569,7 @@ def test_probe_flip_sum_and_complex_product_match_the_oracle_bitwise(w, h):
     op = ham.op_total(lat, part, sample_gaussian(lat, 1.0, 0.3, seed=2), 0.4)
     want = axis_flip_sum(lat.n_sites, op.sites, psi)
     want *= op.value
-    want += psi * op.diag
+    want += psi * op.diag.expand()
     got = op @ psi
     assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 

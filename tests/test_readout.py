@@ -144,16 +144,19 @@ def test_readouts_equal_the_amplitudes_of_the_evolved_states(lat34, part34):
 
 
 def test_ghz_schemes_build_no_primed_state(lat34, part34, monkeypatch):
-    """Every scheme builds one GHZ vector, its start state: the primed-GHZ
-    readout is the two coefficients of its bra, not a 2^N vector."""
+    """Every scheme starts from a GHZ ket, which the march writes block by
+    block, and builds no GHZ vector: the primed-GHZ readout is the two
+    coefficients of its bra, not a 2^N vector."""
     built = []
-    ghz_x = states.ghz_x
-    monkeypatch.setattr(states, "ghz_x", lambda n: built.append(n) or ghz_x(n))
+    vector = states.GHZKet.vector
+    monkeypatch.setattr(states.GHZKet, "vector", lambda ket: built.append(ket) or vector(ket))
     rc = RamseyConfig(omega=0.3, t_int=0.2, t_all=10.0)
     c = sample_gaussian(lat34, 1.0, 0.3, seed=3)
     for scheme in SCHEMES:
         built.clear()
-        _, _, proj = ramsey_setup(scheme, rc.omega, lat34, part34, c)
-        assert built == [part34.n_probe if scheme in ("hsf", "hsf_ideal") else lat34.n_sites]
+        psi, _, proj = ramsey_setup(scheme, rc.omega, lat34, part34, c)
+        probes = scheme in ("hsf", "hsf_ideal")
+        assert psi.sites == (tuple(part34.probe_order()) if probes else tuple(range(lat34.n_sites)))
         np.testing.assert_array_equal(proj.bras, states.PRIMED)
         assert numeric_sensitivity(scheme, rc, lat34, part34, c) > 0
+        assert built == []

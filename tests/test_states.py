@@ -102,6 +102,31 @@ def test_ghz_x_matches_the_popcount_formula_bit_for_bit(n):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_ghz_ket_blocks_are_the_embedded_vector_bit_for_bit(lat33, part33):
+    """The probe ket over the frozen background is ``embed(ghz_x(m))``, and
+    every aligned block it writes is that vector's slice: one probe at 3x3 and
+    two at 3x6, blocks of 1 state up to the whole basis."""
+    lat36 = Lattice(3, 6)
+    for lat, part, block_bits in ((lat33, part33, (0, 2, 5, 9)), (lat36, canonical_partition(lat36), (5, 12, 18))):
+        ket = states.GHZKet(tuple(part.probe_order()), states.frozen_bits(part), lat.n_sites)
+        want = states.embed(states.ghz_x(part.n_probe), part, lat)
+        assert ket.vector().tobytes() == want.tobytes()
+        for bits in block_bits:
+            size = 1 << bits
+            for start in range(0, want.size, size):
+                got = ket.block(slice(start, start + size), np.full(size, np.nan))
+                assert got.tobytes() == want[start : start + size].tobytes(), (bits, start)
+
+
+@pytest.mark.parametrize(
+    "sites,rest,match",
+    [((), 0, "at least one spin"), ((1, 1), 0, "distinct"), ((0, 3), 0, "in range"), ((0,), 1, "overlaps")],
+)
+def test_ghz_ket_rejects_bad_input(sites, rest, match):
+    with pytest.raises(EvolutionError, match=match):
+        states.GHZKet(sites, rest, 3)
+
+
 def test_ghz_plain_primed_overlap():
     # |<GHZ|GHZ'>|^2 = 1/2
     for n in (1, 3, 6):
