@@ -81,7 +81,8 @@ def sample_gaussian(lattice: Lattice, jbar: float, sigma: float, seed: int) -> C
 
 def from_csv(lattice: Lattice, jbar: float, text: str) -> CouplingMap:
     """Explicit deltas from CSV lines ``i,j,delta``; unlisted bonds get zero, and a
-    delta that is not finite is rejected with its line."""
+    delta that is not finite, or breaks 2|delta| < jbar as ``sample_gaussian``'s
+    draws never do, is rejected with its line."""
     delta = {b: 0.0 for b in lattice.bonds()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -94,6 +95,8 @@ def from_csv(lattice: Lattice, jbar: float, text: str) -> CouplingMap:
             raise CouplingError(f"couplings CSV line {lineno}: {raw!r}") from exc
         if not math.isfinite(d):
             raise CouplingError(f"couplings CSV line {lineno}: delta {d} is not finite")
+        if not abs(d) < jbar / 2:
+            raise CouplingError(f"couplings CSV line {lineno}: |delta| {abs(d)} must be below jbar/2 = {jbar / 2}")
         key = (i, j) if (i, j) in delta else (j, i)
         if key not in delta:
             raise CouplingError(f"couplings CSV line {lineno}: ({i},{j}) is not a lattice bond")

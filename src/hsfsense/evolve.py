@@ -37,9 +37,9 @@ linear readout R, a ``states.Projector``, as it is made, as kernel polynomial
 methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006): the readout hands
 over the term's two unweighted GHZ-branch sums, and each time adds them to its
 R p_k sums weighed once by its bras and its coefficient.  On sites that keeps a
-few entries per state and no 2^N state per time
-(``readout_grid``, ``readout_tangent``; ``bound``, ``sweep`` and ``fidelity``);
-on no sites R is the identity (``evolve``, ``evolve_grid``, ``evolve_tangent``).
+few entries per state and no 2^N state per time (``readout_grid``,
+``readout_tangent``; ``bound``, ``sweep`` and ``fidelity``); the same fold on no
+sites reads the whole state (``evolve``, ``evolve_grid``, ``evolve_tangent``).
 Every march holds the norm of each term to the output's budget, its
 coefficients to the Jacobi-Anger sums, and a whole state's norm too.  hbar = 1;
 times are in inverse energy units.
@@ -255,9 +255,9 @@ class EvolutionEngine:
         395, 1978).  From p_{-1} = q_{-1} = 0 the first term is half the
         recurrence.  The lanes do not depend on t, so one recurrence serves every
         row (e^{-ict}, b) of the coefficient matrix; row j stops at its own Bessel
-        tail.  The readout gives each term's real branch sums (on m sites the
-        sum and the parity-signed sum; on none the term itself), which a bra
-        weighs by w, its ``branch_weights``.  As c_k is b_k for even k and
+        tail.  The readout gives each term's real branch sums, the sum and the
+        parity-signed sum over its sites, which a bra weighs by w, its
+        ``branch_weights``; a zero weight is left out.  As c_k is b_k for even k and
         -i b_k for odd k, a branch adds (Re w, -Im w) b_k branch to a row's
         (Re, -Im) sums at even k and (Im w, Re w) b_k branch at odd k: one
         table of (bra, plane, branch, weight) per parity, applied to every live

@@ -80,8 +80,8 @@ def _assemble(n_sites: int, diag: np.ndarray | None, flips) -> sp.csr_matrix:
     when it is None) to its partner with that site's bit flipped; a mask must
     not depend on that bit, so the result is symmetric.  Zero diagonal
     entries and terms with value 0 are not stored.  ``flips`` is iterated
-    once, so a generator keeps only one mask alive at a time.  scipy is
-    imported here, so only a run that builds a matrix loads it.
+    once, so a generator keeps only one mask alive at a time.  scipy, from the
+    ``test`` extra, is imported here: no command builds a matrix or loads it.
     """
     import scipy.sparse
 
@@ -184,12 +184,11 @@ class Diagonal:
 class TransverseFieldOperator:
     """``diag + value * sum_{i in sites} sigma^x_i`` on 2^n_sites states, without a matrix.
 
-    ``diag`` is a ``Diagonal``, None for no diagonal; a real vector over the
-    basis is taken whole as the low table.  Real entries make the operator
-    Hermitian by construction.  ``op @ psi`` applies it to a vector,
-    ``flip_sum`` applies ``sum_{i in sites} sigma^x_i`` in place, ``flip_block``
-    applies it to one block of ``blocks()`` into a block-sized output, and
-    ``tocsr()`` is its matrix; these two expand the diagonal.
+    ``diag`` is a ``Diagonal`` over ``n_sites``, or None.  Real entries make
+    the operator Hermitian by construction.  ``op @ psi`` applies it to a
+    vector, ``flip_sum`` applies ``sum_{i in sites} sigma^x_i`` in place,
+    ``flip_block`` applies it to one block of ``blocks()`` into a block-sized
+    output, and ``tocsr()`` is its matrix; these two expand the diagonal.
     """
 
     n_sites: int
@@ -205,14 +204,8 @@ class TransverseFieldOperator:
         if any(not 0 <= i < self.n_sites for i in sites) or len(set(sites)) != len(sites):
             raise EvolutionError(f"sites {sites} must be distinct and in range for {self.n_sites} sites")
         object.__setattr__(self, "sites", sites)
-        diag = self.diag
-        if diag is not None and not isinstance(diag, Diagonal):
-            if np.shape(diag) != (1 << self.n_sites,):
-                raise EvolutionError(f"diagonal of shape {np.shape(diag)} for {self.n_sites} sites")
-            diag = Diagonal(diag, np.zeros(1), self.n_sites)
-        if diag is not None and diag.n_sites != self.n_sites:
-            raise EvolutionError(f"diagonal over {diag.n_sites} sites for {self.n_sites} sites")
-        object.__setattr__(self, "diag", diag)
+        if self.diag is not None and not (isinstance(self.diag, Diagonal) and self.diag.n_sites == self.n_sites):
+            raise EvolutionError(f"diagonal must be None or a Diagonal over {self.n_sites} sites")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -8,12 +8,12 @@ vector.
 A measurement reads a state through one linear readout, ``Projector``: bras
 c+ <+...+| + c- <-...-| on some sites, tensored with the identity on the
 rest, given by their two coefficients and read from a sum and a
-parity-signed sum; on no sites, the bra (1, 0) is the identity.  It folds
-one block of basis states at a time into those two unweighted branch sums, so
-the Chebyshev march of :mod:`hsfsense.evolve` reads every term through it and
-weighs the sums by each bra's coefficients itself, as ``amplitudes`` does for
-a whole state.  All vectors use the bit convention of
-:mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
+parity-signed sum; on no sites the bra (1, 0) reads a whole state by the same
+fold.  It folds one block of basis states at a time into those two unweighted
+branch sums, so the Chebyshev march of :mod:`hsfsense.evolve` reads every
+term through it and weighs the sums by each bra's coefficients itself, as
+``amplitudes`` does for a whole state.  All vectors use the bit convention
+of :mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ class Projector:
 
     @property
     def branch_weights(self) -> np.ndarray:
-        """(rows, branches): what each row weighs the branch sums of ``take`` by, 2^(-m/2) (c+, c-); 1 on no sites."""
-        return np.asarray(self.bras, dtype=complex)[:, : 2 if self.sites else 1] * 2.0 ** (-len(self.sites) / 2.0)
+        """(rows, branches): what each row weighs the branch sums of ``take`` by, 2^(-m/2) (c+, c-)."""
+        return np.asarray(self.bras, dtype=complex) * 2.0 ** (-len(self.sites) / 2.0)
 
     def buffer(self, lanes: int, blocks: int) -> tuple:
         """What ``take`` reads and writes over the ``blocks`` aligned blocks of
@@ -199,10 +199,7 @@ class Projector:
         column per configuration of the sites above the block (2, lanes,
         columns, entries), and a fold's two halves.  Blocks run in basis order,
         so the slices in flight at once differ only in the other sites below
-        the highest site above the block.  On no sites ``take`` needs none of
-        it."""
-        if not self.sites:
-            return ()
+        the highest site above the block."""
         low = self.n_sites - (blocks.bit_length() - 1)
         inside = sorted((s for s in self.sites if s < low), reverse=True)
         above = sorted(s for s in self.sites if s >= low)
@@ -226,11 +223,8 @@ class Projector:
         columns pairwise and returns (the slice's branch sums, the sum and the
         parity-signed sum over the sites (2, lanes, entries), the slice);
         other blocks return None.  The adds run in numpy, not BLAS, whose idle
-        threads would spin.  On no sites the readout is the identity: ``x``
-        itself is the block's one branch, returned at once.
+        threads would spin.
         """
-        if not self.sites:
-            return x[None], block
         inside, above, others, sums, halves = term
         entries = x.shape[-1] >> len(inside)
         column = _pack(block.start, above)

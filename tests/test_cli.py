@@ -147,6 +147,8 @@ for name, command, keys in (
     ("fidelity", "fidelity", "couplings.sigma = 0.3\\nt_max = 0.5\\nt_points = 4\\n"),
     ("fragments_hom", "fragments", "omega = 0.4\\n"),
     ("fragments_inhom", "fragments", "couplings.sigma = 0.3\\nomega = 0.4\\ndelta_th = 0.1\\n"),
+    ("zeno", "zeno", "zeno.n_values = 64;256\\n"),
+    ("montecarlo", "montecarlo", "mc.trials = 5\\n"),
 ):
     cfg = out / f"{name}.cfg"
     cfg.write_text(f"command = {command}\\nlattice.width = 3\\nlattice.height = 3\\n{keys}")
@@ -159,8 +161,9 @@ print(",".join(sorted(name for name in sys.modules if name.split(".")[0] == "sci
 def test_no_cli_command_with_work_on_the_basis_imports_scipy(tmp_path):
     """scipy costs a quarter of a second at start-up; only the ``build_h_*`` /
     ``tocsr`` CSR oracles and the tests use it, so a stray top-level import
-    would bring that back.  The probe runs ``bound``, ``sweep``, ``fidelity``
-    and ``fragments`` (homogeneous and disordered) in one process."""
+    would bring that back, and an install without the ``test`` extra has no
+    scipy.  The probe runs all six commands, ``fragments`` both homogeneous
+    and disordered, in one process."""
     src = str(Path(hsfsense.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_PROBE, str(tmp_path)],
@@ -169,7 +172,8 @@ def test_no_cli_command_with_work_on_the_basis_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
-        "bound.csv", "fidelity.csv", "fragments_hom.csv", "fragments_inhom.csv", "sweep.csv",
+        "bound.csv", "fidelity.csv", "fragments_hom.csv", "fragments_inhom.csv", "montecarlo.csv", "sweep.csv",
+        "zeno.csv",
     ]
 
 
@@ -527,8 +531,13 @@ def test_run_checks_a_config_built_in_code(tmp_path, fields, key):
 
 @pytest.mark.parametrize(
     "row,message",
-    [("0,1,abc", "couplings CSV line 2: '0,1,abc'"), ("0,5,0.1", "couplings CSV line 2: (0,5) is not a lattice bond")],
-    ids=["value", "bond"],
+    [
+        ("0,1,abc", "couplings CSV line 2: '0,1,abc'"),
+        ("0,1,-1.5", "couplings CSV line 2: |delta| 1.5 must be below jbar/2 = 0.5"),
+        ("0,1,0.5", "couplings CSV line 2: |delta| 0.5 must be below jbar/2 = 0.5"),
+        ("0,5,0.1", "couplings CSV line 2: (0,5) is not a lattice bond"),
+    ],
+    ids=["value", "delta", "delta-at-jbar/2", "bond"],
 )
 def test_a_malformed_couplings_file_exits_2_naming_the_line(tmp_path, capsys, row, message):
     couplings = tmp_path / "c.csv"

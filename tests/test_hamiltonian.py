@@ -479,25 +479,32 @@ def test_any_aligned_block_reads_the_expanded_diagonal():
             assert got.tobytes() == whole[start : start + size].tobytes(), (bits, start)
 
 
+def low_table(low):
+    """A 3-site ``Diagonal`` whose low table is ``low``, built when called."""
+    return lambda: ham.Diagonal(low, np.zeros(1), 3)
+
+
 @pytest.mark.parametrize(
     "kwargs,match",
     [
-        ({"diag": np.zeros(8, dtype=complex)}, "real"),
-        ({"diag": np.array([0.0] * 7 + [np.nan])}, "finite"),
-        ({"diag": np.array([0.0] * 7 + [np.inf])}, "finite"),
-        ({"diag": np.zeros(4)}, "shape"),
+        ({"diag": low_table(np.zeros(8, dtype=complex))}, "real"),
+        ({"diag": low_table(np.array([0.0] * 7 + [np.nan]))}, "finite"),
+        ({"diag": low_table(np.array([0.0] * 7 + [np.inf]))}, "finite"),
+        ({"diag": low_table(np.zeros(6))}, "shape"),
         ({"value": 0.5j}, "real and finite"),
         ({"value": np.inf}, "real and finite"),
         ({"value": np.nan}, "real and finite"),
         ({"sites": (0, 3)}, "in range"),
         ({"sites": (-1,)}, "in range"),
         ({"sites": (1, 1)}, "distinct"),
+        ({"diag": lambda: np.arange(8.0)}, "None or a Diagonal over 3 sites"),
+        ({"diag": lambda: ham.Diagonal(np.arange(16.0), np.zeros(1), 4)}, "None or a Diagonal over 3 sites"),
     ],
 )
 def test_operator_rejects_bad_input(kwargs, match):
-    args = {"n_sites": 3, "diag": np.arange(8.0), "value": 0.2, "sites": (0, 1, 2), **kwargs}
+    args = {"n_sites": 3, "diag": low_table(np.arange(8.0)), "value": 0.2, "sites": (0, 1, 2), **kwargs}
     with pytest.raises(EvolutionError, match=match):
-        ham.TransverseFieldOperator(**args)
+        ham.TransverseFieldOperator(**{**args, "diag": args["diag"]()})
 
 
 def test_operator_rejects_a_vector_of_the_wrong_length():
@@ -505,7 +512,7 @@ def test_operator_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(EvolutionError, match="shape"):
         op @ np.ones(4, dtype=complex)
     # no sites: the flip sum is zero and only the diagonal acts
-    diagonal = ham.TransverseFieldOperator(3, np.arange(8.0), 0.2, ())
+    diagonal = ham.TransverseFieldOperator(3, ham.Diagonal(np.arange(8.0), np.zeros(1), 3), 0.2, ())
     assert np.array_equal(diagonal @ np.ones(8), np.arange(8.0))
 
 
