@@ -22,7 +22,8 @@ start state gives every time of a grid, each time stopping at its own Bessel
 tail.  The march keeps two stacks of lanes and writes each term over the one
 two before it; the engine keeps no basis-sized array of its own.  Each term is
 taken one cache-sized block of basis states at a time
-(``TransverseFieldOperator.blocks``): its flip sum into a block-sized scratch,
+(``TransverseFieldOperator.blocks``), in the order the readout's
+``Projector.walk`` gives: its flip sum into a block-sized scratch,
 the block's shifted diagonal made from the two small tables of the
 ``hamiltonian.Diagonal`` (with the center folded into one table, one
 broadcast add and one scale), the recurrence and every time's sums,
@@ -39,7 +40,7 @@ over the term's two unweighted GHZ-branch sums, and each time adds them to its
 R p_k sums weighed once by its bras and its coefficient.  On sites that keeps a
 few entries per state and no 2^N state per time (``readout_grid``,
 ``readout_tangent``; ``bound``, ``sweep`` and ``fidelity``); the same fold on no
-sites reads the whole state (``evolve``, ``evolve_grid``, ``evolve_tangent``).
+sites reads the whole state (``evolve``, ``evolve_grid``).
 Every march holds the norm of each term to the output's budget, its
 coefficients to the Jacobi-Anger sums, and a whole state's norm too.  hbar = 1;
 times are in inverse energy units.
@@ -119,8 +120,7 @@ class EvolutionEngine:
     H is Hermitian by construction and applied matrix-free.  ``interval`` is its
     Gershgorin interval [min diag - |value| |S|, max diag + |value| |S|], with the
     min and max taken from the diagonal's tables.  A start state is a real
-    ``states.GHZKet`` or an array over the basis; ``evolve``, ``evolve_grid`` and
-    ``evolve_tangent`` leave an array unchanged.
+    ``states.GHZKet`` or an array over the basis, which no call changes.
     """
 
     def __init__(self, hamiltonian: TransverseFieldOperator):
@@ -146,11 +146,6 @@ class EvolutionEngine:
         """
         return self.readout_grid(state, ts, self._whole)
 
-    def evolve_tangent(self, state: np.ndarray | states.GHZKet, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{-iHt} psi, d/dvalue e^{-iHt} psi) for H = diag + value * S, with
-        the interval held fixed."""
-        return self.readout_tangent(state, t, self._whole)
-
     def readout_grid(self, state: np.ndarray | states.GHZKet, ts, readout) -> list[np.ndarray]:
         """``readout.amplitudes`` of the state at each time in ``ts``, in the order
         of ``ts``: the readout (``states.Projector``) takes every Chebyshev term
@@ -158,7 +153,8 @@ class EvolutionEngine:
         return [r for r, _ in self._series(state, ts, False, readout)]
 
     def readout_tangent(self, state: np.ndarray | states.GHZKet, t: float, readout) -> tuple[np.ndarray, np.ndarray]:
-        """``readout.amplitudes`` of both outputs of ``evolve_tangent``, made the same way."""
+        """``readout.amplitudes`` of (e^{-iHt} psi, d/dvalue e^{-iHt} psi) for
+        H = diag + value * S, with the interval held fixed, made the same way."""
         return self._series(state, [t], True, readout)[0]
 
     def _coefficients(self, t: float, tangent: bool) -> tuple[complex, np.ndarray]:
@@ -206,6 +202,8 @@ class EvolutionEngine:
         norm is held to it too, which also catches wrong coefficients.
         """
         op = self.hamiltonian
+        if readout.n_sites != op.n_sites:
+            raise EvolutionError("readout/Hamiltonian dimension mismatch")
         if isinstance(state, states.GHZKet):
             if state.n_sites != op.n_sites:
                 raise EvolutionError("state/Hamiltonian dimension mismatch")
@@ -265,15 +263,18 @@ class EvolutionEngine:
 
         The march holds two stacks of lanes, p_{k-1} and p_{k-2}, and writes
         p_k over p_{k-2} (as kernel polynomial codes do).  A term is taken one
-        block of ``hamiltonian.blocks()`` at a time: the flip sum of the
-        block (``flip_block``, which reads the block and its partner blocks of
+        block of ``hamiltonian.blocks()`` at a time: the flip sum of the block
+        (``flip_block``, which reads the block and its partner blocks of
         p_{k-1}) goes to a block-sized scratch, and the drive, the recurrence
         with the diagonal 2 (diag - c)/r made for the block from the tables
         (``Diagonal.block`` of the diagonal shifted by -c), the halving at
         k = 1, the readout and every row's sums run on that block while it is
         in cache.  A term never writes p_{k-1} and reads p_{k-2} only in its
-        own block, so the block overwrites it in place, and the two stacks
-        swap once the term is done.  Each element gets the operations of a
+        own block, so the block overwrites it in place, the two stacks swap
+        once the term is done, and the blocks may run in any order: the
+        readout's ``walk`` sets it, so a group's branch sums are complete at
+        its last block, and the norm is an exact sum (``math.fsum``) that does
+        not depend on it.  Each element gets the operations of a
         whole-vector step in the same order, and each readout entry is added to
         the rows once it is complete, so the sums of a whole state do not
         depend on the block size; a readout on sites at or above the block
@@ -290,7 +291,7 @@ class EvolutionEngine:
             for table, weights in zip(tables, ((w.real, -w.imag), (w.imag, w.real))):
                 table.extend((bra, plane, branch, v) for plane, v in enumerate(weights) if v)
         accs = [np.zeros((2, len(lanes), readout.size // len(readout.bras), len(readout.bras))) for _ in rows]
-        term = readout.buffer(len(lanes), len(blocks))
+        order, term = readout.walk(blocks), readout.buffer(len(lanes), len(blocks))
         n_terms = max((b.size for _, b in rows), default=0)
         budget = (_TAIL_TOL + 8 * n_terms * np.finfo(float).eps) * norm
         # 2 (H - c)/r is its flip part (2 value/r) S plus the diagonal (2/r)(diag - c)
@@ -305,7 +306,7 @@ class EvolutionEngine:
         for k in range(n_terms):  # one flip sum over every lane per term after the first
             live = [(b[k], acc) for (_, b), acc in zip(rows, accs) if k < b.size]
             squares = []
-            for block in blocks:
+            for block, column, entries in order:
                 p = prev[:, block]  # p_{k-2}, overwritten with p_k; p_0 itself at k = 0
                 if k:
                     op.flip_block(cur, work, block)
@@ -325,15 +326,14 @@ class EvolutionEngine:
                     # work is free: summed pairwise, not by BLAS
                     np.multiply(p[::width], p[::width], out=work[::width])
                     squares.extend(np.sum(work[::width], axis=-1).tolist())
-                done = readout.take(p, block, term)
-                if done is None:
+                sums = readout.take(p, column, term)
+                if sums is None:
                     continue
-                sums, where = done
-                tmp = work[:, : where.stop - where.start]
+                tmp = work[:, : entries.stop - entries.start]
                 for bk, acc in live:  # in-place numpy: BLAS's idle threads would spin
                     for bra, plane, branch, weight in tables[k % 2]:
                         np.multiply(sums[branch], bk * weight, out=tmp)
-                        acc[plane, :, where, bra] += tmp
+                        acc[plane, :, entries, bra] += tmp
             length = math.sqrt(math.fsum(squares))
             if k and not length - norm <= budget:  # term 0 is the start state
                 raise EvolutionError(

@@ -15,11 +15,13 @@ stored.  The constrained models' masks come from one generator per model
 ``build_h_eff_*`` builders and the matrix-free fragment census both read.
 The unmasked family (a diagonal plus one flip amplitude on a set of
 sites) also has a matrix-free form, ``TransverseFieldOperator``, whose flip
-sum works on aligned blocks of 2^_BLOCK basis states; its ``tocsr()`` is the
-builders' CSR.  Its diagonal is a ``Diagonal``: two small tables, one over
-the low _SPLIT bits and one over the bits from the lowest site bonded across
-them, whose sum is an entry (2^15 + 64 entries in place of 2^18 at 3x6), so
-``op_tfim`` and ``op_total`` build no basis-sized array.  The whole-vector
+sum is applied one aligned block of 2^_BLOCK basis states at a time
+(``flip_block``), as the Chebyshev march takes its terms; it has no
+whole-vector product, and its ``tocsr()`` is the builders' CSR.  Its
+diagonal is a ``Diagonal``: two small tables, one over the low _SPLIT bits
+and one over the bits from the lowest site bonded across them, whose sum is
+an entry (2^15 + 64 entries in place of 2^18 at 3x6), so ``op_tfim`` and
+``op_total`` build no basis-sized array.  The whole-vector
 diagonals (``ising_diagonal``, ``shift_diagonal``) serve the CSR builders, and
 ``total_diagonal_at`` gives the entries of a few states.
 """
@@ -185,10 +187,11 @@ class TransverseFieldOperator:
     """``diag + value * sum_{i in sites} sigma^x_i`` on 2^n_sites states, without a matrix.
 
     ``diag`` is a ``Diagonal`` over ``n_sites``, or None.  Real entries make
-    the operator Hermitian by construction.  ``op @ psi`` applies it to a
-    vector, ``flip_sum`` applies ``sum_{i in sites} sigma^x_i`` in place,
-    ``flip_block`` applies it to one block of ``blocks()`` into a block-sized
-    output, and ``tocsr()`` is its matrix; these two expand the diagonal.
+    the operator Hermitian by construction.  ``flip_block`` applies
+    ``sum_{i in sites} sigma^x_i`` to one block of ``blocks()`` into a
+    block-sized output; the Chebyshev march of :mod:`hsfsense.evolve` adds the
+    diagonal one block at a time from its tables.  ``tocsr()`` is its matrix,
+    which expands the diagonal.
     """
 
     n_sites: int
@@ -211,29 +214,18 @@ class TransverseFieldOperator:
     def shape(self) -> tuple[int, int]:
         return (1 << self.n_sites,) * 2
 
-    def flip_sum(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out = sum_{i in sites} sigma^x_i psi``, written in place; returns ``out``.
-
-        ``psi`` and ``out`` may stack vectors on leading axes: each vector is
-        summed apart, with the adds of a single one.  The sum is taken one
-        block of ``blocks()`` at a time by ``flip_block``.
-        """
-        if out.shape != psi.shape or psi.shape[-1:] != (self.shape[0],):
-            raise EvolutionError(f"flip sum of shape {psi.shape} into {out.shape} for {self.n_sites} sites")
-        for block in self.blocks():
-            self.flip_block(psi, out[..., block], block)
-        return out
-
     def blocks(self) -> list[slice]:
         """The aligned blocks of 2^_BLOCK basis states (one block for a smaller basis)."""
         size = 1 << min(self.n_sites, _BLOCK)
         return [slice(start, start + size) for start in range(0, self.shape[0], size)]
 
     def flip_block(self, psi: np.ndarray, out: np.ndarray, block: slice) -> None:
-        """``flip_sum(psi, ...)[..., block]``, written to the block-sized ``out``
-        (``psi``'s leading axes by the block's states), for a block of
-        ``blocks()``.  ``psi`` is only read, so ``out`` may be any buffer that
-        does not overlap the block or its partner blocks in ``psi``.
+        """The states ``block`` of ``sum_{i in sites} sigma^x_i psi``, written to
+        the block-sized ``out`` (``psi``'s leading axes by the block's states),
+        for a block of ``blocks()``; each vector stacked on ``psi``'s leading
+        axes is summed apart, with the adds of a single one.  ``psi`` is only
+        read, so ``out`` may be any buffer that does not overlap the block or
+        its partner blocks in ``psi``.
 
         sigma^x_i maps basis state s to s ^ 2^i.  A site at or above the block's
         bits adds the partner block's slice of ``psi``.  A lower site flips
@@ -264,17 +256,6 @@ class TransverseFieldOperator:
                     np.copyto(dst, src)
                 else:
                     dst += src
-
-    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        """The operator applied to a vector over the basis."""
-        psi = np.asarray(psi)
-        if psi.shape != (self.shape[0],):
-            raise EvolutionError(f"vector of shape {psi.shape} for an operator of shape {self.shape}")
-        out = self.flip_sum(psi, np.empty(psi.shape, dtype=np.result_type(psi, float)))
-        out *= self.value
-        if self.diag is not None:
-            out += psi * self.diag.expand()
-        return out
 
     def tocsr(self) -> sp.csr_matrix:
         diag = None if self.diag is None else self.diag.expand()

@@ -17,7 +17,6 @@ from .errors import LatticeError, PartitionError
 
 # Neighbor slot order: left, down, right, up.
 DIRECTIONS = ((0, -1), (1, 0), (0, 1), (-1, 0))
-LEFT, DOWN, RIGHT, UP = range(4)
 
 
 class Boundary(Enum):

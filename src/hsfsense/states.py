@@ -9,10 +9,13 @@ A measurement reads a state through one linear readout, ``Projector``: bras
 c+ <+...+| + c- <-...-| on some sites, tensored with the identity on the
 rest, given by their two coefficients and read from a sum and a
 parity-signed sum; on no sites the bra (1, 0) reads a whole state by the same
-fold.  It folds one block of basis states at a time into those two unweighted
-branch sums, so the Chebyshev march of :mod:`hsfsense.evolve` reads every
-term through it and weighs the sums by each bra's coefficients itself, as
-``amplitudes`` does for a whole state.  All vectors use the bit convention
+fold.  It sets the order in which the Chebyshev march of
+:mod:`hsfsense.evolve` takes a term's blocks (``walk``): blocks that differ
+only in its sites at or above a block come together.  It folds each block
+into those two unweighted branch sums, and a group's blocks into each other,
+by one sum/difference butterfly per site, highest first.  The march reads
+every term through it and weighs the sums by each bra's coefficients itself,
+as ``amplitudes`` does for a whole state.  All vectors use the bit convention
 of :mod:`hsfsense.hamiltonian` and are normalized to 1e-12.
 """
 
@@ -145,11 +148,6 @@ def embed(probe_state: np.ndarray, partition: SitePartition, lattice: Lattice) -
     return full
 
 
-def _pack(value: int, sites) -> int:
-    """The bits of ``value`` on ``sites``, bit k from site ``sites[k]``."""
-    return sum(((value >> s) & 1) << k for k, s in enumerate(sites))
-
-
 # <GHZ'| = (<+...+| - i <-...-|)/sqrt(2), the bra of the primed GHZ state
 # (|+...+> + i |-...->)/sqrt(2) that the Ramsey readout projects on
 PRIMED = np.array([[1.0, -1j]]) / np.sqrt(2.0)
@@ -191,50 +189,60 @@ class Projector:
         """(rows, branches): what each row weighs the branch sums of ``take`` by, 2^(-m/2) (c+, c-)."""
         return np.asarray(self.bras, dtype=complex) * 2.0 ** (-len(self.sites) / 2.0)
 
+    def walk(self, blocks: list[slice]) -> list[tuple[slice, int, slice]]:
+        """The order in which ``take`` reads the aligned ``blocks`` of one term
+        (a basis in basis order): (block, column, entries) for every block.
+
+        Blocks that differ only in the sites at or above a block form a group,
+        and the groups run in basis order.  A block's column holds the bits of
+        those sites, bit k from the k-th smallest, so a group's columns
+        ascend.  ``entries`` is the group's slice of the amplitudes, one per
+        configuration of the other sites inside a block, after those of the
+        groups before it.
+        """
+        size = blocks[0].stop - blocks[0].start
+        above = sum(1 << s for s in self.sites if 1 << s >= size)
+        entries = size >> sum(1 << s < size for s in self.sites)
+        groups: dict[int, list[slice]] = {}
+        for block in blocks:
+            groups.setdefault(block.start & ~above, []).append(block)
+        return [
+            (block, column, slice(g * entries, (g + 1) * entries))
+            for g, group in enumerate(groups.values())
+            for column, block in enumerate(group)
+        ]
+
     def buffer(self, lanes: int, blocks: int) -> tuple:
         """What ``take`` reads and writes over the ``blocks`` aligned blocks of
-        one term of ``lanes`` lanes: the sites inside a block, highest first;
-        the sites at or above it; the other sites at or above it; and the fold's
-        arrays: the sums and parity-signed sums of the slices in flight, one
-        column per configuration of the sites above the block (2, lanes,
-        columns, entries), and a fold's two halves.  Blocks run in basis order,
-        so the slices in flight at once differ only in the other sites below
-        the highest site above the block."""
+        one term of ``lanes`` lanes: the sites inside a block, highest first,
+        and the fold's arrays: the sums and differences of one group of
+        ``walk``, one column per block (2, lanes, columns, entries), and a
+        fold's two halves."""
         low = self.n_sites - (blocks.bit_length() - 1)
         inside = sorted((s for s in self.sites if s < low), reverse=True)
-        above = sorted(s for s in self.sites if s >= low)
-        others = [s for s in range(low, self.n_sites) if s not in self.sites]
         entries = 1 << (low - len(inside))  # configurations of the other sites inside a block
-        top = max(above, default=low)
-        sums = np.empty((2, lanes, 1 << len(above), entries << sum(s < top for s in others)))
+        sums = np.empty((2, lanes, 1 << (len(self.sites) - len(inside)), entries))
         halves = np.empty((2, lanes, 1 << (low - 1))) if len(inside) > 1 else None
-        return inside, above, others, sums, halves
+        return inside, sums, halves
 
-    def take(self, x: np.ndarray, block: slice, term: tuple):
-        """Read the real vectors ``x`` (lanes, 2^low), the states ``block`` of
-        each vector, into ``term`` (``buffer``).
+    def take(self, x: np.ndarray, column: int, term: tuple):
+        """Read the real vectors ``x`` (lanes, 2^low), one block of each, into
+        ``column`` of ``term`` (``buffer``), as ``walk`` orders them.
 
-        Each site inside the block is folded into the sum and the difference of
-        its two halves, highest first: the first fold writes to the halves
-        buffer, later ones in place, the last to the block's column of the
-        sums.  The sites at or above the block pick that column, and their
-        parity signs the difference.  The block with every such bit set is the
-        last of its slice of the other sites' configurations: it adds the
-        columns pairwise and returns (the slice's branch sums, the sum and the
-        parity-signed sum over the sites (2, lanes, entries), the slice);
-        other blocks return None.  The adds run in numpy, not BLAS, whose idle
-        threads would spin.
+        Each site is folded into the sum and the difference of its two halves,
+        highest first.  The sites inside the block go first: the first fold
+        writes to the halves buffer, later ones in place, the last to the
+        block's column.  At the group's last column the columns are folded the
+        same way over the sites at or above the block, in place, and the
+        group's branch sums are returned: the sum and the parity-signed sum
+        over the sites (2, lanes, entries); other columns return None.  The
+        adds run in numpy, not BLAS, whose idle threads would spin.
         """
-        inside, above, others, sums, halves = term
-        entries = x.shape[-1] >> len(inside)
-        column = _pack(block.start, above)
-        start = _pack(block.start, others) * entries
-        at = slice(start % sums.shape[3], start % sums.shape[3] + entries)
-        dst = sums[:, :, column, at]
-        negate = bin(column).count("1") % 2
+        inside, sums, halves = term
+        dst = sums[:, :, column]
         if not inside:
             np.copyto(dst[0], x)
-            np.multiply(x, -1.0 if negate else 1.0, out=dst[1])
+            np.copyto(dst[1], x)
         s = d = x
         bits = x.shape[-1].bit_length() - 1  # of the last axis of s and d
         for i, q in enumerate(inside):
@@ -243,8 +251,6 @@ class Projector:
             s0, s1, d0, d1 = s[..., 0, :], s[..., 1, :], d[..., 0, :], d[..., 1, :]
             if i == len(inside) - 1:
                 s, d = dst[0].reshape(s0.shape), dst[1].reshape(s0.shape)
-                if negate:
-                    d0, d1 = d1, d0
             elif i == 0:
                 s, d = halves[0].reshape(s0.shape), halves[1].reshape(s0.shape)
             else:
@@ -252,21 +258,21 @@ class Projector:
             np.subtract(d0, d1, out=d)
             np.add(s0, s1, out=s)
             bits = q
-        if column != (1 << len(above)) - 1:
+        if column != sums.shape[2] - 1:
             return None
-        total = sums[:, :, :, at]
-        while total.shape[2] > 1:  # the columns added pairwise, in place
-            half = total.shape[2] // 2
-            np.add(total[:, :, :half], total[:, :, half:], out=total[:, :, :half])
-            total = total[:, :, :half]
-        return total[:, :, 0], slice(start, start + entries)
+        while sums.shape[2] > 1:  # the highest column bit first
+            half = sums.shape[2] // 2
+            np.subtract(sums[1, :, :half], sums[1, :, half:], out=sums[1, :, :half])
+            np.add(sums[0, :, :half], sums[0, :, half:], out=sums[0, :, :half])
+            sums = sums[:, :, :half]
+        return sums[:, :, 0]
 
     def amplitudes(self, state: np.ndarray) -> np.ndarray:
         """The amplitudes of a whole state: its real and imaginary parts are two
         real vectors of one block for ``take``, whose sums each row weighs."""
         if state.shape != (1 << self.n_sites,):
             raise EvolutionError("projector/state dimension mismatch")
-        sums, _ = self.take(np.stack([state.real, state.imag]), slice(0, state.shape[0]), self.buffer(2, 1))
+        sums = self.take(np.stack([state.real, state.imag]), 0, self.buffer(2, 1))
         return ((sums[:, 0] + 1j * sums[:, 1]).T @ self.branch_weights.T).reshape(-1)
 
     def expectation(self, state: np.ndarray) -> float:

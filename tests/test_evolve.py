@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.special
 from scipy.sparse.linalg import expm_multiply
 
+from conftest import whole
 from hsfsense import evolve as evolve_module
 from hsfsense import hamiltonian as ham
 from hsfsense import states
@@ -106,7 +107,7 @@ def test_too_narrow_interval_raises(lat33, part33, dis33, monkeypatch):
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
         EvolutionEngine(h).evolve_grid(states.ghz_x(9), [0.0, 0.5, 1.0])
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
-        EvolutionEngine(h).evolve_tangent(states.ghz_x(9), 1.0)
+        EvolutionEngine(h).readout_tangent(states.ghz_x(9), 1.0, whole(9))
     # every march holds the norm of each Chebyshev term, whatever its readout
     with pytest.raises(EvolutionError, match="does not hold the spectrum"):
         verify_bound(lat33, part33, dis33, 0.4, [0.0, 0.5, 1.0])
@@ -155,7 +156,7 @@ def test_drift_check_catches_wrong_coefficients(lat33, dis33, monkeypatch):
     calls = (
         lambda: eng.evolve(psi, 1.0),
         lambda: eng.evolve_grid(psi, [0.0, 0.5, 1.0]),
-        lambda: eng.evolve_tangent(psi, 1.0),
+        lambda: eng.readout_tangent(psi, 1.0, whole(9)),
     )
     drift = r"^Chebyshev series at t=\S+ changed the norm by \S+ \(budget \S+\)$"
     for call in calls:
@@ -183,7 +184,7 @@ def test_tangent_matches_van_loan_block_oracle(lat33, lat34, part33, part34):
         for op in (ham.op_total(lat, part, c, 0.4), ham.op_probe_omega(part, lat, 0.4), ham.op_omega(lat, 0.0)):
             eng = EvolutionEngine(op)
             for t in (0.1, 0.9, -0.4):
-                state, tangent = eng.evolve_tangent(psi, t)
+                state, tangent = eng.readout_tangent(psi, t, whole(lat.n_sites))
                 want_state, want_tangent = van_loan_oracle(op, psi, t)
                 np.testing.assert_allclose(state, want_state, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(tangent, want_tangent, rtol=0, atol=1e-13)
@@ -366,7 +367,7 @@ def test_real_start_matches_the_complex_path(lat34, part34, monkeypatch):
     for call, width in (
         (lambda eng, v: [eng.evolve(v, 1.3)], 1),
         (lambda eng, v: eng.evolve_grid(v, ts), 1),
-        (lambda eng, v: list(eng.evolve_tangent(v, 0.9)), 2),
+        (lambda eng, v: list(eng.readout_tangent(v, 0.9, whole(lat34.n_sites))), 2),
     ):
         sums.clear()
         got = call(EvolutionEngine(op), psi)
@@ -398,7 +399,7 @@ def test_march_does_not_depend_on_the_block_size(request, monkeypatch, size, blo
     calls = (
         lambda eng, v: [eng.evolve(v, 0.3)],
         lambda eng, v: eng.evolve_grid(v, ts),
-        lambda eng, v: list(eng.evolve_tangent(v, 0.3)),
+        lambda eng, v: list(eng.readout_tangent(v, 0.3, whole(lat.n_sites))),
     )
 
     def outputs():
@@ -419,6 +420,52 @@ def test_bound_on_two_blocks_equals_one_block(monkeypatch):
     monkeypatch.setattr(ham, "_BLOCK", 16)
     one = verify_bound(lat, part, c, 0.005, ts).epsilon_values
     assert np.asarray(two).tobytes() == np.asarray(one).tobytes()
+
+
+def test_march_does_not_depend_on_the_order_of_the_groups(monkeypatch):
+    """A term writes only its own block and reads the one before, and its norm
+    is an exact sum, so the order of the groups is free: at 3x6 with 2^10-state
+    blocks (probe 13 above a block, so 128 groups of two) the groups in reverse
+    give every output bit for bit."""
+    lat = Lattice(3, 6)
+    part, c = canonical_partition(lat), sample_gaussian(lat, 1.0, 0.3, seed=3)
+    monkeypatch.setattr(ham, "_BLOCK", 10)
+    psi, h, proj = ramsey_setup("hsf", 0.05, lat, part, c)
+    real = np.random.default_rng(4).normal(size=1 << lat.n_sites)
+    tfim = ham.op_tfim(lat, c, 0.4)
+
+    def outputs():
+        eng = EvolutionEngine(h)
+        got = eng.readout_grid(psi, [0.1, 0.2], proj) + list(eng.readout_tangent(psi, 0.1, proj))
+        got += eng.evolve_grid(real, [0.1])  # no sites: 256 groups of one block
+        got.append(dynamical_fidelity_grid(tfim, 0.4, [0.1, 0.2]))
+        return [g.tobytes() for g in got]
+
+    want = outputs()
+    walk = states.Projector.walk
+
+    def walk_back(self, blocks):  # the groups, the runs of blocks that share entries, in reverse
+        groups = {}
+        for item in walk(self, blocks):
+            groups.setdefault(item[2].start, []).append(item)
+        return [item for group in reversed(groups.values()) for item in group]
+
+    assert len({e.start for _, _, e in walk(proj, h.blocks())}) == 128
+    monkeypatch.setattr(states.Projector, "walk", walk_back)
+    assert proj.walk(h.blocks())[0][0].start > 0
+    assert outputs() == want
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_a_readout_of_another_size_is_an_evolution_error(lat33, n):
+    """A readout over another number of sites than the operator's fails, naming
+    the mismatch, before anything is built: before even the times are checked."""
+    eng = EvolutionEngine(ham.op_omega(lat33, 0.4))
+    ket = states.GHZKet(range(lat33.n_sites), 0, lat33.n_sites)
+    readout = states.Projector(states.PRIMED, (0, 1), n)
+    for call in (lambda: eng.readout_grid(ket, [np.nan], readout), lambda: eng.readout_tangent(ket, np.nan, readout)):
+        with pytest.raises(EvolutionError, match=r"^readout/Hamiltonian dimension mismatch$"):
+            call()
 
 
 def test_a_series_too_long_to_build_is_an_evolution_error(lat33, dis33):
@@ -491,7 +538,7 @@ def test_calls_leave_the_state_unchanged(lat34, part34):
         eng = EvolutionEngine(op)
         eng.evolve(psi, 1.3)
         eng.evolve_grid(psi, [0.0, 0.4, 2.0])
-        eng.evolve_tangent(psi, 0.9)
+        eng.readout_tangent(psi, 0.9, whole(lat34.n_sites))
         assert psi.dtype == before.dtype and np.array_equal(psi, before)
 
 

@@ -21,7 +21,7 @@ from hsfsense.sensing import (
     ramsey_uncertainty,
 )
 
-from conftest import ghz_x_oracle
+from conftest import ghz_x_oracle, whole
 
 # (lattice, block bits): at 3x4 with 2^3-state blocks the probe (site 4) lies above the block
 CASES = [((3, 4), None), ((3, 4), 3), ((4, 4), None)]
@@ -87,7 +87,7 @@ def test_sensitivity_matches_vdot_oracle(shape, block, scheme, monkeypatch):
     lat, part, c = setup(shape)
     rc = RamseyConfig(omega=0.3, t_int=0.2, t_all=10.0)
     psi0, h, _ = ramsey_setup(scheme, rc.omega, lat, part, c)
-    psi, dpsi = EvolutionEngine(h).evolve_tangent(psi0, rc.t_int)
+    psi, dpsi = EvolutionEngine(h).readout_tangent(psi0, rc.t_int, whole(lat.n_sites))
     if scheme in ("hsf", "hsf_ideal"):
         projected = probe_projected(psi, part, lat)
         p, slope = vdot(psi, projected).real, vdot(projected, dpsi).real
@@ -118,7 +118,7 @@ def test_fidelity_grid_matches_vdot_oracle(shape, block, monkeypatch):
 
 def test_readouts_equal_the_amplitudes_of_the_evolved_states(lat34, part34):
     """readout_grid and readout_tangent give what the readout's own ``amplitudes``
-    gives on evolve_grid's and evolve_tangent's states, from a complex start:
+    gives on the whole states of evolve_grid and of readout_tangent on no sites, from a complex start:
     with real and imaginary branch weights, and with a random complex pair of
     bras on the probes, whose four weights are all nonzero in both planes."""
     op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=5), 0.4)
@@ -138,7 +138,7 @@ def test_readouts_equal_the_amplitudes_of_the_evolved_states(lat34, part34):
     for readout in readouts:
         for got, state in zip(eng.readout_grid(psi, ts, readout), eng.evolve_grid(psi, ts)):
             np.testing.assert_allclose(got, readout.amplitudes(state), rtol=0, atol=TOL)
-        for got, state in zip(eng.readout_tangent(psi, 0.7, readout), eng.evolve_tangent(psi, 0.7)):
+        for got, state in zip(eng.readout_tangent(psi, 0.7, readout), eng.readout_tangent(psi, 0.7, whole(lat34.n_sites))):
             np.testing.assert_allclose(got, readout.amplitudes(state), rtol=0, atol=TOL)
     assert eng.readout_grid(psi, [], readouts[0]) == []
 

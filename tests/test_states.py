@@ -217,17 +217,16 @@ def check_probe_amplitudes(lat, part):
 
 def take_by_blocks(readout, state, blocks):
     """The amplitudes of ``state`` from the branch sums ``take`` gives block by
-    block, each finished slice put where it says, as the Chebyshev march does,
-    and weighed by each row's ``branch_weights``."""
+    block in ``walk`` order, each group's put at its entries, as the Chebyshev
+    march does, and weighed by each row's ``branch_weights``."""
     x = np.stack([state.real, state.imag])
     term = readout.buffer(2, len(blocks))
     weights = readout.branch_weights
     branches = np.full((weights.shape[1], 2, readout.size // len(weights)), np.nan)
-    for block in blocks:
-        done = readout.take(x[:, block], block, term)
-        if done is not None:
-            sums, where = done
-            branches[..., where] = sums
+    for block, column, entries in readout.walk(blocks):
+        sums = readout.take(x[:, block], column, term)
+        if sums is not None:
+            branches[..., entries] = sums
     return ((branches[:, 0] + 1j * branches[:, 1]).T @ weights.T).reshape(-1)
 
 
@@ -252,6 +251,56 @@ def test_take_by_blocks_equals_whole_amplitudes(block, monkeypatch):
         got = take_by_blocks(readout, psi, blocks)
         np.testing.assert_allclose(got, readout.amplitudes(psi), rtol=0, atol=1e-15)
     assert np.array_equal(take_by_blocks(states.Projector([[1.0, 0.0]], (), n), psi, blocks), psi)
+
+
+WALK_READOUTS = (
+    lambda n: states.Projector(states.PRIMED, (4, 13), n),  # the 3x6 probes
+    lambda n: states.Projector(np.eye(2), tuple(range(n)), n),
+    lambda n: states.Projector([[0.6, 0.8j]], (17, 2, 9, 12), n),  # unsorted, below and above
+    lambda n: states.Projector([[1.0, 0.0]], (), n),
+)
+
+
+@pytest.mark.parametrize("block", [8, 10, 15])
+def test_walk_visits_each_block_once_in_groups_of_the_sites_above(block, monkeypatch):
+    """``walk`` gives every block once; a group's blocks differ only in the
+    readout's bits at or above the block, with the columns 0, 1, ... holding
+    those bits (bit k from the k-th smallest site); and the groups tile the
+    amplitudes in basis order."""
+    n = 18
+    monkeypatch.setattr(ham, "_BLOCK", block)
+    blocks = ham.TransverseFieldOperator(n, None, 0.2, ()).blocks()
+    size = 1 << block
+    for make in WALK_READOUTS:
+        readout = make(n)
+        order = readout.walk(blocks)
+        assert sorted(b.start for b, _, _ in order) == [b.start for b in blocks]
+        above = sorted(s for s in readout.sites if s >= block)
+        high = sum(1 << s for s in above)
+        groups = []
+        for b, column, entries in order:
+            if column == 0:
+                groups.append((b.start, entries))
+            base, at = groups[-1]
+            assert entries == at and b.start & ~high == base
+            assert b.start == base | sum((column >> k & 1) << s for k, s in enumerate(above))
+        assert all(len([c for _, c, e in order if e == at]) == 1 << len(above) for _, at in groups)
+        assert [base for base, _ in groups] == sorted(base for base, _ in groups)
+        width = size >> sum(s < block for s in readout.sites)
+        assert [(at.start, at.stop) for _, at in groups] == [(g * width, (g + 1) * width) for g in range(len(groups))]
+        assert len(groups) * width == readout.size // len(readout.bras)
+
+
+def test_buffer_holds_one_group():
+    """The sums hold the columns of one group: at 3x6 with 2^8-state blocks
+    (probe 4 inside a block, 13 above) 2 columns of 2^7 entries, not 2 of
+    2^12; at 4x6 (probes 5 and 17) with the 2^15-state blocks 2 of 2^14, not 2
+    of 2^16."""
+    for (w, h), block, want in (((3, 6), 8, (2, 2, 2, 128)), ((4, 6), 15, (2, 2, 2, 16384))):
+        lat = Lattice(w, h)
+        readout = states.probe_projector(canonical_partition(lat), lat)
+        inside, sums, _ = readout.buffer(2, 1 << (lat.n_sites - block))
+        assert len(inside) == 1 and sums.shape == want
 
 
 def test_ancilla_projector_detects_leakage(lat33, part33):
