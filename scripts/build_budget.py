@@ -13,8 +13,6 @@ blocks reused by the repeats could raise the high-water mark).  Stages:
 
   op_total      ``op_total`` (the two tables of its Ising and shift diagonal,
                 matrix-free drive)
-  ghz_x         ``ghz_x`` on every site (the full-register GHZ state)
-  embed         the probe GHZ state embedded in the frozen background
   dw_diagonal   the domain-wall count of every basis state
   census        ``census`` of the disordered model's flip masks (omega 0.4,
                 delta_th 0.1), the ``fragments`` command without its CSV
@@ -58,8 +56,6 @@ EVOLVING = ("bound", "sweep", "fidelity")
 
 STAGES = {
     "op_total": lambda lat, part, c: ham.op_total(lat, part, c, 0.4),
-    "ghz_x": lambda lat, part, c: states.ghz_x(lat.n_sites),
-    "embed": lambda lat, part, c: states.embed(states.ghz_x(part.n_probe), part, lat),
     "dw_diagonal": lambda lat, part, c: ham.dw_diagonal(lat),
     "census": lambda lat, part, c: census(lat, ham.flip_masks_inhomogeneous(lat, part, c, 0.1)),
     "csv": lambda lat, part, c: census(lat, ham.flip_masks_inhomogeneous(lat, part, c, 0.1)).to_csv(),

@@ -67,15 +67,15 @@ def delta_pr_numeric(lattice: Lattice, partition: SitePartition, couplings: Coup
     """Exact minimum |diagonal energy change| for one ancilla flip.
 
     Enumerates every probe configuration over the frozen ancilla pattern and
-    every single ancilla flip, using the diagonal of the shifted Hamiltonian
-    without the transverse field at those 2^m (n_ancilla + 1) states only.
-    Always >= j_gap.
+    every single ancilla flip, and reads the 2^m (n_ancilla + 1) entries from
+    the ``Diagonal`` of ``op_total``, the operator ``verify_bound`` marches, so
+    it is that diagonal's gap bit for bit.  Always >= j_gap.
     """
     frozen = states.frozen_subspace(partition)
-    flips = [frozen ^ (1 << a) for a in partition.ancilla_sites]
-    energies = ham.total_diagonal_at(partition, couplings, np.concatenate([frozen, *flips]))
-    e0, flipped = energies[: frozen.size], energies[frozen.size :].reshape(len(flips), frozen.size)
-    return float(min((np.min(np.abs(e - e0)) for e in flipped), default=math.inf))
+    diag = ham.op_total(lattice, partition, couplings, 0.0).diag
+    e0 = diag.at(frozen)
+    gaps = (np.min(np.abs(diag.at(frozen ^ (1 << a)) - e0)) for a in partition.ancilla_sites)
+    return float(min(gaps, default=math.inf))
 
 
 def error_bound_rhs(n: int, omega: float, j_g: float, t):

@@ -59,6 +59,8 @@ def _partition(config: RunConfig, lattice):
 def _couplings(config: RunConfig, lattice):
     from . import couplings as cp
 
+    if config.couplings_file and config.couplings_sigma > 0:
+        raise ConfigError("couplings.file and couplings.sigma both set: a file gives every delta, so no spread can apply")
     if config.couplings_file:
         with open(config.couplings_file) as fh:
             try:

@@ -40,9 +40,6 @@ class CouplingMap:
             raise CouplingError(f"({i},{j}) is not a lattice bond")
         return self.delta[key]
 
-    def bond_value(self, i: int, j: int) -> float:
-        return self.jbar + self.bond_delta(i, j)
-
     def items(self):
         """(bond, total coupling) pairs in deterministic bond order."""
         for bond in self.lattice.bonds():

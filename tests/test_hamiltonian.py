@@ -480,6 +480,21 @@ def test_any_aligned_block_reads_the_expanded_diagonal():
             assert got.tobytes() == whole[start : start + size].tobytes(), (bits, start)
 
 
+@pytest.mark.parametrize("w,h,cut", [(3, 3, 9), (4, 4, 11), (5, 4, 10)])
+def test_entries_at_a_few_states_are_the_expanded_diagonals(w, h, cut):
+    """``Diagonal.at`` on random states below the split and past it makes the
+    add ``block`` makes, so it reads the expanded diagonal bit for bit."""
+    lat = Lattice(w, h)
+    diag = ham.op_total(lat, canonical_partition(lat), sample_gaussian(lat, 1.0, 0.3, seed=4), 0.4).diag
+    whole = diag.expand()
+    assert diag.cut == cut
+    rng = np.random.default_rng(5)
+    below = rng.integers(0, min(whole.size, 1 << 15), 64)
+    past = rng.integers(1 << 15, whole.size, 64) if whole.size > 1 << 15 else np.zeros(0, dtype=np.int64)
+    for s in (below, past, np.array([0, whole.size - 1])):
+        assert diag.at(s).tobytes() == whole[s].tobytes()
+
+
 def low_table(low):
     """A 3-site ``Diagonal`` whose low table is ``low``, built when called."""
     return lambda: ham.Diagonal(low, np.zeros(1), 3)
