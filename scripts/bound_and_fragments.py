@@ -13,13 +13,13 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from hsfsense import hamiltonian as ham
 from hsfsense.bound import verify_bound
 from hsfsense.couplings import sample_gaussian
 from hsfsense.fragments import census, refinement_check
 from hsfsense.lattice import Lattice, canonical_partition
+
+import numpy as np  # after hsfsense, which sets the BLAS thread count numpy starts with
 
 
 def main() -> int:

@@ -39,16 +39,15 @@ import subprocess
 import sys
 import time
 
-import numpy as np
-
 from hsfsense import hamiltonian as ham
-from hsfsense import states
 from hsfsense.bound import verify_bound
 from hsfsense.couplings import sample_gaussian
 from hsfsense.evolve import dynamical_fidelity_grid
 from hsfsense.fragments import census
 from hsfsense.lattice import Lattice, canonical_partition
 from hsfsense.sensing import RamseyConfig, numeric_sensitivity
+
+import numpy as np  # after hsfsense, which sets the BLAS thread count numpy starts with
 
 SEED = 3
 BEST_OF = 3

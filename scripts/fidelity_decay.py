@@ -13,12 +13,12 @@ Usage:
 import argparse
 import sys
 
-import numpy as np
-
 from hsfsense import hamiltonian as ham
 from hsfsense.couplings import sample_gaussian
 from hsfsense.evolve import dynamical_fidelity_grid
 from hsfsense.lattice import Lattice
+
+import numpy as np  # after hsfsense, which sets the BLAS thread count numpy starts with
 
 
 def main() -> int:

@@ -1,19 +1,29 @@
 """Fragmentation-protected Ramsey sensing in the 2D transverse-field Ising
 model, simulated exactly at small system size.
 
-``HSF_THREADS`` caps BLAS/OpenMP threads.  The cap is applied here, before
-numpy is first imported (through ``.couplings``), and overrides any thread
-variable already set; a process that imported numpy earlier keeps its count.
+No command calls BLAS, so numpy is started with one BLAS/OpenMP thread: an
+OpenBLAS worker pool would cost start-up time and idle CPU in every process
+and do no work.  ``HSF_THREADS=k`` opts into ``k`` threads and overrides any
+thread variable already set.  Without it, a user's own ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` is kept, and only when none
+is set are all three set to 1.  This runs here, before numpy is first
+imported (through ``.couplings``); a process that imported numpy earlier
+keeps its count.
 """
 
 import os
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _cap_threads() -> None:
+    # all or none: OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS,
+    # so filling in only the unset ones would override a lone OMP_NUM_THREADS
     cap = os.environ.get("HSF_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = cap
+    if not cap and any(os.environ.get(var) for var in _THREAD_VARS):
+        return
+    for var in _THREAD_VARS:
+        os.environ[var] = cap or "1"
 
 
 _cap_threads()

@@ -79,8 +79,10 @@ def sample_gaussian(lattice: Lattice, jbar: float, sigma: float, seed: int) -> C
 def from_csv(lattice: Lattice, jbar: float, text: str) -> CouplingMap:
     """Explicit deltas from CSV lines ``i,j,delta``; unlisted bonds get zero, and a
     delta that is not finite, or breaks 2|delta| < jbar as ``sample_gaussian``'s
-    draws never do, is rejected with its line."""
+    draws never do, is rejected with its line.  A bond listed twice, in either
+    order, is rejected with both lines."""
     delta = {b: 0.0 for b in lattice.bonds()}
+    listed = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith("i,"):
@@ -97,6 +99,9 @@ def from_csv(lattice: Lattice, jbar: float, text: str) -> CouplingMap:
         key = (i, j) if (i, j) in delta else (j, i)
         if key not in delta:
             raise CouplingError(f"couplings CSV line {lineno}: ({i},{j}) is not a lattice bond")
+        if key in listed:
+            raise CouplingError(f"couplings CSV lines {listed[key]} and {lineno}: bond ({i},{j}) is listed twice")
+        listed[key] = lineno
         delta[key] = d
     return CouplingMap(lattice, jbar, delta)
 

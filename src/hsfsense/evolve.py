@@ -73,7 +73,7 @@ def _gershgorin(diag, radius) -> tuple[float, float]:
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v||, squared and summed pairwise: BLAS's idle threads would spin."""
+    """||v||, squared and summed pairwise by numpy; ``np.linalg.norm`` would call BLAS."""
     return float(np.sqrt(np.sum(np.square(v.view(np.float64)))))
 
 
@@ -331,7 +331,7 @@ class EvolutionEngine:
                 if sums is None:
                     continue
                 tmp = work[:, : entries.stop - entries.start]
-                for bk, acc in live:  # in-place numpy: BLAS's idle threads would spin
+                for bk, acc in live:  # numpy's in-place adds, one row at a time: no BLAS
                     for bra, plane, branch, weight in tables[k % 2]:
                         np.multiply(sums[branch], bk * weight, out=tmp)
                         acc[plane, :, entries, bra] += tmp

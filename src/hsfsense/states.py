@@ -236,7 +236,7 @@ class Projector:
         same way over the sites at or above the block, in place, and the
         group's branch sums are returned: the sum and the parity-signed sum
         over the sites (2, lanes, entries); other columns return None.  The
-        adds run in numpy, not BLAS, whose idle threads would spin.
+        folds are numpy's in-place adds and subtracts, so a read calls no BLAS.
         """
         inside, sums, halves = term
         dst = sums[:, :, column]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -120,18 +121,98 @@ print(count)
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the loaded libraries from /proc")
-def test_hsf_threads_overrides_blas_thread_variables():
-    src = str(Path(hsfsense.__file__).resolve().parents[1])
-    env = {**os.environ, "HSF_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "HSF_THREADS")
+
+
+def _env_with_threads(**threads) -> dict:
+    """This environment without any thread variable (importing hsfsense here
+    set them), plus ``threads``, with the package's source on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    return {**env, **threads, "PYTHONPATH": str(Path(hsfsense.__file__).resolve().parents[1])}
+
+
+def _blas_threads(**threads) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", _BLAS_THREADS_PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _BLAS_THREADS_PROBE],
+        env=_env_with_threads(**threads), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     count = proc.stdout.strip()
     if count == "None":
         pytest.skip("numpy is not linked against OpenBLAS")
-    assert count == "1"
+    return count
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the loaded libraries from /proc")
+def test_hsf_threads_overrides_blas_thread_variables():
+    assert _blas_threads(HSF_THREADS="1", OPENBLAS_NUM_THREADS="2") == "1"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the loaded libraries from /proc")
+@pytest.mark.parametrize(
+    "threads,count",
+    [
+        ({}, "1"),
+        # OpenBLAS reads OPENBLAS_NUM_THREADS first: setting only the unset variables would give 1
+        ({"OMP_NUM_THREADS": "2"}, "2"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"HSF_THREADS": "2"}, "2"),
+    ],
+    ids=["none", "omp", "openblas", "hsf"],
+)
+def test_blas_starts_with_one_thread_unless_a_count_is_set(threads, count):
+    """No command calls BLAS, so an OpenBLAS pool only costs start-up time and idle CPU."""
+    assert _blas_threads(**threads) == count
+
+
+_THREADS_AFTER_BOUND_PROBE = """
+import os
+import sys
+from pathlib import Path
+
+from hsfsense import cli
+
+out = Path(sys.argv[1])
+cfg = out / "bound.cfg"
+cfg.write_text("command = bound\\nlattice.width = 3\\nlattice.height = 3\\ncouplings.sigma = 0.3\\nomega = 0.05\\nt_points = 4\\n")
+if cli.main(["--config", str(cfg), "--out", str(out / "bound.csv")]) != 0:
+    sys.exit("bound failed")
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="counts the process's threads in /proc")
+def test_a_command_runs_in_one_thread_by_default(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_BOUND_PROBE, str(tmp_path)],
+        env=_env_with_threads(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+
+
+def _first_import_line(tree: ast.Module, package: str) -> float:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        lines += [node.lineno for name in names if name.split(".")[0] == package]
+    return min(lines, default=math.inf)
+
+
+@pytest.mark.parametrize(
+    "script", sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py")), ids=lambda p: p.name
+)
+def test_every_script_imports_hsfsense_before_numpy(script):
+    """numpy fixes its BLAS thread count when it loads, so ``HSF_THREADS`` and
+    the one-thread default act only if hsfsense is imported first."""
+    tree = ast.parse(script.read_text())
+    numpy_line = _first_import_line(tree, "numpy")
+    assert numpy_line == math.inf or _first_import_line(tree, "hsfsense") < numpy_line
 
 
 _SCIPY_FREE_PROBE = """
@@ -569,6 +650,23 @@ def test_a_non_finite_delta_in_a_couplings_file_exits_2_naming_the_line(tmp_path
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {couplings}: couplings CSV line 2: delta ") and "is not finite" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("second", ["0,9", "9,0"], ids=["same-order", "reversed"])
+@pytest.mark.parametrize("command", ["bound", "sweep", "fidelity", "fragments"])
+def test_a_bond_listed_twice_in_a_couplings_file_exits_2_naming_both_lines(tmp_path, capsys, command, second):
+    """On 3x3 the later line gave bond (0, 9) its delta with no error."""
+    couplings = tmp_path / "c.csv"
+    couplings.write_text(f"i,j,delta\n0,9,0.1\n{second},-0.2\n")
+    out = tmp_path / "o.csv"
+    text = (
+        f"command = {command}\nlattice.width = 3\nlattice.height = 3\nt_max = 0.5\nt_points = 3\n"
+        f"couplings.file = {couplings}\nout = {out}\n"
+    )
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {couplings}: couplings CSV lines 2 and 3: bond ({second}) is listed twice")
+    assert not out.exists()
 
 
 def test_a_sigma_too_large_for_jbar_exits_2_naming_the_key(tmp_path, capsys):

@@ -77,6 +77,13 @@ def test_csv_non_bond_pair_rejected(lat33):
         from_csv(lat33, 1.0, "0,8,0.05")
 
 
+@pytest.mark.parametrize("second", ["0,9", "9,0"])
+def test_csv_bond_listed_twice_rejected_naming_both_lines(lat33, second):
+    """The later line used to win silently."""
+    with pytest.raises(CouplingError, match=rf"lines 1 and 3: bond \({second}\) is listed twice"):
+        from_csv(lat33, 1.0, f"0,9,0.1\n0,1,0.05\n{second},-0.2")
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 1000), st.floats(0.01, 2.0))
 def test_k_ratio_always_below_one(seed, sigma):
