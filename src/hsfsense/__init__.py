@@ -1,9 +1,11 @@
 """Fragmentation-protected Ramsey sensing in the 2D transverse-field Ising
 model, simulated exactly at small system size.
 
-No command calls BLAS, so numpy is started with one BLAS/OpenMP thread: an
-OpenBLAS worker pool would cost start-up time and idle CPU in every process
-and do no work.  ``HSF_THREADS=k`` opts into ``k`` threads and overrides any
+numpy is started with one BLAS/OpenMP thread, the measured-fastest setting:
+the commands' only BLAS calls are the flip sums' small 0/1 matrix products
+(``hamiltonian.TransverseFieldOperator.flip_block``), which ran no faster on
+two threads, and a worker pool costs start-up time in every process.
+``HSF_THREADS=k`` opts into ``k`` threads and overrides any
 thread variable already set.  Without it, a user's own ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` is kept, and only when none
 is set are all three set to 1.  This runs here, before numpy is first

@@ -63,16 +63,15 @@ def j_gap(lattice: Lattice, partition: SitePartition, couplings: CouplingMap) ->
     return best
 
 
-def delta_pr_numeric(lattice: Lattice, partition: SitePartition, couplings: CouplingMap) -> float:
+def delta_pr_numeric(partition: SitePartition, diag: ham.Diagonal) -> float:
     """Exact minimum |diagonal energy change| for one ancilla flip.
 
     Enumerates every probe configuration over the frozen ancilla pattern and
     every single ancilla flip, and reads the 2^m (n_ancilla + 1) entries from
-    the ``Diagonal`` of ``op_total``, the operator ``verify_bound`` marches, so
-    it is that diagonal's gap bit for bit.  Always >= j_gap.
+    ``diag``.  ``verify_bound`` passes the ``Diagonal`` of the ``op_total`` it
+    marches, so this is that diagonal's gap bit for bit; it is >= j_gap.
     """
     frozen = states.frozen_subspace(partition)
-    diag = ham.op_total(lattice, partition, couplings, 0.0).diag
     e0 = diag.at(frozen)
     gaps = (np.min(np.abs(diag.at(frozen ^ (1 << a)) - e0)) for a in partition.ancilla_sites)
     return float(min(gaps, default=math.inf))
@@ -110,11 +109,10 @@ def verify_bound(
     t_grid = np.asarray(t_grid, dtype=float)
     n = lattice.n_sites
     jg = j_gap(lattice, partition, couplings)
-    dpr = delta_pr_numeric(lattice, partition, couplings)
-
     rhs = error_bound_rhs(n, omega, jg, t_grid)
     # set up at omega = 0 too, where nothing evolves: it checks the probes
     psi, h_total, proj = ramsey_setup("hsf", omega, lattice, partition, couplings)
+    dpr = delta_pr_numeric(partition, h_total.diag)
     if omega == 0.0:  # no drive: eps is 0 exactly, where a march would read its rounding against rhs = 0
         eps = np.zeros_like(t_grid)
     else:

@@ -27,11 +27,13 @@ taken one cache-sized block of basis states at a time
 the block's shifted diagonal made from the two small tables of the
 ``hamiltonian.Diagonal`` (with the center folded into one table, one
 broadcast add and one scale), the recurrence and every time's sums,
-with the arithmetic of a whole-vector step element by element, so whole
-states do not depend on the block size, bit for bit.  A readout folds the
-sites inside a block first and those at or above it afterwards, so on sites
-at or above the block its outputs agree with another block size's only to
-rounding.
+with the arithmetic of a whole-vector step element by element but for the
+flip sum, which sums a nibble of sites that a smaller block cuts partly by
+its product and partly by partner adds.  So whole states agree with another
+block size's within the march's budget, (_TAIL_TOL + 8 terms eps) times the
+norm, not bit for bit.  A readout folds the sites inside a block first and
+those at or above it afterwards, so on sites at or above the block its
+outputs too agree with another block size's only to rounding.
 
 The series is linear in each term, so one march reads every term through one
 linear readout R, a ``states.Projector``, as it is made, as kernel polynomial
@@ -275,10 +277,11 @@ class EvolutionEngine:
         readout's ``walk`` sets it, so a group's branch sums are complete at
         its last block, and the norm is an exact sum (``math.fsum``) that does
         not depend on it.  Each element gets the operations of a
-        whole-vector step in the same order, and each readout entry is added to
-        the rows once it is complete, so the sums of a whole state do not
-        depend on the block size; a readout on sites at or above the block
-        folds them in another order, so its sums agree only to rounding.
+        whole-vector step in the same order, but for a flip sum's nibble that
+        a smaller block cuts, and each readout entry is added to the rows once
+        it is complete; a readout on sites at or above the block folds them in
+        another order.  So the sums agree with another block size's only to
+        rounding.
         p_k of the state lanes keeps the start norm up to rounding only
         if the interval holds the spectrum (|T_k| <= 1 on [-1, 1]); a term
         beyond the output budget raises EvolutionError.

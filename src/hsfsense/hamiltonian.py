@@ -16,8 +16,11 @@ stored.  The constrained models' masks come from one generator per model
 The unmasked family (a diagonal plus one flip amplitude on a set of
 sites) also has a matrix-free form, ``TransverseFieldOperator``, whose flip
 sum is applied one aligned block of 2^_BLOCK basis states at a time
-(``flip_block``), as the Chebyshev march takes its terms; it has no
-whole-vector product, and its ``tocsr()`` is the builders' CSR.  Its
+(``flip_block``), as the Chebyshev march takes its terms: the sites inside the
+block a nibble of four bits at a time, each nibble one small 0/1 matrix
+product (``np.matmul``, the commands' one BLAS call), and the sites above it
+by partner-block adds.  It has no whole-vector product, and its ``tocsr()``
+is the builders' CSR.  Its
 diagonal is a ``Diagonal``: two small tables, one over the low _SPLIT bits
 and one over the bits from the lowest site bonded across them, whose sum is
 an entry (2^15 + 64 entries in place of 2^18 at 3x6), so ``op_tfim`` and
@@ -29,7 +32,7 @@ diagonals (``ising_diagonal``, ``shift_diagonal``), comes from one builder,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,10 +51,10 @@ _LOW = 8  # the low bits of a basis index, folded into the last axis of ``_view`
 _BLOCK = 15
 # a ``Diagonal``'s low table spans the low _SPLIT bits of a basis index (256 KB)
 _SPLIT = 15
-# a flip of bit i as a reversed view runs inner loops of 2^i elements; below
-# this bit its 2^(i+1) strided (dst, src) pairs, each one loop over the block,
-# are faster
-_STRIDED = 3
+# a flip sum takes the sites inside a block this many bits at a time, one 2^4 x
+# 2^4 product each: smaller ones make more calls per block, and a 2^8 x 2^8 one
+# was no faster than single flips
+_NIBBLE = 4
 
 
 def _view(n_sites: int) -> tuple[int, ...]:
@@ -202,6 +205,8 @@ class TransverseFieldOperator:
     diag: Diagonal | None
     value: float
     sites: tuple[int, ...]
+    # the nibble matrices by block size, and the flip sum's scratch by shape and dtype
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if np.iscomplexobj(self.value) or not np.isfinite(self.value):
@@ -227,39 +232,60 @@ class TransverseFieldOperator:
         """The states ``block`` of ``sum_{i in sites} sigma^x_i psi``, written to
         the block-sized ``out`` (``psi``'s leading axes by the block's states),
         for a block of ``blocks()``; each vector stacked on ``psi``'s leading
-        axes is summed apart, with the adds of a single one.  ``psi`` is only
-        read, so ``out`` may be any buffer that does not overlap the block or
-        its partner blocks in ``psi``.
+        axes is summed apart.  ``psi`` is only read, so ``out`` may be any
+        buffer that does not overlap the block or its partner blocks in ``psi``.
 
-        sigma^x_i maps basis state s to s ^ 2^i.  A site at or above the block's
-        bits adds the partner block's slice of ``psi``.  A lower site flips
-        inside the block: the block reshaped to (-1, 2, 2^i) has bit i on its
-        middle axis, reversed in a view (for bits below _STRIDED, as 2^(i+1)
-        strided pairs of that view).  Sites are taken in the order of
-        ``sites`` and the first is copied, so every element gets the same adds
-        in the same order, whatever the block size.
+        sigma^x_i maps basis state s to s ^ 2^i.  The sites inside the block
+        are summed a nibble at a time (``_nibbles``): with the block reshaped so
+        that the nibble's bits are one axis, one ``np.matmul`` by the nibble's
+        0/1 matrix sums its sites' flips.  The first product writes ``out`` (a
+        zero fill if there is none) and each later one, made in a scratch kept
+        with the operator, is added in.  A site at or above the block's bits
+        then adds the partner block's slice of ``psi``.  A nibble that a smaller block cuts is split between a
+        product and partner adds, so the sum agrees with another block size's
+        to rounding.
         """
         size = block.stop - block.start
-        lead, low = psi.shape[:-1], size.bit_length() - 1
-        x, acc = psi[..., block], out
-        if not self.sites:
-            acc[...] = 0.0
-        for n, i in enumerate(self.sites):
+        low, lead, x = size.bit_length() - 1, psi.shape[:-1], psi[..., block]
+        nibbles = self._nibbles(low)
+        if not nibbles:
+            out[...] = 0.0
+        for n, (lo, m) in enumerate(nibbles):
+            dst = self._scratch(out) if n else out
+            shape = lead + (-1, m.shape[0], 1 << lo)
+            if lo:  # the nibble's bits on the middle axis, the bits below it last
+                np.matmul(m, x.reshape(shape), out=dst.reshape(shape))
+            else:
+                np.matmul(x.reshape(shape[:-1]), m, out=dst.reshape(shape[:-1]))
+            if n:
+                out += dst
+        for i in self.sites:
             if i >= low:
                 partner = block.start ^ (1 << i)
-                pairs = [(acc, psi[..., partner : partner + size])]
-            else:
-                shape = lead + (-1, 2, 1 << i)
-                x3, acc3 = x.reshape(shape), acc.reshape(shape)
-                if i < _STRIDED:
-                    pairs = [(acc3[..., h, j], x3[..., 1 - h, j]) for h in (0, 1) for j in range(1 << i)]
-                else:
-                    pairs = [(acc3, np.flip(x3, axis=-2))]
-            for dst, src in pairs:
-                if n == 0:
-                    np.copyto(dst, src)
-                else:
-                    dst += src
+                out += psi[..., partner : partner + size]
+
+    def _scratch(self, out: np.ndarray) -> np.ndarray:
+        """A buffer of ``out``'s shape and dtype, kept for the next call."""
+        key = (out.shape, out.dtype)
+        if key not in self._cache:
+            self._cache[key] = np.empty(out.shape, out.dtype)
+        return self._cache[key]
+
+    def _nibbles(self, low: int) -> list[tuple[int, np.ndarray]]:
+        """(lo, M) for each nibble of a block of 2^low states that holds a site,
+        bits lo to min(lo + 3, low - 1): M[a, b] is 1 where a ^ b is the bit of
+        one of its sites, less lo.  Built once per block size."""
+        if low not in self._cache:
+            self._cache[low] = []
+            for lo in range(0, low, _NIBBLE):
+                a = np.arange(1 << min(_NIBBLE, low - lo))
+                m = np.zeros((a.size, a.size))
+                for i in self.sites:
+                    if lo <= i < min(lo + _NIBBLE, low):
+                        m[a, a ^ (1 << (i - lo))] = 1.0
+                if m.any():
+                    self._cache[low].append((lo, m))
+        return self._cache[low]
 
     def tocsr(self) -> sp.csr_matrix:
         diag = None if self.diag is None else self.diag.expand()

@@ -135,11 +135,11 @@ def test_acceptance_4_gap_inequalities():
     part = canonical_partition(lat)
     hom = homogeneous(lat, 1.0)
     assert j_gap(lat, part, hom) == pytest.approx(4.0, abs=1e-14)
-    assert delta_pr_numeric(lat, part, hom) == pytest.approx(4.0, abs=1e-14)
+    assert delta_pr_numeric(part, ham.op_total(lat, part, hom, 0.0).diag) == pytest.approx(4.0, abs=1e-14)
     for seed in range(20):
         c = sample_gaussian(lat, 1.0, 0.25, seed=seed)
         jg = j_gap(lat, part, c)
-        dpr = delta_pr_numeric(lat, part, c)
+        dpr = delta_pr_numeric(part, ham.op_total(lat, part, c, 0.0).diag)
         floor = 4.0 * (1.0 - k_ratio(c)) * c.jbar
         assert dpr >= jg - 1e-12 >= floor - 2e-12 and floor > 0, (
             f"seed {seed}: dpr={dpr}, j_gap={jg}, floor={floor}"

@@ -18,7 +18,8 @@ from hsfsense.lattice import Lattice, SitePartition, canonical_partition
 
 def test_homogeneous_gaps_are_exactly_4j(lat33, part33, hom33):
     assert j_gap(lat33, part33, hom33) == pytest.approx(4.0, abs=1e-14)
-    assert delta_pr_numeric(lat33, part33, hom33) == pytest.approx(4.0, abs=1e-14)
+    diag = ham.op_total(lat33, part33, hom33, 0.0).diag
+    assert delta_pr_numeric(part33, diag) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_gap_inequality_chain(lat33, part33):
@@ -26,7 +27,7 @@ def test_gap_inequality_chain(lat33, part33):
     for seed in range(8):
         c = sample_gaussian(lat33, 1.0, 0.25, seed=seed)
         jg = j_gap(lat33, part33, c)
-        dpr = delta_pr_numeric(lat33, part33, c)
+        dpr = delta_pr_numeric(part33, ham.op_total(lat33, part33, c, 0.0).diag)
         floor = 4.0 * (1.0 - k_ratio(c)) * c.jbar
         assert dpr >= jg - 1e-12
         assert jg >= floor - 1e-12
@@ -51,8 +52,9 @@ def test_delta_pr_matches_scalar_enumeration(lat33, part33):
     assert cases[1][1].n_probe == 2
     for lat, part in cases:
         c = sample_gaussian(lat, 1.0, 0.3, seed=5)
-        got = delta_pr_numeric(lat, part, c)
-        assert got == single_flip_gap(ham.op_total(lat, part, c, 0.0).diag.expand(), part)
+        diag = ham.op_total(lat, part, c, 0.0).diag
+        got = delta_pr_numeric(part, diag)
+        assert got == single_flip_gap(diag.expand(), part)
         whole = single_flip_gap(ham.ising_diagonal(c) + ham.shift_diagonal(part, c), part)
         if lat.n_sites <= 15:
             assert got == whole

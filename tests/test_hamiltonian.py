@@ -560,11 +560,33 @@ def axis_flip_sum(n_sites, sites, psi):
     return acc.reshape(psi.shape)
 
 
+def integer_valued(rng, shape):
+    """Integers below 2^20 in magnitude, as floats: every partial sum of a few
+    dozen of them is exact, so any add order gives the same bits."""
+    return rng.integers(-(1 << 20), 1 << 20, size=shape).astype(float)
+
+
+def assert_within_rounding(got, n_sites, sites, psi):
+    """Each entry of ``got`` within k eps times the absolute flip sum
+    sum_{i in sites} |sigma^x_i psi| of the oracle's, k = len(sites), real and
+    imaginary parts apart: a sum of k terms in any order is within (k - 1)
+    eps/2 times their absolute sum of the exact one, to first order."""
+    eps = np.finfo(float).eps
+    for part in (np.real, np.imag):
+        want = axis_flip_sum(n_sites, sites, part(psi))
+        bound = len(sites) * eps * axis_flip_sum(n_sites, sites, np.abs(part(psi)))
+        assert np.all(np.abs(part(got) - want) <= bound), sites
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 14, 15, 16, 17])
 def test_flip_sum_matches_the_axis_flip_oracle_bitwise(n):
     """Below, at and above one block of 2^15 states; every site set in the
     order given: all sites, a sparse set as the probes are, none, only the top
-    site, and an unsorted order; single vectors and stacks."""
+    site, and an unsorted order; single vectors and stacks.  The nibble
+    products add a state's flips in another order than the oracle, so they
+    match it bit for bit on integer-valued entries, where any add order gives
+    the same bits while a missing or wrong flip changes them, and within
+    rounding on normal entries."""
     rng = np.random.default_rng(n)
     site_sets = (
         tuple(range(n)),
@@ -575,24 +597,31 @@ def test_flip_sum_matches_the_axis_flip_oracle_bitwise(n):
     )
     for sites in site_sets:
         op = ham.TransverseFieldOperator(n, None, 0.3, sites)
-        for psi in (rng.normal(size=1 << n), rng.normal(size=(3, 1 << n))):
-            got = flip_sum(op, psi)
-            assert got.tobytes() == axis_flip_sum(n, sites, psi).tobytes(), sites
+        for shape in (1 << n, (3, 1 << n)):
+            psi = integer_valued(rng, shape)
+            assert flip_sum(op, psi).tobytes() == axis_flip_sum(n, sites, psi).tobytes(), sites
+            psi = rng.normal(size=shape)
+            assert_within_rounding(flip_sum(op, psi), n, sites, psi)
 
 
 @pytest.mark.parametrize("w,h", [(5, 3), (4, 4)])
 def test_probe_flip_sum_and_complex_product_match_the_oracle_bitwise(w, h):
     """The probe drive's sites at N = 15 (one block) and 16 (two blocks), and
-    the operator applied to a complex vector with a diagonal, against the oracle."""
+    the operator applied to a complex vector with a diagonal, against the
+    oracle: bit for bit on integer-valued entries, within rounding on normal ones."""
     lat = Lattice(w, h)
     part = canonical_partition(lat)
     rng = np.random.default_rng(w * h)
-    psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
+    n = lat.n_sites
+    ints = integer_valued(rng, 1 << n) + 1j * integer_valued(rng, 1 << n)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     probe = ham.op_probe_omega(part, lat, 0.4)
-    assert flip_sum(probe, psi).tobytes() == axis_flip_sum(lat.n_sites, probe.sites, psi).tobytes()
+    assert flip_sum(probe, ints).tobytes() == axis_flip_sum(n, probe.sites, ints).tobytes()
+    assert_within_rounding(flip_sum(probe, psi), n, probe.sites, psi)
     op = ham.op_total(lat, part, sample_gaussian(lat, 1.0, 0.3, seed=2), 0.4)
-    want = axis_flip_sum(lat.n_sites, op.sites, psi)
+    want = axis_flip_sum(n, op.sites, ints)
     want *= op.value
-    want += psi * op.diag.expand()
-    got = apply(op, psi)
+    want += ints * op.diag.expand()
+    got = apply(op, ints)
     assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    assert_within_rounding(flip_sum(op, psi), n, op.sites, psi)
