@@ -2,9 +2,10 @@
 model, simulated exactly at small system size.
 
 numpy is started with one BLAS/OpenMP thread, the measured-fastest setting:
-the commands' only BLAS calls are the flip sums' small 0/1 matrix products
-(``hamiltonian.TransverseFieldOperator.flip_block``), which ran no faster on
-two threads, and a worker pool costs start-up time in every process.
+the commands' two BLAS calls, the flip sums' small 0/1 products
+(``hamiltonian.TransverseFieldOperator.flip_block``) and the march's row
+products (``evolve``), ran no faster on two threads, and a worker pool costs
+start-up time in every process.
 ``HSF_THREADS=k`` opts into ``k`` threads and overrides any
 thread variable already set.  Without it, a user's own ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` is kept, and only when none

@@ -38,11 +38,14 @@ outputs too agree with another block size's only to rounding.
 The series is linear in each term, so one march reads every term through one
 linear readout R, a ``states.Projector``, as it is made, as kernel polynomial
 methods do (Weisse et al., Rev. Mod. Phys. 78, 275, 2006): the readout hands
-over the term's two unweighted GHZ-branch sums, and each time adds them to its
-R p_k sums weighed once by its bras and its coefficient.  On sites that keeps a
-few entries per state and no 2^N state per time (``readout_grid``,
-``readout_tangent``; ``bound``, ``sweep`` and ``fidelity``); the same fold on no
-sites reads the whole state (``evolve``, ``evolve_grid``).
+over the term's two unweighted GHZ-branch sums.  A grid keeps the last
+``_RING_TERMS`` terms' sums in a ring, which each time adds to its R p_k sums
+with one small BLAS product by its weighted coefficients (level-3 blocking,
+Dongarra et al., ACM TOMS 16, 1, 1990); one time reads each term in place.
+On sites that keeps a few entries per state and no 2^N state per time
+(``readout_grid``, ``readout_tangent``; ``bound``, ``sweep`` and
+``fidelity``); the same fold on no sites reads the whole state (``evolve``,
+``evolve_grid``).
 Every march holds the norm of each term to the output's budget, its
 coefficients to the Jacobi-Anger sums, and a whole state's norm too.  hbar = 1;
 times are in inverse energy units.
@@ -64,6 +67,7 @@ _TAIL_TOL = 1e-15  # truncation error of one output, relative to the norm of the
 # arrays grow with r t, so a longer series fails before they are built
 _MAX_TERMS = 1 << 20
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # (-1)^floor(k/2) by k mod 4
+_RING_TERMS = 4  # K: the terms whose branch sums a grid's rows read with one product each
 _WHOLE = np.array([[1.0, 0.0]])  # one bra (c+, c-) on no sites: the identity, which reads the whole state
 
 
@@ -143,8 +147,10 @@ class EvolutionEngine:
         """States at each time in ``ts``, returned in the order of ``ts``.
 
         One series from ``state`` gives every point: entry j is e^{-iH t_j} state,
-        exactly what ``evolve(state, t_j)`` returns.  No state is carried from one
-        point to the next, so errors do not add up along the grid.
+        bit for bit the same in any grid of ``_RING_TERMS`` or more times that
+        holds t_j, and ``evolve(state, t_j)``, which reads each term on its own,
+        within the march's budget.  No state is carried from one point to the
+        next, so errors do not add up along the grid.
         """
         return self.readout_grid(state, ts, self._whole)
 
@@ -232,7 +238,7 @@ class EvolutionEngine:
         out = []
         for j, (t, (phase, b)) in enumerate(zip(ts, rows)):
             acc, accs[j] = accs[j], None  # each row's sums are freed as its output is made
-            psi = _output(acc[:, ::width], phase)
+            psi = _output(acc[::width], phase)
             if not readout.sites:
                 drift = abs(_norm(psi) - norm)
                 budget = (_TAIL_TOL + 8 * b.size * np.finfo(float).eps) * norm
@@ -240,13 +246,13 @@ class EvolutionEngine:
                     raise EvolutionError(
                         f"Chebyshev series at t={t:.6g} changed the norm by {drift:.3g} (budget {budget:.3g})"
                     )
-            out.append((psi, _output(acc[:, 1::width], phase) if tangent else None))
+            out.append((psi, _output(acc[1::width], phase) if tangent else None))
         return out
 
     def _march(self, lanes: np.ndarray, rows: list, tangent: bool, readout, norm: float) -> list:
-        """Each row's sums, an array (2, lanes, entries, bras) of the real part
-        and minus the imaginary part of sum_k c_k R p_k, from one recurrence
-        that marches the real ``lanes`` in place.
+        """Each row's sums, an array (lanes, 2 bras, entries) of the real part
+        and minus the imaginary part for each bra of sum_k c_k R p_k, from one
+        recurrence that marches the real ``lanes`` in place.
 
         p_k = T_k(H_s) p_0 obeys p_{k+1} = 2 H_s p_k - p_{k-1}.  With the tangent
         every other lane is the derivative q_k of the lane before it in ``value``,
@@ -257,11 +263,16 @@ class EvolutionEngine:
         row (e^{-ict}, b) of the coefficient matrix; row j stops at its own Bessel
         tail.  The readout gives each term's real branch sums, the sum and the
         parity-signed sum over its sites, which a bra weighs by w, its
-        ``branch_weights``; a zero weight is left out.  As c_k is b_k for even k and
-        -i b_k for odd k, a branch adds (Re w, -Im w) b_k branch to a row's
-        (Re, -Im) sums at even k and (Im w, Re w) b_k branch at odd k: one
-        table of (bra, plane, branch, weight) per parity, applied to every live
-        row.
+        ``branch_weights``.  As c_k is b_k for even k and -i b_k for odd k, a
+        branch adds (Re w, -Im w) b_k branch to a row's (Re, -Im) sums at even
+        k and (Im w, Re w) b_k branch at odd k.  With K = min(_RING_TERMS,
+        rows), a row keeps a (2 bras, 2 K) matrix whose slot k mod K holds
+        term k's weights (0 past its series or the march), and the march a
+        ring (2 K, lanes, entries) of the last K terms' branch sums.  When a
+        group's window of K terms, or the march, ends, each row reaching into
+        it adds its matrix times the ring's slice (one ``np.matmul`` over the
+        lanes) to its sums: the same products in any grid of K or more times.
+        One row (K = 1) reads the readout's sums in place.
 
         The march holds two stacks of lanes, p_{k-1} and p_{k-2}, and writes
         p_k over p_{k-2} (as kernel polynomial codes do).  A term is taken one
@@ -279,9 +290,9 @@ class EvolutionEngine:
         not depend on it.  Each element gets the operations of a
         whole-vector step in the same order, but for a flip sum's nibble that
         a smaller block cuts, and each readout entry is added to the rows once
-        it is complete; a readout on sites at or above the block folds them in
-        another order.  So the sums agree with another block size's only to
-        rounding.
+        its window is complete; a readout on sites at or above the block folds
+        them in another order.  So the sums agree with another block size's
+        only to rounding.
         p_k of the state lanes keeps the start norm up to rounding only
         if the interval holds the spectrum (|T_k| <= 1 on [-1, 1]); a term
         beyond the output budget raises EvolutionError.
@@ -289,12 +300,15 @@ class EvolutionEngine:
         width = 2 if tangent else 1
         op = self.hamiltonian
         blocks = op.blocks()
-        tables = ([], [])  # (bra, plane, branch, weight) for even k and for odd k
-        for (bra, branch), w in np.ndenumerate(readout.branch_weights):
-            for table, weights in zip(tables, ((w.real, -w.imag), (w.imag, w.real))):
-                table.extend((bra, plane, branch, v) for plane, v in enumerate(weights) if v)
-        accs = [np.zeros((2, len(lanes), readout.size // len(readout.bras), len(readout.bras))) for _ in rows]
         order, term = readout.walk(blocks), readout.buffer(len(lanes), len(blocks))
+        w = readout.branch_weights
+        weights = (np.concatenate((w.real, -w.imag)), np.concatenate((w.imag, w.real)))  # even k, odd k
+        ring_terms = min(_RING_TERMS, len(rows))
+        size = readout.size // len(w)
+        ring = np.zeros((2 * ring_terms, len(lanes), size)) if ring_terms > 1 else None
+        coefs = [np.zeros((2 * len(w), 2 * ring_terms)) for _ in rows]
+        accs = [np.zeros((len(lanes), 2 * len(w), size)) for _ in rows]
+        product = np.empty((len(lanes), 2 * len(w), order[0][2].stop - order[0][2].start))
         n_terms = max((b.size for _, b in rows), default=0)
         budget = (_TAIL_TOL + 8 * n_terms * np.finfo(float).eps) * norm
         # 2 (H - c)/r is its flip part (2 value/r) S plus the diagonal (2/r)(diag - c)
@@ -308,7 +322,12 @@ class EvolutionEngine:
         work = np.empty((len(lanes), blocks[0].stop))  # a block's flip sum, then scratch
         drive = np.empty_like(work[::width]) if tangent else None
         for k in range(n_terms):  # one flip sum over every lane per term after the first
-            live = [(b[k], acc) for (_, b), acc in zip(rows, accs) if k < b.size]
+            slot, last = k % ring_terms, k == n_terms - 1
+            live = [(b, coef, acc) for (_, b), coef, acc in zip(rows, coefs, accs) if b.size > k - slot]
+            for b, coef, _ in live:  # the row's slot for term k: 0 past its series
+                np.multiply(weights[k % 2], b[k] if k < b.size else 0.0, out=coef[:, 2 * slot : 2 * slot + 2])
+                if last:  # slots of terms the march does not make
+                    coef[:, 2 * slot + 2 :] = 0.0
             squares = []
             for block, column, entries in order:
                 p = prev[:, block]  # p_{k-2}, overwritten with p_k; p_0 itself at k = 0
@@ -333,11 +352,13 @@ class EvolutionEngine:
                 sums = readout.take(p, column, term)
                 if sums is None:
                     continue
-                tmp = work[:, : entries.stop - entries.start]
-                for bk, acc in live:  # numpy's in-place adds, one row at a time: no BLAS
-                    for bra, plane, branch, weight in tables[k % 2]:
-                        np.multiply(sums[branch], bk * weight, out=tmp)
-                        acc[plane, :, entries, bra] += tmp
+                if ring is not None:  # the group's sums wait in the ring until its window is complete
+                    ring[2 * slot : 2 * slot + 2, :, entries] = sums
+                    sums = ring[:, :, entries]
+                if slot == ring_terms - 1 or last:
+                    for _, coef, acc in live:  # one BLAS product per row and window, lane by lane
+                        np.matmul(coef, sums.transpose(1, 0, 2), out=product)
+                        acc[:, :, entries] += product
             length = math.sqrt(math.fsum(squares))
             if k and not length - norm <= budget:  # term 0 is the start state
                 raise EvolutionError(
@@ -349,15 +370,16 @@ class EvolutionEngine:
 
 
 def _output(acc: np.ndarray, phase: complex) -> np.ndarray:
-    """An output from the sums (2, parts, entries, bras), the real part and
-    minus the imaginary part, of the real part of the state and, if it was
-    marched, its imaginary part: the sum of i^part phase (acc[0] - i acc[1]),
+    """An output from the sums (parts, 2 bras, entries), the real part and
+    minus the imaginary part for each bra, of the real part of the state and,
+    if it was marched, its imaginary part: the sum of i^part phase (re - i minus_im),
     one entry per configuration of the other sites and bra."""
     out = None
-    for (re, minus_im), unit in zip(acc.swapaxes(0, 1), (1.0, 1j)):
-        part = np.empty(re.shape, dtype=complex)
-        part.real = re
-        np.negative(minus_im, out=part.imag)
+    for sums, unit in zip(acc, (1.0, 1j)):
+        re, minus_im = sums.reshape(2, -1, sums.shape[-1])
+        part = np.empty(re.T.shape, dtype=complex)
+        part.real = re.T
+        np.negative(minus_im.T, out=part.imag)
         part *= unit * phase
         if out is None:
             out = part

@@ -18,9 +18,10 @@ sites) also has a matrix-free form, ``TransverseFieldOperator``, whose flip
 sum is applied one aligned block of 2^_BLOCK basis states at a time
 (``flip_block``), as the Chebyshev march takes its terms: the sites inside the
 block a nibble of four bits at a time, each nibble one small 0/1 matrix
-product (``np.matmul``, the commands' one BLAS call), and the sites above it
-by partner-block adds.  It has no whole-vector product, and its ``tocsr()``
-is the builders' CSR.  Its
+product (``np.matmul``; with the grid rows' products in :mod:`hsfsense.evolve`
+one of the commands' two BLAS calls), and the sites above it by partner-block
+adds.  It has no whole-vector product, and its ``tocsr()`` is the builders'
+CSR.  Its
 diagonal is a ``Diagonal``: two small tables, one over the low _SPLIT bits
 and one over the bits from the lowest site bonded across them, whose sum is
 an entry (2^15 + 64 entries in place of 2^18 at 3x6), so ``op_tfim`` and

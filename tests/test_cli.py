@@ -162,18 +162,23 @@ def test_hsf_threads_overrides_blas_thread_variables():
 )
 def test_blas_starts_with_one_thread_unless_a_count_is_set(threads, count):
     """The marches' BLAS calls are small products (a 2^4 x 2^4 matrix per
-    nibble of a flip sum), fastest on one thread; a set count opts into more."""
+    nibble of a flip sum, and a grid row's coefficients times a few terms'
+    branch sums), fastest on one thread; a set count opts into more."""
     assert _blas_threads(**threads) == count
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The flip sums are BLAS products, which OpenBLAS may split over threads
-    by rows and columns but not inside one entry's sum: ``bound`` at 4x4 (two
-    2^15-state blocks) and an ``hsf`` sweep at 3x3 write the same bytes with
-    the default one thread and under ``HSF_THREADS=2``."""
+    """The flip sums and the grid rows' sums are BLAS products, which OpenBLAS
+    may split over threads by rows and columns but not inside one entry's
+    sum: ``bound`` at 4x4 (two 2^15-state blocks), a ``fidelity`` grid at 3x3
+    (two bras read through the ring of term sums) and an ``hsf`` sweep at 3x3
+    write the same bytes with the default one thread and under
+    ``HSF_THREADS=2``."""
     configs = {
         "bound": "command = bound\nlattice.width = 4\nlattice.height = 4\ncouplings.sigma = 0.3\n"
         "couplings.seed = 3\nomega = 0.005\nt_max = 2\nt_points = 20\n",
+        "fidelity": "command = fidelity\nlattice.width = 3\nlattice.height = 3\ncouplings.sigma = 0.3\n"
+        "couplings.seed = 3\nomega = 0.4\nt_max = 2\nt_points = 20\n",
         "sweep": "command = sweep\nlattice.width = 3\nlattice.height = 3\ncouplings.sigma = 0.3\n"
         "sweep.scheme = hsf\nomega = 0.05\nt_int = 0.1\n",
     }

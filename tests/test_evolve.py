@@ -233,16 +233,56 @@ def test_grid_matches_expm_multiply(lat34, part34):
 
 
 def test_grid_rows_equal_single_evolutions(lat34, part34):
-    """Each grid point is its own series from the start state, so it is bitwise
-    what evolve gives at that time, whatever the order of the grid; an empty grid
-    gives no states."""
+    """Each grid point is its own series from the start state, read through a
+    ring of _RING_TERMS terms when the grid has that many times: so a row is
+    bitwise the same whatever the order of the grid, and in any grid of
+    _RING_TERMS times or more that holds its time.  A lone evolve reads each
+    term in place, which rounds otherwise, so it is the grid's row within the
+    march's budget; an empty grid gives no states."""
     op = ham.op_total(lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=11), 0.4)
     psi = states.ghz_x(lat34.n_sites)
     ts = np.random.default_rng(4).permutation(np.linspace(0.0, 3.0, 13))
     eng = EvolutionEngine(op)
-    for g, t in zip(eng.evolve_grid(psi, ts), ts):
-        np.testing.assert_array_equal(g, eng.evolve(psi, t))
+    want = dict(zip(ts, eng.evolve_grid(psi, ts)))
+    ring = evolve_module._RING_TERMS
+    for picks in (np.argsort(ts), [0, 5, 2, 11], [3, 1, 7, 8, 12], list(range(ring, 2 * ring + 1))):
+        sub = ts[picks]
+        assert len(sub) >= ring
+        for t, g in zip(sub, eng.evolve_grid(psi, sub)):
+            np.testing.assert_array_equal(g, want[t])
+    for t in ts:
+        terms = eng._coefficients(t, False)[1].size
+        budget = (evolve_module._TAIL_TOL + 8 * terms * np.finfo(float).eps) * np.linalg.norm(psi)
+        assert np.linalg.norm(eng.evolve(psi, t) - want[t]) <= budget
     assert eng.evolve_grid(psi, []) == []
+
+
+@pytest.mark.parametrize("scheme", ["hsf", "hsf_ideal"])
+def test_grid_rows_ending_at_every_slot_of_a_ring_window(lat33, part33, scheme):
+    """Rows whose series end at 1 to 12 terms, so at every slot of the ring's
+    windows (K - 1, K and K + 1 terms among them), with the march ending at
+    each slot too, at r t ~ 1 and ~ 10; and grids of 1, 2, 3 and 5 times
+    (K = 1, 2, 3 and 4): every row's readout is expm_multiply's within the
+    march's budget.  A coefficient slot left over from an earlier window
+    adds that term's sums again."""
+    psi, op, proj = ramsey_setup(scheme, 0.7, lat33, part33, sample_gaussian(lat33, 1.0, 0.3, seed=3))
+    eng = EvolutionEngine(op)
+    start, csr = psi.vector(), op.tocsr()
+    first = {}  # the first time on a fine scan whose series keeps each number of terms
+    for t in np.append(0.0, np.geomspace(1e-9, 10.0, 3000) / eng._radius):
+        first.setdefault(eng._coefficients(t, False)[1].size, t)
+    top = max(first)
+    assert set(range(1, 13)) | set(range(top - 3, top + 1)) <= set(first)
+    by_terms = [first[n] for n in range(1, 13)]
+    ring = evolve_module._RING_TERMS
+    grids = [by_terms[: 12 - cut] for cut in range(ring)] + [by_terms[::3] + [first[top - cut]] for cut in range(ring)]
+    grids += [by_terms[1::4][:n] for n in (1, 2, 3)] + [by_terms[::-3][:5]]
+    for ts in grids:
+        for t, got in zip(ts, eng.readout_grid(psi, ts, proj)):
+            terms = eng._coefficients(t, False)[1].size
+            budget = evolve_module._TAIL_TOL + 8 * terms * np.finfo(float).eps
+            want = proj.amplitudes(expm_multiply(-1j * t * csr, start))
+            assert np.linalg.norm(got - want) <= budget, (len(ts), terms)
 
 
 def test_ideal_probability_matches_chebyshev(lat33):
@@ -515,28 +555,33 @@ def test_a_series_too_long_to_build_is_an_evolution_error(lat33, dis33):
 def test_march_memory_is_two_lane_stacks_and_the_readout_sums(lat34, part34, monkeypatch):
     """The engine keeps no basis-sized array, and a march holds two stacks of
     its lanes beside the readout sums: p_k is written over p_{k-2} block by
-    block.  With 2^6-state blocks every block-sized buffer is small; the one
-    vector of slack covers the readout's buffers and the output being made."""
+    block.  A grid of _RING_TERMS or more times also holds a ring of as many
+    terms' branch sums; one time, as every tangent is, holds none.  With
+    2^6-state blocks every block-sized buffer is small; the one vector of
+    slack covers the readout's buffers and the output being made."""
     monkeypatch.setattr(ham, "_BLOCK", 6)
     psi, h, proj = ramsey_setup("hsf", 0.05, lat34, part34, sample_gaussian(lat34, 1.0, 0.3, seed=3))
     vector = (1 << lat34.n_sites) * np.dtype(np.float64).itemsize
-    calls = (
-        (lambda eng: eng.readout_grid(psi, [0.1], proj), 1),
-        (lambda eng: eng.readout_tangent(psi, 0.1, proj), 2),
+    ring = evolve_module._RING_TERMS
+    grid = list(np.linspace(0.1, 0.4, ring + 2))
+    calls = (  # (call, lanes, rows, ring terms)
+        (lambda eng: eng.readout_grid(psi, [0.1], proj), 1, 1, 0),
+        (lambda eng: eng.readout_tangent(psi, 0.1, proj), 2, 1, 0),
+        (lambda eng: eng.readout_grid(psi, grid, proj), 1, len(grid), ring),
     )
-    for call, _ in calls:  # numpy's first calls fill caches that stay
+    for call, *_ in calls:  # numpy's first calls fill caches that stay
         call(EvolutionEngine(h))
     tracemalloc.start()
     try:
         eng = EvolutionEngine(h)
         assert tracemalloc.get_traced_memory()[1] < 0.1 * vector
-        for call, lanes in calls:
+        for call, lanes, rows, terms in calls:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             out = call(eng)
             peak = tracemalloc.get_traced_memory()[1] - base
             sums = 2 * lanes * proj.size * np.dtype(np.float64).itemsize  # one row: (Re, -Im) per lane
-            assert peak < 2 * lanes * vector + sums + vector, (lanes, peak / vector)
+            assert peak < 2 * lanes * vector + (rows + terms) * sums + vector, (lanes, rows, peak / vector)
             del out
     finally:
         tracemalloc.stop()

@@ -21,7 +21,9 @@ import scipy.linalg
 from hsfsense import hamiltonian as ham
 from hsfsense.bound import verify_bound
 from hsfsense.couplings import sample_gaussian
+from hsfsense.evolve import _TAIL_TOL, EvolutionEngine
 from hsfsense.lattice import Lattice, canonical_partition
+from hsfsense.sensing import ramsey_setup
 
 OMEGA = 0.005
 TIMES = np.linspace(0.0, 2.0, 9)
@@ -94,10 +96,16 @@ def test_bound_eps_matches_the_near_frozen_oracle(w, h):
     d = 2 oracle, at 3x3, 4x4 and 3x6 (two probes); measured 3.6e-15, 3.9e-15
     and 1.6e-14, where max |eps| is 7.8e-9, 5.4e-9 and 1.9e-6.  The d = 1
     oracle, 18, 32 and 68 states, is at least ten times further off (6.6e-14,
-    1.6e-13 and 2.5e-11): that is its truncation, which d = 2 removes."""
+    1.6e-13 and 2.5e-11): that is its truncation, which d = 2 removes.  Each
+    eps is also within twice the budget its march states for the state,
+    (_TAIL_TOL + 8 terms eps) times the unit norm, as a probability is a
+    square: measured at most a quarter of it, at t = 0."""
     lat = Lattice(w, h)
     part, c = canonical_partition(lat), sample_gaussian(lat, 1.0, 0.3, seed=3)
     eps = verify_bound(lat, part, c, OMEGA, TIMES).epsilon_values
-    off = {d: np.max(np.abs(oracle_eps(lat, part, c, OMEGA, TIMES, d) - eps)) for d in (1, 2)}
-    assert off[2] <= 3e-14
-    assert off[1] >= 10.0 * off[2]
+    off = {d: np.abs(oracle_eps(lat, part, c, OMEGA, TIMES, d) - eps) for d in (1, 2)}
+    assert np.max(off[2]) <= 3e-14
+    assert np.max(off[1]) >= 10.0 * np.max(off[2])
+    engine = EvolutionEngine(ramsey_setup("hsf", OMEGA, lat, part, c)[1])
+    terms = np.array([engine._coefficients(t, False)[1].size for t in TIMES])
+    assert np.all(off[2] <= 2.0 * (_TAIL_TOL + 8 * terms * np.finfo(float).eps))
