@@ -20,20 +20,22 @@ sum is applied one aligned block of 2^_BLOCK basis states at a time
 block a nibble of four bits at a time, each nibble one small 0/1 matrix
 product (``np.matmul``; with the grid rows' products in :mod:`hsfsense.evolve`
 one of the commands' two BLAS calls), and the sites above it by partner-block
-adds.  It has no whole-vector product, and its ``tocsr()`` is the builders'
-CSR.  Its
-diagonal is a ``Diagonal``: two small tables, one over the low _SPLIT bits
-and one over the bits from the lowest site bonded across them, whose sum is
-an entry (2^15 + 64 entries in place of 2^18 at 3x6), so ``op_tfim`` and
-``op_total`` build no basis-sized array; ``Diagonal.at`` reads the entries of
-a few states.  Every energy table, a ``Diagonal``'s two and the CSR builders'
-diagonals (``ising_diagonal``, ``shift_diagonal``), comes from one builder,
-``_table``.
+adds.  The nibbles' 0/1 matrices come from one shared read-only cache
+(``_nibbles``) and each call allocates its own scratch, so an operator holds
+no state and threads may share it.  It has no whole-vector product, and its
+``tocsr()`` is the builders' CSR.  Its diagonal is a ``Diagonal``: two small
+tables, one over the low _SPLIT bits and one over the bits from the lowest
+site bonded across them, whose sum is an entry (2^15 + 64 entries in place of
+2^18 at 3x6), so ``op_tfim`` and ``op_total`` build no basis-sized array;
+``Diagonal.at`` reads the entries of a few states.  Every energy table, a
+``Diagonal``'s two and the CSR builders' diagonals (``ising_diagonal``,
+``shift_diagonal``), comes from one builder, ``_table``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -190,6 +192,25 @@ class Diagonal:
         return self.block(slice(0, 1 << self.n_sites), np.empty(1 << self.n_sites))
 
 
+@lru_cache(maxsize=64)
+def _nibbles(sites: tuple[int, ...], low: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(lo, M) for each nibble of a block of 2^low states that holds one of
+    ``sites``, bits lo to min(lo + 3, low - 1): M[a, b] is 1 where a ^ b is the
+    bit of one of its sites, less lo.  Built whole per sites and block size (the
+    last 64 kept), and read-only, as every operator on those sites shares it."""
+    nibbles = []
+    for lo in range(0, low, _NIBBLE):
+        a = np.arange(1 << min(_NIBBLE, low - lo))
+        m = np.zeros((a.size, a.size))
+        for i in sites:
+            if lo <= i < min(lo + _NIBBLE, low):
+                m[a, a ^ (1 << (i - lo))] = 1.0
+        if m.any():
+            m.flags.writeable = False
+            nibbles.append((lo, m))
+    return tuple(nibbles)
+
+
 @dataclass(frozen=True, eq=False)
 class TransverseFieldOperator:
     """``diag + value * sum_{i in sites} sigma^x_i`` on 2^n_sites states, without a matrix.
@@ -199,15 +220,13 @@ class TransverseFieldOperator:
     ``sum_{i in sites} sigma^x_i`` to one block of ``blocks()`` into a
     block-sized output; the Chebyshev march of :mod:`hsfsense.evolve` adds the
     diagonal one block at a time from its tables.  ``tocsr()`` is its matrix,
-    which expands the diagonal.
+    which expands the diagonal.  It keeps no state, so threads may share it.
     """
 
     n_sites: int
     diag: Diagonal | None
     value: float
     sites: tuple[int, ...]
-    # the nibble matrices by block size, and the flip sum's scratch by shape and dtype
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if np.iscomplexobj(self.value) or not np.isfinite(self.value):
@@ -240,19 +259,20 @@ class TransverseFieldOperator:
         are summed a nibble at a time (``_nibbles``): with the block reshaped so
         that the nibble's bits are one axis, one ``np.matmul`` by the nibble's
         0/1 matrix sums its sites' flips.  The first product writes ``out`` (a
-        zero fill if there is none) and each later one, made in a scratch kept
-        with the operator, is added in.  A site at or above the block's bits
-        then adds the partner block's slice of ``psi``.  A nibble that a smaller block cuts is split between a
-        product and partner adds, so the sum agrees with another block size's
-        to rounding.
+        zero fill if there is none) and each later one, made in a scratch that
+        the call allocates, is added in.  A site at or above the block's bits
+        then adds the partner block's slice of ``psi``.  A nibble that a smaller
+        block cuts is split between a product and partner adds, so the sum
+        agrees with another block size's to rounding.
         """
         size = block.stop - block.start
         low, lead, x = size.bit_length() - 1, psi.shape[:-1], psi[..., block]
-        nibbles = self._nibbles(low)
+        nibbles = _nibbles(self.sites, low)
         if not nibbles:
             out[...] = 0.0
+        scratch = np.empty(out.shape, out.dtype) if len(nibbles) > 1 else None
         for n, (lo, m) in enumerate(nibbles):
-            dst = self._scratch(out) if n else out
+            dst = scratch if n else out
             shape = lead + (-1, m.shape[0], 1 << lo)
             if lo:  # the nibble's bits on the middle axis, the bits below it last
                 np.matmul(m, x.reshape(shape), out=dst.reshape(shape))
@@ -264,29 +284,6 @@ class TransverseFieldOperator:
             if i >= low:
                 partner = block.start ^ (1 << i)
                 out += psi[..., partner : partner + size]
-
-    def _scratch(self, out: np.ndarray) -> np.ndarray:
-        """A buffer of ``out``'s shape and dtype, kept for the next call."""
-        key = (out.shape, out.dtype)
-        if key not in self._cache:
-            self._cache[key] = np.empty(out.shape, out.dtype)
-        return self._cache[key]
-
-    def _nibbles(self, low: int) -> list[tuple[int, np.ndarray]]:
-        """(lo, M) for each nibble of a block of 2^low states that holds a site,
-        bits lo to min(lo + 3, low - 1): M[a, b] is 1 where a ^ b is the bit of
-        one of its sites, less lo.  Built once per block size."""
-        if low not in self._cache:
-            self._cache[low] = []
-            for lo in range(0, low, _NIBBLE):
-                a = np.arange(1 << min(_NIBBLE, low - lo))
-                m = np.zeros((a.size, a.size))
-                for i in self.sites:
-                    if lo <= i < min(lo + _NIBBLE, low):
-                        m[a, a ^ (1 << (i - lo))] = 1.0
-                if m.any():
-                    self._cache[low].append((lo, m))
-        return self._cache[low]
 
     def tocsr(self) -> sp.csr_matrix:
         diag = None if self.diag is None else self.diag.expand()

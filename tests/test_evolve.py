@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -506,6 +507,42 @@ def test_march_does_not_depend_on_the_order_of_the_groups(monkeypatch):
     monkeypatch.setattr(states.Projector, "walk", walk_back)
     assert proj.walk(h.blocks())[0][0].start > 0
     assert outputs() == want
+
+
+def test_threads_sharing_an_engine_read_out_the_sequential_bits():
+    """An operator keeps no state between calls: its nibble matrices come from
+    one read-only cache and each flip sum allocates its own scratch.  So two
+    threads that share one engine, readout and ket at 4x4 ``hsf`` (two 2^15-state
+    blocks) read out, three rounds each, every bit of a sequential run: a grid
+    of two times (a ring of two terms) and a tangent.  A deadlock fails at the
+    join's timeout instead of hanging."""
+    lat = Lattice(4, 4)
+    part, c = canonical_partition(lat), sample_gaussian(lat, 1.0, 0.3, seed=3)
+    psi, h, proj = ramsey_setup("hsf", 0.05, lat, part, c)
+    eng = EvolutionEngine(h)
+
+    def outputs():
+        got = eng.readout_grid(psi, [0.3, 0.6], proj) + list(eng.readout_tangent(psi, 0.3, proj))
+        return [a.tobytes() for a in got]
+
+    want = outputs()
+    start, runs = threading.Barrier(2, timeout=60), [[], []]
+
+    def worker(k):
+        start.wait()
+        for _ in range(3):
+            runs[k].append(outputs())
+
+    threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert runs == [[want] * 3] * 2
+    _, m = ham._nibbles(h.sites, ham._BLOCK)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("w,h", [(3, 3), (4, 4)])
