@@ -436,14 +436,24 @@ def build_h_probe_omega(partition: SitePartition, lattice: Lattice, omega: float
     return op_probe_omega(partition, lattice, omega).tocsr()
 
 
+def _anti_aligned(lattice: Lattice, i: int, j: int) -> np.ndarray:
+    """1 where the bond (i, j) is anti-aligned (uint8), broadcastable to ``_view``; a frame spin is down."""
+    n = lattice.n_sites
+    return _bit(n, i) ^ (0 if lattice.is_frame(j) else _bit(n, j))
+
+
+def _dw_counts(lattice: Lattice) -> np.ndarray:
+    """Number of anti-aligned bonds per basis state, shaped as ``_view``, in the narrowest type that holds it."""
+    bonds = lattice.bonds()
+    counts = np.zeros(_view(lattice.n_sites), dtype=np.min_scalar_type(len(bonds)))
+    for i, j in bonds:
+        counts += _anti_aligned(lattice, i, j)
+    return counts
+
+
 def dw_diagonal(lattice: Lattice) -> np.ndarray:
     """Number of anti-aligned bonds per basis state; frame bonds count with frame spins down."""
-    n, bonds = lattice.n_sites, lattice.bonds()
-    # counted in the narrowest type that holds the number of bonds, then widened
-    counts = np.zeros(_view(n), dtype=np.min_scalar_type(len(bonds)))
-    for i, j in bonds:
-        counts += _bit(n, i) ^ (0 if lattice.is_frame(j) else _bit(n, j))
-    return counts.reshape(-1).astype(np.int64)
+    return _dw_counts(lattice).reshape(-1).astype(np.int64)
 
 
 def _flip_mask(lattice: Lattice, site: int) -> np.ndarray:

@@ -351,8 +351,16 @@ def test_fragments_with_zero_omega_freezes_every_state(tmp_path, capsys, keys):
             "couplings.seed = 11\nomega = 0.4\ndelta_th = 0.1\n",
             "573d709a40038d5aef7039f7893ca3c4e38dbb6c0a18d65f2c3cc445d6f08f38",
         ),
+        # giant fragments (the largest holds 211,563 states): the census hooks over several passes
+        (
+            "lattice.width = 5\nlattice.height = 4\ncouplings.sigma = 0\nomega = 0.4\n",
+            "76a04c4f0804f2185154adb585b5d7a146ea043bbb605379e661deca4c6b7596",
+        ),
     ],
-    ids=["disordered-4x3", "homogeneous-3x3", "disordered-4x4", "disordered-5x4-seed3", "disordered-5x4-seed11"],
+    ids=[
+        "disordered-4x3", "homogeneous-3x3", "disordered-4x4", "disordered-5x4-seed3", "disordered-5x4-seed11",
+        "homogeneous-5x4",
+    ],
 )
 def test_fragments_csv_is_pinned(tmp_path, keys, digest):
     """The census CSV is integers only, so its bytes are the same on every platform."""

@@ -236,16 +236,9 @@ def csgraph_min_member_labels(graph):
     return minimum[component]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 5), st.integers(1, 5), st.sampled_from(list(Boundary)),
-    st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
-)
-def test_census_of_random_masks_equals_csgraph(width, height, boundary, seed, density):
-    """Random single-flip masks (each the same on both values of the bit it flips, and
-    kept to flips inside one domain-wall sector) on up to 10 sites."""
-    assume(width * height <= 10)
-    lat = Lattice(width, height, boundary)
+def random_sector_keeping_masks(lat, seed, density):
+    """Per site, a flat random flip mask: the same on both values of the bit it flips, kept to
+    flips inside one domain-wall sector, and holding each such flip with probability ``density``."""
     n = lat.n_sites
     rng = np.random.default_rng(seed)
     dw = ham.dw_diagonal(lat)
@@ -254,11 +247,50 @@ def test_census_of_random_masks_equals_csgraph(width, height, boundary, seed, de
         drawn = rng.random((1 << (n - 1 - i), 1, 1 << i)) < density
         keeps_sector = dw == dw[np.arange(1 << n) ^ (1 << i)]
         masks.append(np.broadcast_to(drawn, (1 << (n - 1 - i), 2, 1 << i)).reshape(-1) & keeps_sector)
+    return masks
+
+
+_RANDOM_MASKS = (
+    st.integers(1, 5), st.integers(1, 5), st.sampled_from(list(Boundary)),
+    st.integers(0, 2**32 - 1), st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_RANDOM_MASKS)
+@example(4, 4, Boundary.FIXED_DOWN_FRAME, 1, 1.0)  # fragments of ~14k states: several hooking passes
+@example(4, 4, Boundary.OPEN, 4, 0.2)
+def test_census_of_random_masks_equals_csgraph(width, height, boundary, seed, density):
+    """Random sector-keeping masks on up to 16 sites, up to every sector-keeping flip."""
+    assume(width * height <= 16)
+    lat = Lattice(width, height, boundary)
+    n = lat.n_sites
+    dw = ham.dw_diagonal(lat)
+    masks = random_sector_keeping_masks(lat, seed, density)
     report = census(lat, (mask.reshape(ham._view(n)) for mask in masks))
     want = csgraph_min_member_labels(ham._assemble(n, None, [(i, 1.0, m) for i, m in enumerate(masks)]))
     np.testing.assert_array_equal(report.labels, want)
     roots, sizes = np.unique(want, return_counts=True)
     np.testing.assert_array_equal(report.fragments, np.column_stack((dw[roots], roots, sizes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_RANDOM_MASKS)
+def test_census_rejects_one_flip_that_changes_the_sector(width, height, boundary, seed, density):
+    """Random sector-keeping masks and one more allowed flip, at one random state, that
+    changes the domain-wall number."""
+    assume(width * height <= 10)
+    lat = Lattice(width, height, boundary)
+    n = lat.n_sites
+    dw = ham.dw_diagonal(lat)
+    masks = random_sector_keeping_masks(lat, seed, density)
+    sites, states = np.nonzero([dw != dw[np.arange(1 << n) ^ (1 << i)] for i in range(n)])
+    assume(sites.size)  # a lone open site has no bond, so no flip changes its sector
+    pick = np.random.default_rng(seed).integers(sites.size)
+    site, state = sites[pick], states[pick]
+    masks[site][[state, state ^ (1 << site)]] = True  # a mask must not depend on the bit it flips
+    with pytest.raises(FragmentError, match="domain-wall"):
+        census(lat, (mask.reshape(ham._view(n)) for mask in masks))
 
 
 def test_adjacency_components_equals_census_on_both_builders(lat33, lat34, part33, part34):
